@@ -281,7 +281,8 @@ def stage_analysis(model: CoefficientModel, n: int) -> StageReport:
     The middle-window check compares the per-term split
     P_k = (-1)^n (alpha_s/sqrt k)(cos(ln k g-) - cos(ln k g- + 2 phi_k))
     against Q_k = 2 (-1)^n (alpha_s/sqrt k) cos(ln k g-) (the 2 phi ~ pi
-    approximation) and reports the RMS deviation relative to Q.
+    approximation) and reports the RMS deviation relative to Q over the
+    window without k = 1, where alpha_s has its pole.
     """
     ctx = _context(model, n)
     g = ctx.g
@@ -295,15 +296,20 @@ def stage_analysis(model: CoefficientModel, n: int) -> StageReport:
     zp_total = zp_part[-1]
     i9 = max(1, math.floor(0.9 * ctx.n_cut))
     sign = -1.0 if n % 2 else 1.0
-    k = np.arange(mid_lo, mid_hi + 1, dtype=float)
-    idx = slice(mid_lo - 1, mid_hi)
+    # the RMS skips the alpha_s pole at k = 1, which the window holds for
+    # g < 2 pi 256; a window left empty (g_0, g_1) deviates by nothing
+    rms_lo = max(2, mid_lo)
+    k = np.arange(rms_lo, mid_hi + 1, dtype=float)
+    idx = slice(rms_lo - 1, mid_hi)
     alpha_s = ctx.alpha_s[idx]
     phi = ctx.phases[idx]
     base = np.cos(ctx.ph_minus[idx])
     p_term = sign * alpha_s / np.sqrt(k) * (base - np.cos(ctx.ph_minus[idx] + 2.0 * phi))
     q_term = 2.0 * sign * alpha_s / np.sqrt(k) * base
-    q_rms = math.sqrt(float(np.mean(q_term ** 2)))
-    rms_dev = math.sqrt(float(np.mean((p_term - q_term) ** 2))) / max(q_rms, 1e-300)
+    rms_dev = 0.0
+    if k.size:
+        q_rms = math.sqrt(float(np.mean(q_term ** 2)))
+        rms_dev = math.sqrt(float(np.mean((p_term - q_term) ** 2))) / max(q_rms, 1e-300)
 
     return StageReport(
         n=n, surge_end=surge_end, middle=(mid_lo, mid_hi),

@@ -2,8 +2,10 @@
 byte-reproducible CSV/JSON output.
 
 Exit codes: 0 on success (a detected DH violation is data, not an error),
-1 on usage or domain errors, 2 when a verdict-style experiment comes out
-negative (corrected curve not established, repulsion conjecture violated).
+1 on usage, domain or numerical errors (a flat point, Newton non-convergence,
+an indeterminate sign), each reported as one "error: ..." line, and 2 when a
+verdict-style experiment comes out negative (corrected curve not established,
+repulsion conjecture violated).
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from concurrent.futures import ThreadPoolExecutor
 from . import adjust, curves, dh, discriminant, gram
 from .cache import RecordStore, default_cache_dir
 from .emit import write_csv, write_json
-from .errors import DomainError, IndexRangeError, NotAGramPointError, TraceError
+from .errors import (DomainError, FlatPointError, IndeterminateSignError,
+                     NonConvergenceError, TraceError)
 from .zmodel import CoefficientModel, find_zero_newton, riemann_model
 from .gram import RecordSource
 
@@ -398,10 +401,8 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except (DomainError, IndexRangeError, NotAGramPointError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except TraceError as exc:
+    except (ValueError, TraceError, FlatPointError, NonConvergenceError,
+            IndeterminateSignError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .discriminant import _ExtremumSolver
 from .gram import gram_point
-from .zmodel import CoefficientModel, section_eval
+from .zmodel import CoefficientModel
 
 _MIN_STEP = 1e-5
 _LEVEL_TOL = 1e-3
@@ -31,11 +31,16 @@ _LEVEL_TOL = 1e-3
 class LinearCurve:
     """gamma(r) = r * (1, ..., 1)."""
 
+    block_masks = None  # one block: every index
+
     def __init__(self, dimension: int):
         self.dimension = dimension
 
     def weights_at(self, r: float):
         return float(r)
+
+    def block_weights_at(self, r: float) -> tuple[float]:
+        return (float(r),)
 
 
 class TwoParamCurve:
@@ -64,6 +69,7 @@ class TwoParamCurve:
         for k in self.shift_set:
             mask[k - 1] = True
         self._mask = mask
+        self.block_masks = (mask, ~mask)  # shift block, descend block
 
     def point_at(self, r: float) -> tuple[float, float]:
         r = min(max(r, 0.0), 1.0)
@@ -78,6 +84,9 @@ class TwoParamCurve:
     def weights_at(self, r: float):
         r1, r2 = self.point_at(r)
         return self.weights_of(r1, r2)
+
+    def block_weights_at(self, r: float) -> tuple[float, float]:
+        return self.point_at(r)
 
     def weights_of(self, r1: float, r2: float):
         return np.where(self._mask, r1, r2)
@@ -191,24 +200,21 @@ def shifting_stage(model: CoefficientModel, n: int, shift_set,
     g0 = gram_point(model, n)
     n_terms = model.robust_cutoff(g0)
     curve = TwoParamCurve(n_terms, shift_set, [(0.0, 0.0), (1.0, 1.0)])
-    solver = _ExtremumSolver(model, n, g0)
+    solver = _ExtremumSolver(model, n, g0, curve.block_masks)
     sign = -1.0 if n % 2 else 1.0
-    points = [StagePoint("shift", 0.0, 0.0, g0,
-                         solver.value(curve.weights_of(0.0, 0.0), g0))]
+    points = [StagePoint("shift", 0.0, 0.0, g0, solver.value((0.0, 0.0), g0))]
     if not shift_set:
         points.append(StagePoint("shift", 1.0, 0.0, g0, points[0].delta))
         return ShiftingResult(n=n, shift_set=frozenset(), points=points,
                               truncated=False, exit_point=(1.0, 0.0), exit_g=g0)
 
-    descend_mask = ~curve._mask
     r1, r2, g = 0.0, 0.0, g0
     dr = 1.0 / steps
     truncated = False
     while r1 < 1.0 - 1e-12:
         dr = min(dr, 1.0 - r1)
         r1_try = r1 + dr
-        sol = _correct_level(model, solver, curve, descend_mask, sign,
-                             r1_try, r2, g)
+        sol = _correct_level(solver, sign, r1_try, r2, g)
         if sol is None:
             dr *= 0.5
             if dr < _MIN_STEP:
@@ -224,11 +230,11 @@ def shifting_stage(model: CoefficientModel, n: int, shift_set,
                           truncated=truncated, exit_point=(r1, r2), exit_g=g)
 
 
-def _correct_level(model, solver, curve, descend_mask, sign, r1, r2, g_seed):
+def _correct_level(solver, sign, r1, r2, g_seed):
     """Newton in r2 restoring sign * Delta = 1; returns (r2, g, delta) or None."""
     r2_cur, g = r2, g_seed
     for _ in range(12):
-        w = curve.weights_of(r1, r2_cur)
+        w = (r1, r2_cur)
         sol = solver.solve(w, g)
         if sol is None:
             return None
@@ -237,11 +243,8 @@ def _correct_level(model, solver, curve, descend_mask, sign, r1, r2, g_seed):
         err = sign * delta - 1.0
         if abs(err) <= _LEVEL_TOL:
             return r2_cur, g, delta
-        # envelope theorem: dDelta/dr2 is the plain partial in the descend block
-        basis = section_eval(model, g, np.where(descend_mask, 1.0, 0.0),
-                             orders=(0,), n_terms=curve.dimension)[0]
-        core = model.coefficients(1)[0] * math.cos(model.theta(g))
-        slope = sign * (basis - core)
+        # envelope theorem: dDelta/dr2 is the plain partial, the descend block sum
+        slope = sign * solver.block_sum(g, 1)
         if abs(slope) < 1e-14:
             return None
         r2_next = r2_cur - err / slope
@@ -270,7 +273,7 @@ def descending_stage(model: CoefficientModel, n: int,
     g0 = gram_point(model, n)
     n_terms = model.robust_cutoff(g0)
     curve = TwoParamCurve(n_terms, shift_set, [(0.0, 0.0), (1.0, 1.0)])
-    solver = _ExtremumSolver(model, n, g0)
+    solver = _ExtremumSolver(model, n, g0, curve.block_masks)
     sign = -1.0 if n % 2 else 1.0
     r1_0, r2_0 = start
     g = g_start if g_start is not None else g0
@@ -279,7 +282,7 @@ def descending_stage(model: CoefficientModel, n: int,
     energy_ok = True
     r_coll: float | None = None
     if (r1_0, r2_0) == (1.0, 1.0):
-        w = curve.weights_of(1.0, 1.0)
+        w = (1.0, 1.0)
         sol = solver.solve(w, g)
         if sol is not None:
             g = sol[0]
@@ -296,7 +299,7 @@ def descending_stage(model: CoefficientModel, n: int,
         s_try = s + ds
         r1 = r1_0 + s_try * (1.0 - r1_0)
         r2 = r2_0 + s_try * (1.0 - r2_0)
-        w = curve.weights_of(r1, r2)
+        w = (r1, r2)
         sol = solver.solve(w, g)
         if sol is None or sol[1] > 5:
             ds *= 0.5
@@ -310,7 +313,7 @@ def descending_stage(model: CoefficientModel, n: int,
         points.append(StagePoint("descend", r1, r2, g, delta))
         if energy_ok and sign * delta <= 0.0:
             energy_ok = False
-            r_coll = _bisect_descent(solver, curve, sign, (r1_0, r2_0),
+            r_coll = _bisect_descent(solver, sign, (r1_0, r2_0),
                                      prev_s, prev_g, s_try, g)
         prev_s, prev_g = s_try, g
         s = s_try
@@ -319,13 +322,13 @@ def descending_stage(model: CoefficientModel, n: int,
     return DescentResult(n=n, points=points, energy_ok=energy_ok, r_collision=r_coll)
 
 
-def _bisect_descent(solver, curve, sign, start, s_lo, g_lo, s_hi, g_hi):
+def _bisect_descent(solver, sign, start, s_lo, g_lo, s_hi, g_hi):
     r1_0, r2_0 = start
     for _ in range(40):
         if s_hi - s_lo <= 1e-6:
             break
         s_mid = 0.5 * (s_lo + s_hi)
-        w = curve.weights_of(r1_0 + s_mid * (1.0 - r1_0), r2_0 + s_mid * (1.0 - r2_0))
+        w = (r1_0 + s_mid * (1.0 - r1_0), r2_0 + s_mid * (1.0 - r2_0))
         sol = solver.solve(w, 0.5 * (g_lo + g_hi))
         if sol is None:
             break

@@ -29,7 +29,8 @@ import numpy as np
 
 from .errors import DimensionError, TraceError
 from .numerics import csum
-from .zmodel import CoefficientModel, section_eval, z_section, z_section_deriv
+from .zmodel import (CoefficientModel, WindowProxy, section_eval, z_section,
+                     z_section_deriv)
 from .gram import gram_point
 
 KAPPA_H = 4.0
@@ -72,23 +73,38 @@ class DiscriminantTrace:
 
 
 class _ExtremumSolver:
-    """Newton solver for dZ/dt(t; a) = 0 at fixed section dimension."""
+    """Newton solver for dZ/dt(t; a) = 0 at fixed section dimension.
 
-    def __init__(self, model: CoefficientModel, n: int, g0: float):
+    A parameter point a is a scalar (uniform weight on every index), a tuple
+    of block weights aligned with masks, or an arbitrary weight vector. The
+    first two go through a WindowProxy of the block sums; only a vector is
+    summed directly, term by term.
+    """
+
+    def __init__(self, model: CoefficientModel, n: int, g0: float, masks=None):
         self.model = model
         self.n_terms = model.robust_cutoff(g0)
         self.g0 = g0
         lnfac = 2.0 * model.theta_main(g0)
         self.ztt_floor = 1e-8 * lnfac * lnfac
         self.step_tol = 1e-12 * max(1.0, abs(g0))
+        self.proxy = WindowProxy(model, self.n_terms, masks, g0)
+
+    def section(self, a, t: float, orders: tuple[int, ...] = (0, 1, 2)):
+        """Z, Z_t, Z_tt at t (main mode), indexable by order; orders limits
+        only the direct sum, the proxy returns all three at once."""
+        if isinstance(a, np.ndarray):
+            return section_eval(self.model, t, a, orders=orders, n_terms=self.n_terms)
+        if isinstance(a, (int, float)):
+            a = (float(a),) * self.proxy.blocks
+        return self.proxy.section(t, a)
 
     def solve(self, a, t_seed: float, max_newton: int = 10):
         """Returns (t, iterations, degenerate_flag) or None on failure."""
         t = t_seed
         polish = False
         for it in range(1, max_newton + 1):
-            vals = section_eval(self.model, t, a, orders=(1, 2),
-                                n_terms=self.n_terms)
+            vals = self.section(a, t, (1, 2))
             zp, ztt = vals[1], vals[2]
             if abs(ztt) < self.ztt_floor:
                 return None
@@ -101,10 +117,22 @@ class _ExtremumSolver:
         return (t, max_newton, False) if polish else None
 
     def value(self, a, t: float) -> float:
-        return section_eval(self.model, t, a, orders=(0,), n_terms=self.n_terms)[0]
+        return self.section(a, t, (0,))[0]
 
     def curvature(self, a, t: float) -> float:
-        return section_eval(self.model, t, a, orders=(2,), n_terms=self.n_terms)[2]
+        return self.section(a, t, (2,))[2]
+
+    def block_sum(self, t: float, block: int) -> float:
+        """S_B(t), the section's sum over one block of indices."""
+        return float(self.proxy.sums(t)[0, block])
+
+
+def _block_view(curve):
+    """(masks, weights_at) of a curve: block masks and per-block weights where
+    the curve has them, else one block and its own weights_at."""
+    if hasattr(curve, "block_weights_at"):
+        return curve.block_masks, curve.block_weights_at
+    return None, curve.weights_at
 
 
 def track_extremum(model: CoefficientModel, n: int, curve, steps: int = 200,
@@ -120,7 +148,8 @@ def track_extremum(model: CoefficientModel, n: int, curve, steps: int = 200,
     if steps < 50:
         raise ValueError(f"steps must be >= 50, got {steps}")
     g0 = gram_point(model, n)
-    solver = _ExtremumSolver(model, n, g0)
+    masks, weights_at = _block_view(curve)
+    solver = _ExtremumSolver(model, n, g0, masks)
     if getattr(curve, "dimension", solver.n_terms) != solver.n_terms:
         raise DimensionError(
             f"curve dimension {curve.dimension} != robust cutoff {solver.n_terms}")
@@ -128,8 +157,8 @@ def track_extremum(model: CoefficientModel, n: int, curve, steps: int = 200,
     jump_cap = 0.5 * math.pi / model.theta_main(g0)  # half the local Gram gap
 
     r, g = 0.0, g0
-    delta0 = solver.value(curve.weights_at(0.0), g0)
-    ztt0 = solver.curvature(curve.weights_at(0.0), g0)
+    delta0 = solver.value(weights_at(0.0), g0)
+    ztt0 = solver.curvature(weights_at(0.0), g0)
     samples = [TraceSample(r=0.0, g=g0, delta=delta0, ztt=ztt0)]
     status = TraceStatus.NON_COLLIDING
     r_event = None
@@ -139,7 +168,7 @@ def track_extremum(model: CoefficientModel, n: int, curve, steps: int = 200,
     while r < r_max - 1e-12:
         dr = min(dr, r_max - r)
         r_try = r + dr
-        sol = solver.solve(curve.weights_at(r_try), g)
+        sol = solver.solve(weights_at(r_try), g)
         ok = sol is not None and sol[1] <= _LEVEL_NEWTON_MAX \
             and abs(sol[0] - g) <= jump_cap
         if not ok:
@@ -151,12 +180,12 @@ def track_extremum(model: CoefficientModel, n: int, curve, steps: int = 200,
                 break
             continue
         g_new = sol[0]
-        a_try = curve.weights_at(r_try)
+        a_try = weights_at(r_try)
         delta = solver.value(a_try, g_new)
         ztt = solver.curvature(a_try, g_new)
         if status is TraceStatus.NON_COLLIDING and sign * delta <= 0.0:
             status = TraceStatus.COLLISION
-            r_event = _bisect_crossing(solver, curve, sign, r, g, r_try, g_new)
+            r_event = _bisect_crossing(solver, weights_at, sign, r, g, r_try, g_new)
         samples.append(TraceSample(r=r_try, g=g_new, delta=delta, ztt=ztt))
         r, g = r_try, g_new
         if dr < base_dr:
@@ -164,17 +193,17 @@ def track_extremum(model: CoefficientModel, n: int, curve, steps: int = 200,
     return DiscriminantTrace(n=n, samples=samples, status=status, r_event=r_event)
 
 
-def _bisect_crossing(solver, curve, sign, r_lo, g_lo, r_hi, g_hi) -> float:
+def _bisect_crossing(solver, weights_at, sign, r_lo, g_lo, r_hi, g_hi) -> float:
     """Locate the r where sign * Delta crosses zero, to 1e-6."""
     for _ in range(60):
         if r_hi - r_lo <= 1e-6:
             break
         r_mid = 0.5 * (r_lo + r_hi)
-        sol = solver.solve(curve.weights_at(r_mid), 0.5 * (g_lo + g_hi))
+        sol = solver.solve(weights_at(r_mid), 0.5 * (g_lo + g_hi))
         if sol is None:
             break
         g_mid = sol[0]
-        if sign * solver.value(curve.weights_at(r_mid), g_mid) > 0.0:
+        if sign * solver.value(weights_at(r_mid), g_mid) > 0.0:
             r_lo, g_lo = r_mid, g_mid
         else:
             r_hi, g_hi = r_mid, g_mid

@@ -14,12 +14,14 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 CSV_VERSION = "1"
 
 
 def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, (float, np.floating)):  # repr(np.float64) is "np.float64(...)"
+        return repr(float(value))
     return str(value)
 
 

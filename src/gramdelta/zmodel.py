@@ -96,24 +96,29 @@ def _basis(model: CoefficientModel, m_count: int):
 
 
 def _as_weights(a, n: int):
-    """Normalize a parameter point: scalar -> uniform, sequence -> validated array."""
+    """Normalize a parameter point: scalar -> uniform, sequence -> validated array.
+
+    A 2-D array of shape (B, n) is a stack of B parameter points (block masks,
+    for instance); section_eval then returns one sum per row.
+    """
     if a is None:
         return 0.0
     if isinstance(a, (int, float)):
         return float(a)
     arr = np.asarray(a, dtype=float)
-    if arr.ndim != 1 or arr.shape[0] != n:
+    if arr.ndim not in (1, 2) or arr.shape[-1] != n:
         raise DimensionError(f"parameter point has dimension {arr.shape}, expected ({n},)")
     return arr
 
 
 def section_eval(model: CoefficientModel, t, a, *, orders: tuple[int, ...] = (0,),
-                 deriv_mode: str = "main", n_terms: int | None = None) -> dict[int, float]:
+                 deriv_mode: str = "main", n_terms: int | None = None) -> dict:
     """Evaluate Z_N(t; a) and its requested t-derivatives in one trig pass.
 
     n_terms pins the section dimension N (defaults to the robust cutoff at t);
     continuation code passes it explicitly so the dimension never jumps while
-    t slides across an even integer.
+    t slides across an even integer. For a (B, N) stack of parameter points
+    each order maps to an array of B values; otherwise to one float.
     """
     n = model.robust_cutoff(t.real if isinstance(t, complex) else t) \
         if n_terms is None else n_terms
@@ -121,34 +126,32 @@ def section_eval(model: CoefficientModel, t, a, *, orders: tuple[int, ...] = (0,
     ln_m, q = _basis(model, n + 1)
     th = model.theta(t)
     phases = th - t * ln_m
-    if isinstance(w, float):
-        full = None
-    else:
-        full = np.empty(n + 1)
-        full[0] = 1.0
-        full[1:] = w
 
-    out: dict[int, float] = {}
-    if 0 in orders:
-        terms = q * np.cos(phases)
-        out[0] = _weighted(terms, w, full)
     if 1 in orders or 2 in orders:
         if deriv_mode == "main":
             tp = model.theta_main(t)
-            factors = tp - ln_m
         elif deriv_mode == "full":
             tp = model.theta_deriv(t, 1)
-            factors = tp - ln_m
         else:
             raise ValueError(f"unknown deriv_mode {deriv_mode!r}")
-        if 1 in orders:
-            terms = -q * np.sin(phases) * factors
-            out[1] = _weighted(terms, w, full)
-        if 2 in orders:
-            terms = -q * np.cos(phases) * factors * factors
-            if deriv_mode == "full":
-                terms = terms - q * np.sin(phases) * model.theta_deriv(t, 2)
-            out[2] = _weighted(terms, w, full)
+        factors = tp - ln_m
+    full_sin = 2 in orders and deriv_mode == "full"
+    cos_p = np.cos(phases) if 0 in orders or 2 in orders else None
+    sin_p = np.sin(phases) if 1 in orders or full_sin else None
+    del phases  # holds N + 1 floats; the trig arrays replace it
+
+    out: dict = {}
+    if 0 in orders:
+        terms = q * cos_p
+        out[0] = _weighted(terms, w)
+    if 1 in orders:
+        terms = -q * sin_p * factors
+        out[1] = _weighted(terms, w)
+    if 2 in orders:
+        terms = -q * cos_p * factors * factors
+        if full_sin:
+            terms = terms - q * sin_p * model.theta_deriv(t, 2)
+        out[2] = _weighted(terms, w)
     return out
 
 
@@ -158,13 +161,18 @@ def _csum_any(terms: np.ndarray):
     return csum(terms)
 
 
-def _weighted(terms: np.ndarray, w, full):
+def _weighted(terms: np.ndarray, w):
+    """Weighted sum of the terms; the head (m = 1) always has weight 1."""
     if isinstance(w, float):
         head = terms[0] if np.iscomplexobj(terms) else float(terms[0])
         if w == 0.0:
             return head
         return head + w * _csum_any(terms[1:])
-    return _csum_any(full * terms)
+    if w.ndim == 2:
+        return np.array([_weighted(terms, row) for row in w])
+    weighted = terms.copy()
+    weighted[1:] *= w
+    return _csum_any(weighted)
 
 
 def z_section(model: CoefficientModel, t, a) -> float:
@@ -182,6 +190,83 @@ def z_section_deriv(model: CoefficientModel, t: float, a, order: int = 1,
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
     return section_eval(model, t, a, orders=(order,), deriv_mode=mode)[order]
+
+
+# Chebyshev points of the first kind, x_j = cos((j + 1/2) pi / 25), and the
+# DCT-II matrix that maps values at them to the coefficients c_k of the
+# interpolant sum_k c_k T_k(x). On the windows below they interpolate better
+# than the 25 extrema (1.7e-8 against 3.2e-8 in S'' at g_0, where the window
+# is widest).
+_CHEB_NODES = 25
+_CHEB_K = np.arange(_CHEB_NODES, dtype=float)
+_CHEB_ANGLES = math.pi * (_CHEB_K + 0.5) / _CHEB_NODES
+_CHEB_X = np.cos(_CHEB_ANGLES)
+_CHEB_FIT = np.cos(np.outer(_CHEB_K, _CHEB_ANGLES)) * (2.0 / _CHEB_NODES)
+_CHEB_FIT[0] *= 0.5
+
+
+class WindowProxy:
+    """Chebyshev proxies of the block sums of a section near one Gram point.
+
+    For blocks B of term indices k = 1..N (boolean masks; None is the single
+    block of all indices) the section splits as
+
+        Z_N^(j)(t; w) = head^(j)(t) + sum_B w_B S_B^(j)(t),   j = 0, 1, 2,
+
+    with main-mode derivatives and the m = 1 head evaluated exactly. The proxy
+    interpolates every S_B^(j) at the 25 Chebyshev points of a window of
+    half-width one local Gram gap, pi / theta_main'(g0), each node one
+    section_eval call. Against the direct sums it is within 1.7e-8 relative
+    at g_0, where the window is widest, and 6e-9 at g_730119, the rounding
+    floor of the 225,307-term sum itself. The window is first centred on g0
+    and tabulated when first needed; a point outside it re-tabulates the
+    window centred on that point.
+    """
+
+    def __init__(self, model: CoefficientModel, n_terms: int, masks, g0: float):
+        self.model = model
+        self.n_terms = n_terms
+        self.weights = 1.0 if masks is None else np.array(masks, dtype=float)
+        self.blocks = 1 if masks is None else len(masks)
+        self.half_width = math.pi / model.theta_main(g0)
+        self.center = g0
+        self._c1 = float(model.coefficients(1)[0])
+        self._coef = None
+
+    def head(self, t: float) -> tuple[float, float, float]:
+        """The m = 1 term of the section and its main-mode t-derivatives."""
+        th, tp = self.model.theta(t), self.model.theta_main(t)
+        c1_cos = self._c1 * math.cos(th)
+        return c1_cos, -self._c1 * math.sin(th) * tp, -c1_cos * tp * tp
+
+    def _tabulate(self) -> np.ndarray:
+        rows = []
+        for x in _CHEB_X:
+            t = self.center + self.half_width * x
+            vals = section_eval(self.model, t, self.weights, orders=(0, 1, 2),
+                                n_terms=self.n_terms)
+            head = self.head(t)
+            rows.append(np.concatenate([np.atleast_1d(vals[j]) - head[j]
+                                        for j in range(3)]))
+        return _CHEB_FIT @ np.array(rows)
+
+    def sums(self, t: float) -> np.ndarray:
+        """S_B^(j)(t) as a (3, blocks) array, row j = order."""
+        x = (t - self.center) / self.half_width
+        if not abs(x) <= 1.0 + 1e-12:  # a window edge rounds to |x| = 1 + ulp
+            self.center, self._coef, x = t, None, 0.0
+        if self._coef is None:
+            self._coef = self._tabulate()
+        x = min(max(x, -1.0), 1.0)
+        return (np.cos(_CHEB_K * math.acos(x)) @ self._coef).reshape(3, self.blocks)
+
+    def section(self, t: float, w: tuple[float, ...]) -> tuple[float, float, float]:
+        """Z_N^(j)(t; w) for j = 0, 1, 2, one weight per block."""
+        head = self.head(t)
+        if not any(w):
+            return head
+        s0, s1, s2 = (self.sums(t) @ np.array(w)).tolist()
+        return head[0] + s0, head[1] + s1, head[2] + s2
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -201,3 +202,12 @@ def test_random_phase_terms_center_on_zero():
 def test_gram_vectors_trials_floor(riemann):
     with pytest.raises(ValueError):
         gram_vectors(riemann, 100, trials=10)
+
+
+def test_stage_analysis_low_height_skips_the_pole(riemann):
+    # g_100 < 2 pi 256: the middle window starts at k = 1, where alpha_s is infinite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = stage_analysis(riemann, 100)
+    assert rep.middle == (1, 4)
+    assert math.isfinite(rep.middle_rms_dev) and rep.middle_rms_dev > 0.0

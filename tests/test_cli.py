@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from gramdelta import cli, gram
 from gramdelta.cli import main
+from gramdelta.errors import FlatPointError, NonConvergenceError
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -180,3 +182,58 @@ def test_usage_and_domain_errors(tmp_path, capsys):
     assert code == 1  # below the domain floor
     code, _ = run(capsys, "newton", "--cache-dir", str(tmp_path))
     assert code == 1  # neither --index nor --t0
+
+
+def _raise(exc):
+    def fake(*args, **kwargs):
+        raise exc
+    return fake
+
+
+@pytest.mark.parametrize("exc", [
+    FlatPointError("flat point at t=7005.0: |Z'|=1.000e-13", [7005.0]),
+    NonConvergenceError("no convergence after 50 iterations (|Z|=1.000e-03)", [7005.0]),
+])
+def test_newton_failures_exit_one_line(tmp_path, capsys, monkeypatch, exc):
+    monkeypatch.setattr(cli, "find_zero_newton", _raise(exc))
+    code = main(["newton", "--index", "6708", "--cache-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.splitlines() == [f"error: {exc}"]
+
+
+def test_indeterminate_sign_exits_one_line(tmp_path, capsys, monkeypatch):
+    real = gram.classify
+
+    def indeterminate_at_126(model, n):
+        rec = real(model, n)
+        if n != 126:
+            return rec
+        return gram.GramRecord(rec.n, rec.t, rec.z_value, rec.zprime_value,
+                               gram.GramKind.INDETERMINATE, rec.viscosity)
+
+    monkeypatch.setattr(gram, "classify", indeterminate_at_126)
+    code = main(["gram", "blocks", "--from", "120", "--to", "130",
+                 "--cache-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.splitlines() == ["error: Gram point n=126 is indeterminate"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["closed-forms", "--n", "100"],
+    ["adjustments", "--n", "100"],
+    ["stages", "--n", "100"],
+    ["mc", "--n", "100", "--trials", "100"],
+    ["curve", "corrected", "--n", "6708", "--steps", "50"],
+])
+def test_csv_decimal_columns_are_plain_floats(tmp_path, capsys, argv):
+    out = tmp_path / "x.csv"
+    assert main(argv + ["--cache-dir", str(tmp_path), "--out", str(out)]) == 0
+    header, *rows = [l.split(",") for l in out.read_text().splitlines()
+                     if not l.startswith("#")]
+    twins = [(header.index(h[:-4]), i) for i, h in enumerate(header) if h.endswith("_hex")]
+    assert twins and rows
+    for row in rows:
+        for dec, hexed in twins:
+            assert float(row[dec]) == float.fromhex(row[hexed])

@@ -129,3 +129,9 @@ def test_corrected_curve_6708(riemann):
     assert rep.verdict == "true"
     sign = 1.0  # n even
     assert all(sign * p.delta > 0 for p in rep.points)
+
+
+def test_stage_points_are_plain_floats(riemann):
+    rep = corrected_curve(riemann, 6708, steps=100)
+    assert all(type(v) is float for p in rep.points
+               for v in (p.r1, p.r2, p.g, p.delta))

@@ -183,3 +183,57 @@ def test_second_order_term_magnitude_126(riemann):
     term = second_order_approx(riemann, n, r) - z_section(riemann, g, r)
     assert term == pytest.approx(0.5 * 2.22893 * r * r, rel=0.01)
     assert term > 0
+
+
+class _VectorLinearCurve:
+    """LinearCurve with its weights spelled out term by term: the direct path."""
+
+    def __init__(self, dimension):
+        self.dimension = dimension
+
+    def weights_at(self, r):
+        return np.full(self.dimension, float(r))
+
+
+@pytest.mark.parametrize("name,n", [("riemann", 6708), ("dh", 44)])
+def test_proxy_march_matches_direct_march(riemann, davenport, name, n):
+    model = riemann if name == "riemann" else davenport
+    dim = model.robust_cutoff(gram_point(model, n))
+    proxied = track_extremum(model, n, linear_curve(model, n), steps=100)
+    direct = track_extremum(model, n, _VectorLinearCurve(dim), steps=100)
+    assert proxied.status is direct.status
+    assert proxied.r_event == direct.r_event
+    assert [s.r for s in proxied.samples] == [s.r for s in direct.samples]
+    for a, b in zip(proxied.samples, direct.samples):
+        assert abs(a.g - b.g) <= 1e-8
+        assert abs(a.delta - b.delta) <= 1e-8
+    if name == "dh":
+        assert proxied.status is TraceStatus.COLLISION
+
+
+def test_proxy_march_keeps_the_730119_collision(riemann):
+    # r_event of the direct floor(t/2)-term march, before the proxy
+    trace = track_extremum(riemann, 730119, linear_curve(riemann, 730119), steps=50)
+    assert trace.status is TraceStatus.COLLISION
+    assert abs(trace.r_event - 0.24384918212890616) <= 1e-6
+
+
+def test_march_is_deterministic_and_plain_floats(riemann):
+    def run(n):
+        return track_extremum(riemann, n, linear_curve(riemann, n), steps=60)
+
+    first = run(6708)
+    run(90)  # other work in between must not leak a window into the next march
+    again = run(6708)
+    assert first.samples == again.samples and first.r_event == again.r_event
+    assert all(type(v) is float for s in first.samples
+               for v in (s.r, s.g, s.delta, s.ztt))
+
+
+def test_fresh_solver_starts_on_its_own_window(riemann):
+    g0 = gram_point(riemann, 6708)
+    used = _ExtremumSolver(riemann, 6708, g0)
+    used.solve(0.5, g0 + 2.0 * used.proxy.half_width)  # re-centres that proxy
+    fresh = _ExtremumSolver(riemann, 6708, g0)
+    assert fresh.proxy.center == g0
+    assert fresh.solve(0.5, g0) == _ExtremumSolver(riemann, 6708, g0).solve(0.5, g0)

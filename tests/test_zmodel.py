@@ -11,7 +11,7 @@ from gramdelta import (GramKind, classical_afe, classify, core_zero,
                        z_section, z_section_deriv)
 from gramdelta.errors import DimensionError, DomainError, IndexRangeError
 from gramdelta.special import ThetaKind, theta
-from gramdelta.zmodel import (_RS_REMAINDER, _parity_series,
+from gramdelta.zmodel import (_RS_REMAINDER, WindowProxy, _parity_series,
                               classical_partial_sums, hardy_z_error, section_eval)
 
 from oracles import bisect, central_difference, zeta_euler_maclaurin
@@ -288,3 +288,49 @@ def test_hardy_z_validation(riemann, davenport):
         hardy_z(riemann, 100.0, (0, 2))
     with pytest.raises(DomainError):
         hardy_z(riemann, 9.0)
+
+
+@pytest.mark.parametrize("mode", ["main", "full"])
+def test_fused_orders_are_bit_identical(riemann, davenport, mode):
+    # one cos and one sin pass serve all three orders; each order must equal
+    # its own single-order call exactly, for every weight form
+    for model, t in [(riemann, 7005.1), (riemann, 97.3), (davenport, 120.7)]:
+        n = model.robust_cutoff(t)
+        vec = np.linspace(-0.5, 1.5, n)
+        for a in (0.0, 0.7, vec, np.stack([vec, 1.0 - vec])):
+            fused = section_eval(model, t, a, orders=(0, 1, 2), deriv_mode=mode)
+            for j in range(3):
+                single = section_eval(model, t, a, orders=(j,), deriv_mode=mode)[j]
+                assert np.array_equal(fused[j], single)
+
+
+def test_stacked_weights_sum_each_row(riemann):
+    t = 500.5
+    n = riemann.robust_cutoff(t)
+    rows = np.stack([np.ones(n), np.linspace(0.0, 1.0, n)])
+    stacked = section_eval(riemann, t, rows, orders=(0, 1))
+    for i in range(2):
+        single = section_eval(riemann, t, rows[i], orders=(0, 1))
+        assert stacked[0][i] == single[0] and stacked[1][i] == single[1]
+    with pytest.raises(DimensionError):
+        section_eval(riemann, t, np.ones((2, n + 1)))
+
+
+@pytest.mark.parametrize("name,n", [("riemann", 0), ("riemann", 90), ("riemann", 20000),
+                                    ("riemann", 730119), ("dh", 44)])
+def test_window_proxy_against_direct_sums(riemann, davenport, name, n):
+    # 41 points across the window, every order: within 2e-8 of the direct
+    # block sum (1.7e-8 at g_0, where the window is widest)
+    model = riemann if name == "riemann" else davenport
+    g0 = gram_point(model, n)
+    dim = model.robust_cutoff(g0)
+    proxy = WindowProxy(model, dim, None, g0)
+    for x in np.linspace(-1.0, 1.0, 41):
+        t = g0 + proxy.half_width * x
+        sums = proxy.sums(t)[:, 0]
+        direct = section_eval(model, t, 1.0, orders=(0, 1, 2), n_terms=dim)
+        head = proxy.head(t)
+        for j in range(3):
+            s_direct = direct[j] - head[j]
+            assert abs(sums[j] - s_direct) <= 2e-8 * max(1.0, abs(s_direct))
+    assert proxy.center == g0  # the grid never left the first window
