@@ -29,6 +29,7 @@ from .numerics import adaptive_simpson, csum, uniform01
 from .zmodel import CoefficientModel, classical_partial_sums
 
 _POLE_EPS = 1e-8
+_MC_BLOCK = 1 << 20  # Monte-Carlo draws held at once: trials x N <= 8 MB of floats
 
 
 @dataclass
@@ -371,11 +372,14 @@ def gram_vectors(model: CoefficientModel, n: int, trials: int = 1000,
 
     acc = np.zeros(n_cut)
     trial_sums = np.empty(trials)
-    for trial in range(trials):
-        phases = uniform01(seed, trial, n_cut) * (2.0 * math.pi)
-        draw = np.sort(c * np.cos(phases) * inv_sqrt)
-        acc += draw
-        trial_sums[trial] = csum(draw)
+    rows = max(1, _MC_BLOCK // n_cut)
+    for first in range(0, trials, rows):
+        streams = np.arange(first, min(first + rows, trials))
+        phases = uniform01(seed, streams, n_cut) * (2.0 * math.pi)
+        draws = np.sort(c * np.cos(phases) * inv_sqrt, axis=1)
+        for trial, draw in zip(streams.tolist(), draws):
+            acc += draw  # row by row, in trial order: the sum is reproducible
+            trial_sums[trial] = csum(draw)
     baseline = acc / trials
     essential = sorted_v - baseline
     return GramVectors(n=n, raw=raw, sorted_v=sorted_v, baseline=baseline,

@@ -4,17 +4,21 @@ One CSV per (model, 10^5-index shard) under the cache directory (default
 ~/.cache/gramdelta, overridden by GDL_CACHE_DIR or --cache-dir). Every float
 is stored as a hex literal, so a re-read record equals recomputation bit for
 bit. Each shard starts with a #version line; a shard written by another
-version holds values computed another way and is refused, never served.
+version holds values computed another way and is refused, never served, and
+so is a shard with a row that is not a complete record (six fields, hex
+floats, a known kind, a line end), such as a crash mid-append leaves.
 """
 
 from __future__ import annotations
 
 import csv
+import io
+import itertools
 import os
 import threading
 from pathlib import Path
 
-from .errors import StaleCacheError
+from .errors import CorruptCacheError, StaleCacheError
 from .gram import GramKind, GramRecord
 
 ENV_VAR = "GDL_CACHE_DIR"
@@ -47,19 +51,21 @@ class RecordStore:
         path = self._path(model_name, shard)
         if path.exists():
             with path.open(newline="") as fh:
-                version = fh.readline().rstrip("\n")
-                if version != f"#version={_VERSION}":
+                version = fh.readline()
+                if version.rstrip("\n") != f"#version={_VERSION}":
                     raise StaleCacheError(
-                        f"cache shard {path} starts with {version!r}, expected "
-                        f"'#version={_VERSION}'; run `gdl cache clear`")
-                for row in csv.reader(r for r in fh if not r.startswith("#")):
-                    if not row or row[0] == "n":
+                        f"cache shard {path} starts with {version.rstrip()!r}, "
+                        f"expected '#version={_VERSION}'; run `gdl cache clear`")
+                for lineno, line in enumerate(itertools.chain([version], fh), start=1):
+                    # every line a write left whole ends in a line end
+                    complete = line.endswith("\n")
+                    if complete and (line.startswith(("#", "n,")) or not line.strip()):
                         continue
-                    rec = GramRecord(
-                        n=int(row[0]), t=float.fromhex(row[1]),
-                        z_value=float.fromhex(row[2]),
-                        zprime_value=float.fromhex(row[3]),
-                        kind=GramKind(row[4]), viscosity=float.fromhex(row[5]))
+                    rec = _parse_row(line) if complete else None
+                    if rec is None:
+                        raise CorruptCacheError(
+                            f"cache shard {path} line {lineno} is not a complete "
+                            f"record: {line.rstrip()!r}; run `gdl cache clear`")
                     records[rec.n] = rec
         self._shards[key] = records
         return records
@@ -68,25 +74,32 @@ class RecordStore:
         with self._lock:
             return self._load(model_name, n // SHARD).get(n)
 
-    def put(self, model_name: str, record: GramRecord) -> None:
+    def put(self, model_name: str, *records: GramRecord) -> None:
+        """Append the records not yet stored, in the order given, with one
+        write per shard."""
         with self._lock:
-            shard = record.n // SHARD
-            records = self._load(model_name, shard)
-            if record.n in records:
-                return
-            records[record.n] = record
-            path = self._path(model_name, shard)
-            new = not path.exists()
-            path.parent.mkdir(parents=True, exist_ok=True)
-            with path.open("a", newline="") as fh:
-                writer = csv.writer(fh)
-                if new:
-                    fh.write(f"#version={_VERSION}\n#model={model_name}\n")
-                    writer.writerow(["n", "t_hex", "z_hex", "zprime_hex",
-                                     "kind", "viscosity_hex"])
-                writer.writerow([record.n, record.t.hex(), record.z_value.hex(),
-                                 record.zprime_value.hex(), record.kind.value,
-                                 record.viscosity.hex()])
+            rows: dict[int, list[list]] = {}
+            for record in records:
+                shard = record.n // SHARD
+                stored = self._load(model_name, shard)
+                if record.n in stored:
+                    continue
+                stored[record.n] = record
+                rows.setdefault(shard, []).append(
+                    [record.n, record.t.hex(), record.z_value.hex(),
+                     record.zprime_value.hex(), record.kind.value,
+                     record.viscosity.hex()])
+            for shard, shard_rows in rows.items():
+                path = self._path(model_name, shard)
+                buf = io.StringIO()
+                if not path.exists():
+                    path.parent.mkdir(parents=True, exist_ok=True)
+                    buf.write(f"#version={_VERSION}\n#model={model_name}\n")
+                    shard_rows.insert(0, ["n", "t_hex", "z_hex", "zprime_hex",
+                                          "kind", "viscosity_hex"])
+                csv.writer(buf).writerows(shard_rows)
+                with path.open("a", newline="") as fh:
+                    fh.write(buf.getvalue())
 
     def status(self) -> dict:
         files = sorted(self.root.glob("*_*.csv")) if self.root.exists() else []
@@ -109,3 +122,17 @@ class RecordStore:
                 removed += 1
         self._shards.clear()
         return removed
+
+
+def _parse_row(line: str) -> GramRecord | None:
+    """The record on one shard line, or None if the line is malformed."""
+    row = line.rstrip("\r\n").split(",")
+    if len(row) != 6:
+        return None
+    try:
+        return GramRecord(n=int(row[0]), t=float.fromhex(row[1]),
+                          z_value=float.fromhex(row[2]),
+                          zprime_value=float.fromhex(row[3]),
+                          kind=GramKind(row[4]), viscosity=float.fromhex(row[5]))
+    except ValueError:
+        return None

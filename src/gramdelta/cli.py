@@ -11,11 +11,13 @@ repulsion conjecture violated).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
-from concurrent.futures import ThreadPoolExecutor
+
+import numpy as np
 
 from . import adjust, curves, dh, discriminant, gram
-from .cache import RecordStore, default_cache_dir
+from .cache import ENV_VAR, RecordStore
 from .emit import write_csv, write_json
 from .errors import (DomainError, FlatPointError, IndeterminateSignError,
                      NonConvergenceError, TraceError)
@@ -37,44 +39,20 @@ def _meta(args, model_name: str) -> dict:
     return {"model": model_name, "seed": getattr(args, "seed", 0)}
 
 
-def scan_records(model: CoefficientModel, n_from: int, n_to: int,
-                 store: RecordStore | None = None,
-                 threads: int = 1) -> list[gram.GramRecord]:
-    """Classify a contiguous range, using and feeding the cache.
-
-    Worker threads only compute; cache writes happen afterwards in index
-    order, so the shard files do not depend on scheduling.
-    """
-    indices = range(n_from, n_to + 1)
-    records: dict[int, gram.GramRecord] = {}
-    missing = []
-    for n in indices:
-        rec = store.get(model.name, n) if store is not None else None
-        if rec is None:
-            missing.append(n)
-        else:
-            records[n] = rec
-    if missing:
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                for rec in pool.map(lambda n: gram.classify(model, n), missing):
-                    records[rec.n] = rec
-        else:
-            for n in missing:
-                records[n] = gram.classify(model, n)
-        if store is not None:
-            for n in missing:
-                store.put(model.name, records[n])
-    return [records[n] for n in indices]
+def _ks(values: np.ndarray) -> np.ndarray:
+    """The 1-based term index column k = 1..N for a per-term array."""
+    return np.arange(1, values.shape[0] + 1)
 
 
 def _cmd_gram_scan(args) -> int:
     model = _model(args)
-    recs = scan_records(model, args.n_from, args.n_to, _store(args), args.threads)
+    recs = RecordSource(model, _store(args)).range(args.n_from, args.n_to,
+                                                   threads=args.threads)
     write_csv(args.out, _meta(args, model.name),
               ["n", "t", "z", "zprime", "kind", "viscosity"],
-              [[r.n, r.t, r.z_value, r.zprime_value, r.kind.value, r.viscosity]
-               for r in recs],
+              [[r.n for r in recs], [r.t for r in recs], [r.z_value for r in recs],
+               [r.zprime_value for r in recs], [r.kind.value for r in recs],
+               [r.viscosity for r in recs]],
               float_cols=["t", "z", "zprime", "viscosity"])
     return 0
 
@@ -85,8 +63,8 @@ def _cmd_gram_blocks(args) -> int:
     blocks = gram.blocks(model, args.n_from, args.n_to, source)
     write_csv(args.out, _meta(args, model.name),
               ["start", "length", "interior"],
-              [[b.start, b.length, ";".join(str(i) for i in b.interior_bad)]
-               for b in blocks])
+              [[b.start for b in blocks], [b.length for b in blocks],
+               [";".join(str(i) for i in b.interior_bad) for b in blocks]])
     return 0
 
 
@@ -96,21 +74,23 @@ def _cmd_viscosity(args) -> int:
     report = gram.gbg_scan(model, args.n_from, args.n_to, bound=args.bound,
                            source=source)
     if args.bad_only or args.gbg:
-        rows = [[b.n, b.t, b.viscosity, "bad", b.isolated, b.corrupt]
-                for b in report.bad_points]
+        bad = report.bad_points
+        columns = [[b.n for b in bad], [b.t for b in bad], [b.viscosity for b in bad],
+                   ["bad"] * len(bad), [b.isolated for b in bad],
+                   [b.corrupt for b in bad]]
     else:
-        rows = []
         bad = {b.n: b for b in report.bad_points}
-        for n in range(args.n_from, args.n_to + 1):
-            rec = source.get(n)
-            b = bad.get(n)
-            rows.append([n, rec.t, rec.viscosity, rec.kind.value,
-                         b.isolated if b else False, b.corrupt if b else False])
+        ns = range(args.n_from, args.n_to + 1)
+        recs = [source.get(n) for n in ns]
+        columns = [ns, [r.t for r in recs], [r.viscosity for r in recs],
+                   [r.kind.value for r in recs],
+                   [n in bad and bad[n].isolated for n in ns],
+                   [n in bad and bad[n].corrupt for n in ns]]
     meta = _meta(args, model.name)
     meta["bound"] = args.bound
     meta["gbg_conjecture_holds"] = report.conjecture_holds
     write_csv(args.out, meta,
-              ["n", "t", "viscosity", "kind", "isolated", "corrupt"], rows,
+              ["n", "t", "viscosity", "kind", "isolated", "corrupt"], columns,
               float_cols=["t", "viscosity"])
     if args.gbg and not report.conjecture_holds:
         return 2
@@ -129,8 +109,10 @@ def _cmd_discriminant(args) -> int:
     meta["verdict"] = trace.status.value
     if trace.r_event is not None:
         meta["r_event"] = repr(trace.r_event)
+    samples = trace.samples
     write_csv(args.out, meta, ["r", "g", "delta", "ztt"],
-              [[s.r, s.g, s.delta, s.ztt] for s in trace.samples],
+              [[s.r for s in samples], [s.g for s in samples],
+               [s.delta for s in samples], [s.ztt for s in samples]],
               float_cols=["r", "g", "delta", "ztt"])
     return 0
 
@@ -140,8 +122,11 @@ def _emit_corrected(args, model, report) -> int:
     meta["n"] = args.n
     meta["verdict"] = report.verdict
     meta["shift_set"] = ";".join(str(k) for k in sorted(report.shift_set))
+    points = report.points
     write_csv(args.out, meta, ["stage", "r1", "r2", "g", "delta"],
-              [[p.stage, p.r1, p.r2, p.g, p.delta] for p in report.points],
+              [[p.stage for p in points], [p.r1 for p in points],
+               [p.r2 for p in points], [p.g for p in points],
+               [p.delta for p in points]],
               float_cols=["r1", "r2", "g", "delta"])
     summary = {
         "n": args.n, "verdict": report.verdict,
@@ -183,8 +168,7 @@ def _cmd_closed_forms(args) -> int:
         meta = _meta(args, model.name)
         meta["n"] = args.n
         write_csv(args.out, meta, ["k", "grad_delta", "grad_gram"],
-                  [[k + 1, rep.grad_delta[k], rep.grad_gram[k]]
-                   for k in range(rep.grad_delta.shape[0])],
+                  [_ks(rep.grad_delta), rep.grad_delta, rep.grad_gram],
                   float_cols=["grad_delta", "grad_gram"])
     write_json(None, {
         "n": args.n,
@@ -206,8 +190,7 @@ def _cmd_adjustments(args) -> int:
         meta["n"] = args.n
         meta["neighbor"] = args.neighbor
         write_csv(args.out, meta, ["k", "phase", "alpha_c", "alpha_s"],
-                  [[k + 1, rep.phases[k], rep.alpha_c[k], rep.alpha_s[k]]
-                   for k in range(rep.phases.shape[0])],
+                  [_ks(rep.phases), rep.phases, rep.alpha_c, rep.alpha_s],
                   float_cols=["phase", "alpha_c", "alpha_s"])
     write_json(None, {
         "n": args.n, "neighbor_mode": rep.neighbor_mode,
@@ -227,8 +210,7 @@ def _cmd_stages(args) -> int:
         meta = _meta(args, model.name)
         meta["n"] = args.n
         write_csv(args.out, meta, ["k", "z_partial", "zprime_partial"],
-                  [[k + 1, rep.z_partials[k], rep.zprime_partials[k]]
-                   for k in range(rep.z_partials.shape[0])],
+                  [_ks(rep.z_partials), rep.z_partials, rep.zprime_partials],
                   float_cols=["z_partial", "zprime_partial"])
     write_json(None, {
         "n": args.n, "surge_end": rep.surge_end, "middle": list(rep.middle),
@@ -249,8 +231,7 @@ def _cmd_mc(args) -> int:
     meta["n"] = args.n
     meta["trials"] = args.trials
     write_csv(args.out, meta, ["k", "raw", "sorted", "baseline", "essential"],
-              [[k + 1, gv.raw[k], gv.sorted_v[k], gv.baseline[k], gv.essential[k]]
-               for k in range(gv.raw.shape[0])],
+              [_ks(gv.raw), gv.raw, gv.sorted_v, gv.baseline, gv.essential],
               float_cols=["raw", "sorted", "baseline", "essential"])
     return 0
 
@@ -290,13 +271,20 @@ def _cmd_cache(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The gdl parser, built on the first call and shared by later ones.
+
+    Nothing in it may depend on the environment: a default that must follow
+    GDL_CACHE_DIR is resolved when the command runs, not here.
+    """
     parser = argparse.ArgumentParser(
         prog="gdl", description="Gram discriminant experiments")
 
     def common(p, model=True):
         p.add_argument("--cache-dir", default=None,
-                       help=f"cache directory (default {default_cache_dir()})")
+                       help=f"cache directory (default ${ENV_VAR}, "
+                            "else ~/.cache/gramdelta)")
         p.add_argument("--seed", type=int, default=42)
         p.add_argument("--threads", type=int, default=1)
         p.add_argument("--out", default=None, help="output path (default stdout)")
@@ -394,9 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:

@@ -9,7 +9,6 @@ bytes.
 
 from __future__ import annotations
 
-import io
 import json
 import sys
 from pathlib import Path
@@ -25,22 +24,39 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_csv(out, metadata: dict, header: list[str], rows,
+def _cells(column) -> list[str]:
+    """Decimal cells of one column. Numeric arrays are formatted in bulk; they
+    cannot hold ',', '"' or a newline, so only other columns are quoted."""
+    if isinstance(column, np.ndarray):
+        if column.dtype.kind == "f":
+            return list(map(repr, column.tolist()))
+        if column.dtype.kind in "iub":
+            return list(map(str, column.tolist()))
+    return [_quote(_fmt(v)) for v in column]
+
+
+def _hex_cells(column) -> list[str]:
+    if isinstance(column, np.ndarray):
+        return list(map(float.hex, column.astype(float).tolist()))
+    return [float(v).hex() for v in column]
+
+
+def write_csv(out, metadata: dict, header: list[str], columns,
               float_cols: list[str] | None = None) -> None:
-    """Write rows (sequences aligned with header) plus hex twins for float_cols."""
+    """Write one column (sequence) per header entry plus hex twins for float_cols."""
+    if len(columns) != len(header):
+        raise ValueError(f"{len(columns)} columns for {len(header)} header entries")
+    lengths = {len(col) for col in columns}
+    if len(lengths) > 1:
+        raise ValueError(f"columns differ in length: {sorted(lengths)}")
     float_cols = float_cols or []
-    hex_idx = [header.index(c) for c in float_cols]
-    full_header = header + [f"{c}_hex" for c in float_cols]
-    buf = io.StringIO()
-    buf.write(f"#version={CSV_VERSION}\n")
-    for key, val in metadata.items():
-        buf.write(f"#{key}={val}\n")
-    buf.write(",".join(full_header) + "\n")
-    for row in rows:
-        cells = [_fmt(v) for v in row]
-        cells += [float(row[i]).hex() for i in hex_idx]
-        buf.write(",".join(_quote(c) for c in cells) + "\n")
-    _write_text(out, buf.getvalue())
+    cells = [_cells(col) for col in columns]
+    cells += [_hex_cells(columns[header.index(c)]) for c in float_cols]
+    lines = [f"#version={CSV_VERSION}"]
+    lines += [f"#{key}={val}" for key, val in metadata.items()]
+    lines.append(",".join(header + [f"{c}_hex" for c in float_cols]))
+    lines += map(",".join, zip(*cells))
+    _write_text(out, "\n".join(lines) + "\n")
 
 
 def _quote(cell: str) -> str:

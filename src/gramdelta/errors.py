@@ -23,6 +23,10 @@ class StaleCacheError(ValueError):
     """A cache shard was written by another cache version."""
 
 
+class CorruptCacheError(ValueError):
+    """A cache shard holds a row that is not a complete record."""
+
+
 class FlatPointError(RuntimeError):
     """Newton iteration hit a derivative too small to divide by."""
 

@@ -15,6 +15,7 @@ what makes core_zero(6708) = 7004.95 rather than 7004.05.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -170,8 +171,35 @@ class RecordSource:
         self._memo[n] = rec
         return rec
 
-    def range(self, n_from: int, n_to: int) -> list[GramRecord]:
-        return [self.get(n) for n in range(n_from, n_to + 1)]
+    def range(self, n_from: int, n_to: int, threads: int = 1) -> list[GramRecord]:
+        """Records n_from..n_to. The ones neither memoized nor cached are
+        classified, on up to `threads` worker threads (clamped to
+        [1, os.cpu_count()]), and then stored with one put in index order,
+        so neither the records nor the shard bytes depend on scheduling."""
+        indices = range(n_from, n_to + 1)
+        missing = []
+        for n in indices:
+            rec = self._memo.get(n)
+            if rec is None and self.store is not None:
+                rec = self.store.get(self.model.name, n)
+            if rec is None:
+                missing.append(n)
+            else:
+                self._memo[n] = rec
+        workers = max(1, min(threads, os.cpu_count() or 1))
+        if workers > 1 and len(missing) > 1:
+            # imported here, not at the top: it would add 8 ms to every
+            # `import gramdelta`, and serial scans never need it
+            from concurrent.futures import ThreadPoolExecutor
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                computed = list(pool.map(lambda n: classify(self.model, n), missing))
+        else:
+            computed = [classify(self.model, n) for n in missing]
+        if computed and self.store is not None:
+            self.store.put(self.model.name, *computed)
+        for rec in computed:
+            self._memo[rec.n] = rec
+        return [self._memo[n] for n in indices]
 
 
 def _require_determinate(rec: GramRecord) -> GramRecord:

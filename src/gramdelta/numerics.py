@@ -86,16 +86,20 @@ def _mix64(x: np.ndarray) -> np.ndarray:
     return x ^ (x >> np.uint64(31))
 
 
-def uniform01(seed: int, stream: int, count: int) -> np.ndarray:
+def uniform01(seed: int, stream, count: int) -> np.ndarray:
     """Counter-based splitmix64 uniforms in [0, 1).
 
     (seed, stream, index) fully determine every value, so parallel or
-    re-ordered generation cannot change the result.
+    re-ordered generation cannot change the result. An int stream gives
+    `count` values; an array of streams gives one row of `count` values per
+    stream, each row equal to the int call on that stream.
     """
+    streams = np.asarray(stream, dtype=np.uint64)
     with np.errstate(over="ignore"):
         base = _mix64(np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
-                      + _GOLDEN * np.uint64(stream + 1))
-        counters = base + _GOLDEN * (np.arange(1, count + 1, dtype=np.uint64))
+                      + _GOLDEN * (streams + np.uint64(1)))
+        counters = (base[..., np.newaxis]
+                    + _GOLDEN * (np.arange(1, count + 1, dtype=np.uint64)))
         bits = _mix64(counters) >> np.uint64(11)
     return bits.astype(np.float64) * (2.0 ** -53)
 

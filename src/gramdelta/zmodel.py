@@ -220,7 +220,9 @@ class WindowProxy:
     at g_0, where the window is widest, and 6e-9 at g_730119, the rounding
     floor of the 225,307-term sum itself. The window is first centred on g0
     and tabulated when first needed; a point outside it re-tabulates the
-    window centred on that point.
+    window centred on that point. Where that window would reach below
+    theta's domain floor (t < 10 + gap, near the lowest Gram points only) it
+    spans [10, t + gap] instead, which is narrower and so no less accurate.
     """
 
     def __init__(self, model: CoefficientModel, n_terms: int, masks, g0: float):
@@ -228,7 +230,8 @@ class WindowProxy:
         self.n_terms = n_terms
         self.weights = 1.0 if masks is None else np.array(masks, dtype=float)
         self.blocks = 1 if masks is None else len(masks)
-        self.half_width = math.pi / model.theta_main(g0)
+        self.gap = math.pi / model.theta_main(g0)
+        self.half_width = self.gap
         self.center = g0
         self._c1 = float(model.coefficients(1)[0])
         self._coef = None
@@ -254,7 +257,15 @@ class WindowProxy:
         """S_B^(j)(t) as a (3, blocks) array, row j = order."""
         x = (t - self.center) / self.half_width
         if not abs(x) <= 1.0 + 1e-12:  # a window edge rounds to |x| = 1 + ulp
-            self.center, self._coef, x = t, None, 0.0
+            if not t >= 10.0:
+                raise DomainError(f"WindowProxy requires t >= 10, got {t}")
+            if t - self.gap >= 10.0:
+                self.center, self.half_width = t, self.gap
+            else:  # span [10, t + gap]: no node below theta's domain floor
+                self.center = 0.5 * (10.0 + t + self.gap)
+                self.half_width = 0.5 * (t + self.gap - 10.0)
+            self._coef = None
+            x = (t - self.center) / self.half_width
         if self._coef is None:
             self._coef = self._tabulate()
         x = min(max(x, -1.0), 1.0)

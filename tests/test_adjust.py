@@ -211,3 +211,63 @@ def test_stage_analysis_low_height_skips_the_pole(riemann):
         rep = stage_analysis(riemann, 100)
     assert rep.middle == (1, 4)
     assert math.isfinite(rep.middle_rms_dev) and rep.middle_rms_dev > 0.0
+
+
+_MASK64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+
+
+def _mix64(x: int) -> int:
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return x ^ (x >> 31)
+
+
+def _reference_uniform01(seed: int, stream: int, count: int) -> np.ndarray:
+    """splitmix64 in Python integers: one stream, counters 1..count."""
+    base = _mix64((seed + _GOLDEN * (stream + 1)) & _MASK64)
+    return np.array([(_mix64((base + _GOLDEN * i) & _MASK64) >> 11) * 2.0 ** -53
+                     for i in range(1, count + 1)])
+
+
+def _bits(a: np.ndarray) -> bytes:
+    return np.ascontiguousarray(a, dtype=np.float64).tobytes()
+
+
+def test_uniform01_rows_are_the_single_streams():
+    from gramdelta.numerics import uniform01
+    block = uniform01(42, np.arange(3, 8), 17)
+    assert block.shape == (5, 17)
+    for row, stream in zip(block, range(3, 8)):
+        assert _bits(row) == _bits(uniform01(42, stream, 17))
+        assert _bits(row) == _bits(_reference_uniform01(42, stream, 17))
+
+
+@pytest.mark.parametrize("n,trials,seed", [(100, 100, 7), (6708, 150, 2 ** 40 + 3)])
+def test_gram_vectors_match_the_per_trial_loop(riemann, monkeypatch, n, trials, seed):
+    g = gram_point(riemann, n)
+    n_cut = riemann.classical_cutoff(g)
+    k = np.arange(1, n_cut + 1, dtype=float)
+    c = riemann.coefficients(n_cut)
+    inv_sqrt = 1.0 / np.sqrt(k)
+    acc = np.zeros(n_cut)
+    sums = []
+    for trial in range(trials):
+        phases = _reference_uniform01(seed, trial, n_cut) * (2.0 * math.pi)
+        draw = np.sort(c * np.cos(phases) * inv_sqrt)
+        acc += draw
+        sums.append(math.fsum(draw.tolist()))
+    baseline = acc / trials
+    raw = c * np.cos(np.log(k) * g) * inv_sqrt
+
+    gv = gram_vectors(riemann, n, trials=trials, seed=seed)
+    assert _bits(gv.raw) == _bits(raw)
+    assert _bits(gv.baseline) == _bits(baseline)
+    assert _bits(gv.essential) == _bits(np.sort(raw) - baseline)
+    assert _bits(gv.trial_sums) == _bits(np.array(sums))
+    # trials drawn in uneven blocks of 7 rows give the same bits
+    import gramdelta.adjust as adjust_module
+    monkeypatch.setattr(adjust_module, "_MC_BLOCK", 7 * n_cut)
+    blocked = gram_vectors(riemann, n, trials=trials, seed=seed)
+    assert _bits(blocked.baseline) == _bits(gv.baseline)
+    assert _bits(blocked.trial_sums) == _bits(gv.trial_sums)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import concurrent.futures
 import json
 
 import pytest
@@ -237,3 +238,107 @@ def test_csv_decimal_columns_are_plain_floats(tmp_path, capsys, argv):
     for row in rows:
         for dec, hexed in twins:
             assert float(row[dec]) == float.fromhex(row[hexed])
+
+
+def _call(capsys, argv) -> tuple[int, str, str]:
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_shared_parser_gives_first_call_bytes(tmp_path, capsys, monkeypatch):
+    argvs = [["hessian", "--n", "90", "--cache-dir", str(tmp_path / "a")],
+             ["gram", "scan", "--from", "20", "--to", "25",
+              "--cache-dir", str(tmp_path / "b")],
+             ["stages", "--n", "100", "--cache-dir", str(tmp_path / "c")]]
+    first = []
+    for argv in argvs:  # each the first call of a freshly built parser
+        cli.build_parser.cache_clear()
+        first.append(_call(capsys, argv))
+    cli.build_parser.cache_clear()
+    for argv, expected in zip(argvs + argvs, first + first):
+        assert _call(capsys, argv) == expected
+    assert cli.build_parser.cache_info().misses == 1
+    # the default cache directory follows GDL_CACHE_DIR as set at run time
+    for name in ("env1", "env2"):
+        monkeypatch.setenv("GDL_CACHE_DIR", str(tmp_path / name))
+        assert main(["gram", "scan", "--from", "20", "--to", "21"]) == 0
+        assert (tmp_path / name / "riemann_000000.csv").exists()
+    capsys.readouterr()
+    assert main(["gram", "scan", "--help"]) == 0
+    assert "$GDL_CACHE_DIR, else ~/.cache/gramdelta" in " ".join(
+        capsys.readouterr().out.split())
+
+
+def test_truncated_cache_row_exits_one_line(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    argv = ["gram", "scan", "--from", "100", "--to", "104",
+            "--cache-dir", str(cache), "--out", str(tmp_path / "x.csv")]
+    assert main(argv) == 0
+    expected = (tmp_path / "x.csv").read_bytes()
+    shard = cache / "riemann_000000.csv"
+    shard.write_bytes(shard.read_bytes()[:-30])  # a crash mid-append
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
+    assert str(shard) in err and "line 8" in err and "gdl cache clear" in err
+    code, text = run(capsys, "cache", "clear", "--cache-dir", str(cache))
+    assert code == 0 and json.loads(text)["cleared_files"] == 1
+    assert main(argv) == 0
+    assert (tmp_path / "x.csv").read_bytes() == expected
+
+
+class _RecordingExecutor:
+    """Stands in for ThreadPoolExecutor: records max_workers, starts no thread."""
+
+    built: list = []
+
+    def __init__(self, max_workers):
+        self.built.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("threads,workers", [(0, []), (-3, []), (10 ** 6, [4])])
+def test_scan_threads_clamped_to_cpu_count(tmp_path, monkeypatch, threads, workers):
+    monkeypatch.setattr(_RecordingExecutor, "built", [])
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _RecordingExecutor)
+    monkeypatch.setattr(gram.os, "cpu_count", lambda: 4)
+    out, serial = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(["gram", "scan", "--from", "30", "--to", "37", "--threads", str(threads),
+                 "--cache-dir", str(tmp_path / "c1"), "--out", str(out)]) == 0
+    assert _RecordingExecutor.built == workers
+    assert main(["gram", "scan", "--from", "30", "--to", "37",
+                 "--cache-dir", str(tmp_path / "c2"), "--out", str(serial)]) == 0
+    assert out.read_bytes() == serial.read_bytes()
+
+
+def test_unknown_cpu_count_scans_serially(tmp_path, monkeypatch):
+    monkeypatch.setattr(_RecordingExecutor, "built", [])
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _RecordingExecutor)
+    monkeypatch.setattr(gram.os, "cpu_count", lambda: None)
+    assert main(["gram", "scan", "--from", "30", "--to", "33", "--threads", "8",
+                 "--cache-dir", str(tmp_path), "--out", str(tmp_path / "x.csv")]) == 0
+    assert _RecordingExecutor.built == []
+
+
+def test_scan_and_shard_bytes_identical_across_threads(tmp_path):
+    outputs = set()
+    for threads in (1, 2, 4):
+        cache = tmp_path / f"c{threads}"
+        out = tmp_path / f"scan{threads}.csv"
+        # a warm head and a cold tail: the second scan mixes hits and misses
+        for lo in (41, 30):
+            assert main(["gram", "scan", "--from", str(lo), "--to", "52",
+                         "--threads", str(threads), "--cache-dir", str(cache),
+                         "--out", str(out)]) == 0
+        outputs.add((out.read_bytes(), (cache / "riemann_000000.csv").read_bytes()))
+    assert len(outputs) == 1

@@ -334,3 +334,22 @@ def test_window_proxy_against_direct_sums(riemann, davenport, name, n):
             s_direct = direct[j] - head[j]
             assert abs(sums[j] - s_direct) <= 2e-8 * max(1.0, abs(s_direct))
     assert proxy.center == g0  # the grid never left the first window
+
+
+def test_window_proxy_recentres_inside_the_theta_domain(riemann):
+    # at g_0 the window is widest (half-width 6.02): a window centred on a point
+    # just below it would put nodes under t = 10, so it spans [10, t + gap]
+    g0 = gram_point(riemann, 0)
+    dim = riemann.robust_cutoff(g0)
+    proxy = WindowProxy(riemann, dim, None, g0)
+    t = g0 - 1.01 * proxy.half_width
+    sums = proxy.sums(t)[:, 0]
+    assert proxy.center - proxy.half_width == pytest.approx(10.0, abs=1e-12)
+    assert proxy.center + proxy.half_width == pytest.approx(t + proxy.gap, abs=1e-12)
+    direct = section_eval(riemann, t, 1.0, orders=(0, 1, 2), n_terms=dim)
+    head = proxy.head(t)
+    for j in range(3):
+        s_direct = direct[j] - head[j]
+        assert abs(sums[j] - s_direct) <= 2e-8 * max(1.0, abs(s_direct))
+    with pytest.raises(DomainError):
+        proxy.sums(9.5)
