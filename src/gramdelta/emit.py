@@ -44,18 +44,14 @@ def _hex_cells(column) -> list[str]:
 def write_csv(out, metadata: dict, header: list[str], columns,
               float_cols: list[str] | None = None) -> None:
     """Write one column (sequence) per header entry plus hex twins for float_cols."""
-    if len(columns) != len(header):
-        raise ValueError(f"{len(columns)} columns for {len(header)} header entries")
-    lengths = {len(col) for col in columns}
-    if len(lengths) > 1:
-        raise ValueError(f"columns differ in length: {sorted(lengths)}")
+    assert len(columns) == len(header), (len(columns), len(header))
     float_cols = float_cols or []
     cells = [_cells(col) for col in columns]
     cells += [_hex_cells(columns[header.index(c)]) for c in float_cols]
     lines = [f"#version={CSV_VERSION}"]
     lines += [f"#{key}={val}" for key, val in metadata.items()]
     lines.append(",".join(header + [f"{c}_hex" for c in float_cols]))
-    lines += map(",".join, zip(*cells))
+    lines += map(",".join, zip(*cells, strict=True))
     _write_text(out, "\n".join(lines) + "\n")
 
 

@@ -159,17 +159,7 @@ class RecordSource:
         self._memo: dict[int, GramRecord] = {}
 
     def get(self, n: int) -> GramRecord:
-        rec = self._memo.get(n)
-        if rec is not None:
-            return rec
-        if self.store is not None:
-            rec = self.store.get(self.model.name, n)
-        if rec is None:
-            rec = classify(self.model, n)
-            if self.store is not None:
-                self.store.put(self.model.name, rec)
-        self._memo[n] = rec
-        return rec
+        return self.range(n, n)[0]
 
     def range(self, n_from: int, n_to: int, threads: int = 1) -> list[GramRecord]:
         """Records n_from..n_to. The ones neither memoized nor cached are
@@ -186,8 +176,10 @@ class RecordSource:
                 missing.append(n)
             else:
                 self._memo[n] = rec
-        workers = max(1, min(threads, os.cpu_count() or 1))
-        if workers > 1 and len(missing) > 1:
+        workers = 1
+        if threads > 1 and len(missing) > 1:
+            workers = min(threads, os.cpu_count() or 1)
+        if workers > 1:
             # imported here, not at the top: it would add 8 ms to every
             # `import gramdelta`, and serial scans never need it
             from concurrent.futures import ThreadPoolExecutor

@@ -63,7 +63,7 @@ def test_columns_give_the_rowwise_bytes(tmp_path, capsys, columns, header, float
 
 
 def test_columns_must_match_the_header():
-    with pytest.raises(ValueError):
+    with pytest.raises(AssertionError):
         write_csv(None, {}, ["a", "b"], [[1, 2]])
     with pytest.raises(ValueError):
         write_csv(None, {}, ["a", "b"], [[1, 2], [3]])
