@@ -210,6 +210,7 @@ def blocks(model: CoefficientModel, n_from: int, n_to: int,
     if n_from >= n_to:
         raise ValueError(f"need n_from < n_to, got [{n_from}, {n_to}]")
     src = source or RecordSource(model)
+    src.range(n_from, n_to)  # classify and store the window at once
     lowest = 0 if model.theta_kind is ThetaKind.RIEMANN_SIEGEL else 1
     out: list[GramBlock] = []
     n = n_from
@@ -264,6 +265,7 @@ def gbg_scan(model: CoefficientModel, n_from: int, n_to: int,
     both sides).
     """
     src = source or RecordSource(model)
+    src.range(n_from, n_to)  # classify and store the window at once
     report = GbgScanReport(n_from=n_from, n_to=n_to, bound=bound)
     for n in range(n_from, n_to + 1):
         rec = _require_determinate(src.get(n))

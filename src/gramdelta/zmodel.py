@@ -119,7 +119,16 @@ def section_eval(model: CoefficientModel, t, a, *, orders: tuple[int, ...] = (0,
     continuation code passes it explicitly so the dimension never jumps while
     t slides across an even integer. For a (B, N) stack of parameter points
     each order maps to an array of B values; otherwise to one float.
+
+    t may also be a 1-D array of real points, with n_terms pinned: each order
+    then maps to one value per point, a (points, B) array for a (B, N) stack
+    (see _section_points). WindowProxy tabulates a whole window in one call.
     """
+    if isinstance(t, np.ndarray):
+        if n_terms is None:
+            raise ValueError("section_eval at an array of points needs n_terms")
+        return _section_points(model, t, _as_weights(a, n_terms), orders,
+                               deriv_mode, n_terms)
     n = model.robust_cutoff(t.real if isinstance(t, complex) else t) \
         if n_terms is None else n_terms
     w = _as_weights(a, n)
@@ -175,6 +184,99 @@ def _weighted(terms: np.ndarray, w):
     return _csum_any(weighted)
 
 
+_CHUNK_TERMS = 4096
+
+
+def _section_points(model: CoefficientModel, t: np.ndarray, w, orders: tuple[int, ...],
+                    deriv_mode: str, n: int) -> dict:
+    """section_eval at P real points that lie close together.
+
+    With c the point nearest the middle of the set and d_p = t_p - c, each
+    term factors as e^(-i t_p ln m) = e^(-i c ln m) e^(-i d_p ln m), and a
+    point at -d_p reuses the trig pass of d_p, conjugated. So the 25 mirrored
+    Chebyshev nodes of a WindowProxy window (d = 0 and 12 pairs +-d) cost 13
+    cos/sin passes over the N + 1 terms instead of 25.
+
+    The terms run in chunks of 4096. Per chunk the columns v = w q f^k
+    (k < 1 + max order, f = ln m - theta'(c)) are multiplied by cos and sin
+    of c ln m and contracted against cos and sin of d ln m, one row per
+    distinct |d|; numerics.csum adds the chunk partials in chunk order. Per
+    point the sums of v cos(t_p ln m) and v sin(t_p ln m) follow by the angle
+    sum rules and are rotated by theta(t_p); orders 1 and 2 take the factor
+    theta'(t_p) - ln m as (theta'(t_p) - theta'(c)) - f. Against the scalar
+    path the values agree to the rounding floor of the phases t ln m.
+    """
+    if t.ndim != 1 or np.iscomplexobj(t):
+        raise DimensionError(f"points must be a 1-D real array, got {t.dtype} {t.shape}")
+    if deriv_mode not in ("main", "full"):
+        raise ValueError(f"unknown deriv_mode {deriv_mode!r}")
+    ln_m, q = _basis(model, n + 1)
+    centre = int(np.argmin(np.abs(t - 0.5 * (t.min() + t.max()))))
+    c = t[centre]
+    offset = t - c
+    dist, slot = np.unique(np.abs(offset), return_inverse=True)
+    zero = int(dist[0] == 0.0)  # the centre itself needs no trig pass
+    stack = None if isinstance(w, float) else np.atleast_2d(w)
+    blocks = 1 if stack is None else len(stack)
+    ncols = 1 + max(orders)
+    if ncols == 1:
+        tp = np.zeros(len(t))
+    elif deriv_mode == "main":
+        tp = np.array([model.theta_main(x) for x in t])
+    else:
+        tp = np.array([model.theta_deriv(x, 1) for x in t])
+    partials = []
+    for lo in range(0, n + 1, _CHUNK_TERMS):
+        hi = min(lo + _CHUNK_TERMS, n + 1)
+        lnm = ln_m[lo:hi]
+        # term i (0-based, m = i + 1) has weight w[i - 1]; the head i = 0 has 1
+        if stack is None:
+            wts = np.full((1, hi - max(lo, 1)), w)
+        else:
+            wts = stack[:, max(lo - 1, 0):hi - 1]
+        if lo == 0:
+            wts = np.concatenate([np.ones((blocks, 1)), wts], axis=1)
+        powers = [q[lo:hi]]
+        for _ in range(1, ncols):
+            powers.append(powers[-1] * (lnm - tp[centre]))
+        cols = (wts[:, None, :] * np.array(powers)).reshape(blocks * ncols, hi - lo)
+        arg = c * lnm
+        cols = np.concatenate([cols * np.cos(arg), cols * np.sin(arg)])
+        trig = np.zeros((2, len(dist), hi - lo))
+        trig[0, :zero] = 1.0
+        arg = np.outer(dist[zero:], lnm)
+        trig[0, zero:], trig[1, zero:] = np.cos(arg), np.sin(arg)
+        partials.append(trig.reshape(2 * len(dist), hi - lo) @ cols.T)
+    flat = np.array(partials).reshape(len(partials), -1)
+    total = np.array([csum(col) for col in flat.T]).reshape(2, len(dist), 2, -1)
+    # row k of total[0] holds sum v cos(c ln m) cos(|d_k| ln m) and sum v sin(c ln m)
+    # cos(|d_k| ln m); total[1] the same with sin(|d_k| ln m)
+    xc, xs = total[0, slot, 0], total[0, slot, 1]
+    yc, ys = total[1, slot, 0], total[1, slot, 1]
+    s = np.sign(offset)[:, None]
+    sum_cos, sum_sin = xc - s * ys, xs + s * yc  # sum v cos(t_p ln m), v sin(t_p ln m)
+    th = np.array([model.theta(x) for x in t])[:, None]
+    rot_cos = np.cos(th) * sum_cos + np.sin(th) * sum_sin  # sum v cos(theta - t ln m)
+    rot_sin = np.sin(th) * sum_cos - np.cos(th) * sum_sin  # sum v sin(theta - t ln m)
+    rot_cos = rot_cos.reshape(len(t), blocks, ncols)
+    rot_sin = rot_sin.reshape(len(t), blocks, ncols)
+    delta = (tp - tp[centre])[:, None]
+    out: dict = {}
+    if 0 in orders:
+        out[0] = rot_cos[..., 0]
+    if 1 in orders:
+        out[1] = -delta * rot_sin[..., 0] + rot_sin[..., 1]
+    if 2 in orders:
+        out[2] = -(delta * delta * rot_cos[..., 0] - 2.0 * delta * rot_cos[..., 1]
+                   + rot_cos[..., 2])
+        if deriv_mode == "full":
+            tpp = np.array([model.theta_deriv(x, 2) for x in t])[:, None]
+            out[2] = out[2] - tpp * rot_sin[..., 0]
+    if stack is None or w.ndim == 1:
+        out = {j: v[:, 0] for j, v in out.items()}
+    return out
+
+
 def z_section(model: CoefficientModel, t, a) -> float:
     """The section value Z_N(t; a); a may be a scalar (uniform point) or a vector."""
     return section_eval(model, t, a)[0]
@@ -196,11 +298,14 @@ def z_section_deriv(model: CoefficientModel, t: float, a, order: int = 1,
 # DCT-II matrix that maps values at them to the coefficients c_k of the
 # interpolant sum_k c_k T_k(x). On the windows below they interpolate better
 # than the 25 extrema (1.7e-8 against 3.2e-8 in S'' at g_0, where the window
-# is widest).
+# is widest). The 12 positive points are mirrored exactly, x_(24-j) = -x_j,
+# and the middle one is 0.0, so the nodes c +- h x_j pair up in
+# section_eval's point path.
 _CHEB_NODES = 25
 _CHEB_K = np.arange(_CHEB_NODES, dtype=float)
 _CHEB_ANGLES = math.pi * (_CHEB_K + 0.5) / _CHEB_NODES
-_CHEB_X = np.cos(_CHEB_ANGLES)
+_CHEB_X = np.cos(_CHEB_ANGLES[:_CHEB_NODES // 2])
+_CHEB_X = np.concatenate([_CHEB_X, [0.0], -_CHEB_X[::-1]])
 _CHEB_FIT = np.cos(np.outer(_CHEB_K, _CHEB_ANGLES)) * (2.0 / _CHEB_NODES)
 _CHEB_FIT[0] *= 0.5
 
@@ -215,14 +320,15 @@ class WindowProxy:
 
     with main-mode derivatives and the m = 1 head evaluated exactly. The proxy
     interpolates every S_B^(j) at the 25 Chebyshev points of a window of
-    half-width one local Gram gap, pi / theta_main'(g0), each node one
-    section_eval call. Against the direct sums it is within 1.7e-8 relative
-    at g_0, where the window is widest, and 6e-9 at g_730119, the rounding
-    floor of the 225,307-term sum itself. The window is first centred on g0
-    and tabulated when first needed; a point outside it re-tabulates the
-    window centred on that point. Where that window would reach below
-    theta's domain floor (t < 10 + gap, near the lowest Gram points only) it
-    spans [10, t + gap] instead, which is narrower and so no less accurate.
+    half-width one local Gram gap, pi / theta_main'(g0), tabulated by one
+    section_eval call per window at all 25 nodes. Against the direct sums it
+    is within 1.7e-8 relative at g_0, where the window is widest, and 7.4e-9
+    at g_730119, the rounding floor of the 225,307-term sum itself. The
+    window is first centred on g0 and tabulated when first needed; a point
+    outside it re-tabulates the window centred on that point. Where that
+    window would reach below theta's domain floor (t < 10 + gap, near the
+    lowest Gram points only) it spans [10, t + gap] instead, which is
+    narrower and so no less accurate.
     """
 
     def __init__(self, model: CoefficientModel, n_terms: int, masks, g0: float):
@@ -243,15 +349,13 @@ class WindowProxy:
         return c1_cos, -self._c1 * math.sin(th) * tp, -c1_cos * tp * tp
 
     def _tabulate(self) -> np.ndarray:
-        rows = []
-        for x in _CHEB_X:
-            t = self.center + self.half_width * x
-            vals = section_eval(self.model, t, self.weights, orders=(0, 1, 2),
-                                n_terms=self.n_terms)
-            head = self.head(t)
-            rows.append(np.concatenate([np.atleast_1d(vals[j]) - head[j]
-                                        for j in range(3)]))
-        return _CHEB_FIT @ np.array(rows)
+        nodes = self.center + self.half_width * _CHEB_X
+        vals = section_eval(self.model, nodes, self.weights, orders=(0, 1, 2),
+                            n_terms=self.n_terms)
+        heads = np.array([self.head(t) for t in nodes])
+        rows = np.concatenate([vals[j].reshape(_CHEB_NODES, -1) - heads[:, j:j + 1]
+                               for j in range(3)], axis=1)
+        return _CHEB_FIT @ rows
 
     def sums(self, t: float) -> np.ndarray:
         """S_B^(j)(t) as a (3, blocks) array, row j = order."""

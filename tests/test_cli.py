@@ -2,10 +2,15 @@ from __future__ import annotations
 
 import concurrent.futures
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from gramdelta import cli, gram
+import gramdelta
+from gramdelta import cache, cli, gram
 from gramdelta.cli import main
 from gramdelta.errors import FlatPointError, NonConvergenceError
 
@@ -342,3 +347,60 @@ def test_scan_and_shard_bytes_identical_across_threads(tmp_path):
                          "--out", str(out)]) == 0
         outputs.add((out.read_bytes(), (cache / "riemann_000000.csv").read_bytes()))
     assert len(outputs) == 1
+
+
+def _count_puts(monkeypatch) -> list[int]:
+    """Record the number of records of every RecordStore.put call."""
+    counts: list[int] = []
+    put = cache.RecordStore.put
+
+    def counting(self, model_name, *records):
+        counts.append(len(records))
+        return put(self, model_name, *records)
+
+    monkeypatch.setattr(cache.RecordStore, "put", counting)
+    return counts
+
+
+@pytest.mark.parametrize("argv,puts", [
+    (("viscosity", "--from", "100", "--to", "299", "--gbg"), [200]),
+    (("gram", "blocks", "--from", "100", "--to", "299"), [200]),
+    # bad points g_126 and g_134 on both edges: the window in one put, then
+    # one for each neighbour beyond an edge, g_125 and g_135
+    (("gram", "blocks", "--from", "126", "--to", "134"), [9, 1, 1]),
+    (("viscosity", "--from", "126", "--to", "134", "--gbg"), [9, 1, 1])])
+def test_window_scans_store_the_window_in_one_put(tmp_path, monkeypatch, argv, puts):
+    counts = _count_puts(monkeypatch)
+    cold, warm = tmp_path / "cold.csv", tmp_path / "warm.csv"
+    for out in (cold, warm):
+        assert main([*argv, "--cache-dir", str(tmp_path / "c"), "--out", str(out)]) == 0
+    assert counts == puts  # the warm rerun classifies nothing
+    assert cold.read_bytes() == warm.read_bytes()
+
+
+# each window of a continuation is tabulated with BLAS matrix products
+_CONTINUATION_OPS = [("discriminant", "--n", "730119", "--steps", "50"),
+                     ("curve", "corrected", "--n", "730119", "--steps", "50")]
+_RUN_GDL = "import sys; from gramdelta.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+@pytest.mark.parametrize("argv", _CONTINUATION_OPS, ids=["discriminant", "corrected"])
+def test_continuation_bytes_identical_across_reruns_and_blas_threads(tmp_path, capsys,
+                                                                     argv):
+    src = str(Path(gramdelta.__file__).resolve().parent.parent)
+    runs = set()
+    for threads in ("1", "2"):
+        out = tmp_path / f"blas{threads}.csv"
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        proc = subprocess.run([sys.executable, "-c", _RUN_GDL, *argv,
+                               "--cache-dir", str(tmp_path / "c"), "--out", str(out)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        runs.add((out.read_bytes(), proc.stdout))
+    out = tmp_path / "inprocess.csv"
+    code, stdout = run(capsys, *argv, "--cache-dir", str(tmp_path / "c"),
+                       "--out", str(out))
+    assert code == 0
+    runs.add((out.read_bytes(), stdout))
+    assert len(runs) == 1

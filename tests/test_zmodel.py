@@ -11,7 +11,7 @@ from gramdelta import (GramKind, classical_afe, classify, core_zero,
                        z_section, z_section_deriv)
 from gramdelta.errors import DimensionError, DomainError, IndexRangeError
 from gramdelta.special import ThetaKind, theta
-from gramdelta.zmodel import (_RS_REMAINDER, WindowProxy, _parity_series,
+from gramdelta.zmodel import (_CHEB_X, _RS_REMAINDER, WindowProxy, _parity_series,
                               classical_partial_sums, hardy_z_error, section_eval)
 
 from oracles import bisect, central_difference, zeta_euler_maclaurin
@@ -353,3 +353,165 @@ def test_window_proxy_recentres_inside_the_theta_domain(riemann):
         assert abs(sums[j] - s_direct) <= 2e-8 * max(1.0, abs(s_direct))
     with pytest.raises(DomainError):
         proxy.sums(9.5)
+
+
+def _point_bound(t: float, order: int) -> float:
+    """Rounding floor of the phases theta(t) - t ln m, about eps t ln t,
+    times the factor (theta'(t) - ln m)^order of each term, at most about
+    (ln(t)/2)^order: 4 eps t ln(t) (ln(t)/2)^order. Both paths round t ln m
+    in floats (the scalar path per point, the point path once at the centre);
+    test_section_points_against_exact_phases holds the scalar path itself to
+    this bound."""
+    return 4.0 * np.finfo(float).eps * t * math.log(t) * (0.5 * math.log(t)) ** order
+
+
+def _window_nodes(model, n):
+    g0 = gram_point(model, n)
+    proxy = WindowProxy(model, model.robust_cutoff(g0), None, g0)
+    return g0, proxy.n_terms, g0 + proxy.half_width * _CHEB_X
+
+
+def _assert_points_match_scalar(model, t, a, dim, mode, check):
+    """section_eval at the points t against one scalar call per point, for the
+    order sets (0,), (1, 2) and (0, 1, 2); check selects the points compared."""
+    single = [section_eval(model, float(t[i]), a, orders=(0, 1, 2), deriv_mode=mode,
+                           n_terms=dim) for i in check]
+    for orders in [(0,), (1, 2), (0, 1, 2)]:
+        batch = section_eval(model, t, a, orders=orders, deriv_mode=mode, n_terms=dim)
+        assert sorted(batch) == list(orders)
+        for j in orders:
+            assert batch[j].shape == (len(t),) + np.shape(a)[:-1]
+            for i, ref in zip(check, single):
+                assert np.all(np.abs(batch[j][i] - ref[j])
+                              <= _point_bound(float(t[i]), j)), (orders, j, i)
+
+
+@pytest.mark.parametrize("name,n", [("riemann", 0), ("riemann", 6708),
+                                    ("riemann", 730119), ("dh", 44)])
+@pytest.mark.parametrize("mode", ["main", "full"])
+def test_section_points_match_scalar_calls(riemann, davenport, name, n, mode):
+    # one call at the 25 window nodes against a scalar call per node, for
+    # scalar, vector and (B, N) weights; at n = 730119 (N = 225,307) five
+    # nodes are compared, to keep the scalar side short
+    model = riemann if name == "riemann" else davenport
+    _, dim, t = _window_nodes(model, n)
+    vec = np.linspace(-0.5, 1.5, dim)
+    check = [0, 3, 12, 20, 24] if n == 730119 else range(len(t))
+    for a in (1.0, vec, np.stack([vec, 1.0 - vec])):
+        _assert_points_match_scalar(model, t, a, dim, mode, check)
+
+
+def test_section_points_unpaired_offsets(riemann, davenport):
+    # offsets without a mirror partner, a repeated point, a lone point and
+    # a set whose middle is not one of its points
+    rng = np.random.default_rng(5)
+    for model, n in [(riemann, 6708), (davenport, 44)]:
+        g0, dim, _ = _window_nodes(model, n)
+        t = g0 + np.sort(rng.uniform(-0.4, 0.4, 9))
+        t = np.concatenate([t, t[2:3], [g0 - 0.4, g0 + 0.1]])
+        vec = np.linspace(1.5, -0.5, dim)
+        for pts in (t, t[:1]):
+            for a in (1.0, vec, np.stack([vec, np.ones(dim)])):
+                for mode in ("main", "full"):
+                    _assert_points_match_scalar(model, pts, a, dim, mode,
+                                                range(len(pts)))
+
+
+def test_section_points_validation(riemann):
+    t = np.array([100.0, 100.5])
+    with pytest.raises(ValueError):
+        section_eval(riemann, t, 1.0)  # n_terms must be pinned
+    with pytest.raises(DimensionError):
+        section_eval(riemann, t.reshape(1, 2), 1.0, n_terms=50)
+    with pytest.raises(DimensionError):
+        section_eval(riemann, t, np.ones(49), n_terms=50)
+    with pytest.raises(DomainError):
+        section_eval(riemann, np.array([9.0, 11.0]), 1.0, n_terms=5)
+
+
+def test_chebyshev_nodes_are_mirrored_exactly(riemann, davenport):
+    assert _CHEB_X[12] == 0.0
+    assert all(_CHEB_X[24 - j] == -_CHEB_X[j] for j in range(25))
+    exact = np.cos(np.pi * (np.arange(25) + 0.5) / 25)
+    assert np.max(np.abs(_CHEB_X - exact)) <= 4e-16
+    # the window nodes c +- h x_j keep the pairing: 13 distinct |t - c|,
+    # so the point path makes 13 trig passes per window. A window across a
+    # power of two (g_0's spans 16) rounds its two halves on different grids
+    # and loses some pairs; test_section_points_match_scalar_calls covers it
+    for model, n in [(riemann, 6708), (riemann, 730119), (davenport, 44)]:
+        g0, _, t = _window_nodes(model, n)
+        assert t[12] == g0
+        assert len(np.unique(np.abs(t - g0))) == 13
+
+
+def test_window_proxy_tabulates_in_one_call(riemann, monkeypatch):
+    import gramdelta.zmodel as zmodel
+    calls = []
+    direct = zmodel.section_eval
+
+    def counting(*args, **kwargs):
+        calls.append(np.shape(args[1]))
+        return direct(*args, **kwargs)
+
+    monkeypatch.setattr(zmodel, "section_eval", counting)
+    g0 = gram_point(riemann, 6708)
+    proxy = WindowProxy(riemann, riemann.robust_cutoff(g0), None, g0)
+    proxy.sums(g0)
+    proxy.sums(g0 + 0.5 * proxy.half_width)
+    assert calls == [(25,)]
+    proxy.sums(g0 + 3.0 * proxy.half_width)  # outside: one more window
+    assert calls == [(25,), (25,)]
+
+
+def _exact_section(mp, t: float, dim: int) -> list[float]:
+    """Z_N(t; 1) and its main-mode t-derivatives with every phase
+    theta(t) - t ln m exact to 2^-120 of a turn: t ln p / 2 pi for each prime
+    p by mpmath at 40 digits, composed over the factorisation of m in integer
+    arithmetic. Only cos, sin and the compensated sums run in floats."""
+    size = dim + 1
+    spf = np.arange(size + 1)  # smallest prime factor
+    for p in range(2, math.isqrt(size) + 1):
+        if spf[p] == p:
+            spf[p * p::p] = np.minimum(spf[p * p::p], p)
+    bits = 120
+    mask = (1 << bits) - 1
+    with mp.workdps(40):
+        x = mp.mpf(t)
+
+        def turn(v):
+            return int(mp.floor(mp.frac(v / (2 * mp.pi)) * 2 ** bits))
+
+        th = turn(x / 2 * mp.log(x / (2 * mp.pi)) - x / 2 - mp.pi / 8
+                  + 1 / (48 * x) + 7 / (5760 * x ** 3))
+        tp = float(mp.log(x / (2 * mp.pi)) / 2)
+        turns = [0, 0]
+        for m in range(2, size + 1):
+            p = int(spf[m])
+            turns.append(turn(x * mp.log(p)) if p == m
+                         else (turns[p] + turns[m // p]) & mask)
+    frac = np.array([((th - v) & mask) >> (bits - 53) for v in turns[1:]],
+                    dtype=float) * 2.0 ** -53
+    phase = 2.0 * math.pi * frac
+    m = np.arange(1, size + 1, dtype=float)
+    q, f = 1.0 / np.sqrt(m), tp - np.log(m)
+    cos_p, sin_p = np.cos(phase), np.sin(phase)
+    return [math.fsum(q * cos_p), math.fsum(-q * sin_p * f),
+            math.fsum(-q * cos_p * f * f)]
+
+
+def test_section_points_against_exact_phases(riemann):
+    # at one node of the g_730119 window (N = 225,307): the scalar path and
+    # the point path both sit within _point_bound of the exact sums; seen at
+    # nodes 0, 3, 12, 20 for orders 0 / 1 / 2: scalar up to 1.4e-9 / 4.4e-9 /
+    # 2.2e-8, point path up to 3.1e-10 / 1.7e-9 / 7.5e-9, bounds 5.2e-9 /
+    # 3.4e-8 / 2.2e-7
+    mp = pytest.importorskip("mpmath")
+    _, dim, t = _window_nodes(riemann, 730119)
+    node = 3
+    exact = _exact_section(mp, float(t[node]), dim)
+    scalar = section_eval(riemann, float(t[node]), 1.0, orders=(0, 1, 2), n_terms=dim)
+    points = section_eval(riemann, t, 1.0, orders=(0, 1, 2), n_terms=dim)
+    for j in range(3):
+        bound = _point_bound(float(t[node]), j)
+        assert abs(scalar[j] - exact[j]) <= bound, j
+        assert abs(points[j][node] - exact[j]) <= bound, j
