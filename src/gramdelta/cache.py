@@ -7,11 +7,14 @@ bit. Each shard starts with a #version line; a shard written by another
 version holds values computed another way and is refused, never served, and
 so is a shard with a row that is not a complete record (six fields, hex
 floats, a known kind, a line end), such as a crash mid-append leaves.
+Appends take an exclusive and loads a shared fcntl lock on the shard, so
+processes may share one cache directory.
 """
 
 from __future__ import annotations
 
 import csv
+import fcntl
 import io
 import itertools
 import os
@@ -51,12 +54,17 @@ class RecordStore:
         path = self._path(model_name, shard)
         if path.exists():
             with path.open(newline="") as fh:
+                # a writer in another process holds the exclusive lock while
+                # it appends, so this never reads half an append
+                fcntl.flock(fh, fcntl.LOCK_SH)
                 version = fh.readline()
-                if version.rstrip("\n") != f"#version={_VERSION}":
+                # empty: a writer has created the shard and not yet locked it
+                if version and version.rstrip("\n") != f"#version={_VERSION}":
                     raise StaleCacheError(
                         f"cache shard {path} starts with {version.rstrip()!r}, "
                         f"expected '#version={_VERSION}'; run `gdl cache clear`")
-                for lineno, line in enumerate(itertools.chain([version], fh), start=1):
+                lines = itertools.chain([version], fh) if version else ()
+                for lineno, line in enumerate(lines, start=1):
                     # every line a write left whole ends in a line end
                     complete = line.endswith("\n")
                     if complete and (line.startswith(("#", "n,")) or not line.strip()):
@@ -76,7 +84,10 @@ class RecordStore:
 
     def put(self, model_name: str, *records: GramRecord) -> None:
         """Append the records not yet stored, in the order given, with one
-        write per shard."""
+        write per shard under an exclusive lock on it, so that processes
+        sharing the cache directory never interleave their rows. A record
+        another process appended since this store loaded the shard may be
+        appended again; it holds the same bits, and the loader keeps one."""
         with self._lock:
             rows: dict[int, list[list]] = {}
             for record in records:
@@ -89,17 +100,26 @@ class RecordStore:
                     [record.n, record.t.hex(), record.z_value.hex(),
                      record.zprime_value.hex(), record.kind.value,
                      record.viscosity.hex()])
+            if rows:
+                self.root.mkdir(parents=True, exist_ok=True)
             for shard, shard_rows in rows.items():
-                path = self._path(model_name, shard)
-                buf = io.StringIO()
-                if not path.exists():
-                    path.parent.mkdir(parents=True, exist_ok=True)
-                    buf.write(f"#version={_VERSION}\n#model={model_name}\n")
-                    shard_rows.insert(0, ["n", "t_hex", "z_hex", "zprime_hex",
-                                          "kind", "viscosity_hex"])
-                csv.writer(buf).writerows(shard_rows)
-                with path.open("a", newline="") as fh:
-                    fh.write(buf.getvalue())
+                fd = os.open(self._path(model_name, shard),
+                             os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+                try:
+                    # other processes may share the cache: the exclusive lock
+                    # keeps their appends and reads from interleaving with ours
+                    fcntl.flock(fd, fcntl.LOCK_EX)
+                    buf = io.StringIO()
+                    if os.fstat(fd).st_size == 0:
+                        buf.write(f"#version={_VERSION}\n#model={model_name}\n")
+                        shard_rows.insert(0, ["n", "t_hex", "z_hex", "zprime_hex",
+                                              "kind", "viscosity_hex"])
+                    csv.writer(buf).writerows(shard_rows)
+                    data = buf.getvalue().encode()
+                    while data:
+                        data = data[os.write(fd, data):]
+                finally:
+                    os.close(fd)  # releases the lock
 
     def status(self) -> dict:
         files = sorted(self.root.glob("*_*.csv")) if self.root.exists() else []

@@ -46,13 +46,13 @@ def _ks(values: np.ndarray) -> np.ndarray:
 
 def _cmd_gram_scan(args) -> int:
     model = _model(args)
-    recs = RecordSource(model, _store(args)).range(args.n_from, args.n_to,
-                                                   threads=args.threads)
+    recs = RecordSource(model, _store(args)).range(args.n_from, args.n_to)
     write_csv(args.out, _meta(args, model.name),
               ["n", "t", "z", "zprime", "kind", "viscosity"],
-              [[r.n for r in recs], [r.t for r in recs], [r.z_value for r in recs],
-               [r.zprime_value for r in recs], [r.kind.value for r in recs],
-               [r.viscosity for r in recs]],
+              [np.array([r.n for r in recs]), np.array([r.t for r in recs]),
+               np.array([r.z_value for r in recs]),
+               np.array([r.zprime_value for r in recs]), [r.kind.value for r in recs],
+               np.array([r.viscosity for r in recs])],
               float_cols=["t", "z", "zprime", "viscosity"])
     return 0
 
@@ -286,7 +286,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"cache directory (default ${ENV_VAR}, "
                             "else ~/.cache/gramdelta)")
         p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--threads", type=int, default=1,
+                       help="accepted and ignored: scans run on the calling "
+                            "thread, since classification holds the GIL and a "
+                            "thread pool was measured slower at every window size")
         p.add_argument("--out", default=None, help="output path (default stdout)")
         if model:
             p.add_argument("--model", choices=sorted(_MODELS), default="riemann")

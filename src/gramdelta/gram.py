@@ -15,7 +15,6 @@ what makes core_zero(6708) = 7004.95 rather than 7004.05.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -161,11 +160,12 @@ class RecordSource:
     def get(self, n: int) -> GramRecord:
         return self.range(n, n)[0]
 
-    def range(self, n_from: int, n_to: int, threads: int = 1) -> list[GramRecord]:
+    def range(self, n_from: int, n_to: int) -> list[GramRecord]:
         """Records n_from..n_to. The ones neither memoized nor cached are
-        classified, on up to `threads` worker threads (clamped to
-        [1, os.cpu_count()]), and then stored with one put in index order,
-        so neither the records nor the shard bytes depend on scheduling."""
+        classified in index order on the calling thread, then stored with one
+        put. There is no worker pool, so `gdl --threads` changes nothing:
+        classification holds the GIL, and a thread pool was measured slower
+        than this loop at every window size."""
         indices = range(n_from, n_to + 1)
         missing = []
         for n in indices:
@@ -176,17 +176,7 @@ class RecordSource:
                 missing.append(n)
             else:
                 self._memo[n] = rec
-        workers = 1
-        if threads > 1 and len(missing) > 1:
-            workers = min(threads, os.cpu_count() or 1)
-        if workers > 1:
-            # imported here, not at the top: it would add 8 ms to every
-            # `import gramdelta`, and serial scans never need it
-            from concurrent.futures import ThreadPoolExecutor
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                computed = list(pool.map(lambda n: classify(self.model, n), missing))
-        else:
-            computed = [classify(self.model, n) for n in missing]
+        computed = [classify(self.model, n) for n in missing]
         if computed and self.store is not None:
             self.store.put(self.model.name, *computed)
         for rec in computed:

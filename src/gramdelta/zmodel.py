@@ -95,18 +95,18 @@ def _basis(model: CoefficientModel, m_count: int):
     return ln_m, q
 
 
-def _as_weights(a, n: int):
+def _as_weights(a, n: int, stack: bool = False):
     """Normalize a parameter point: scalar -> uniform, sequence -> validated array.
 
-    A 2-D array of shape (B, n) is a stack of B parameter points (block masks,
-    for instance); section_eval then returns one sum per row.
+    With stack, a 2-D array of shape (B, n) is a stack of B parameter points
+    (block masks, for instance); the point path then returns one sum per row.
     """
     if a is None:
         return 0.0
     if isinstance(a, (int, float)):
         return float(a)
     arr = np.asarray(a, dtype=float)
-    if arr.ndim not in (1, 2) or arr.shape[-1] != n:
+    if arr.ndim not in ((1, 2) if stack else (1,)) or arr.shape[-1] != n:
         raise DimensionError(f"parameter point has dimension {arr.shape}, expected ({n},)")
     return arr
 
@@ -117,17 +117,17 @@ def section_eval(model: CoefficientModel, t, a, *, orders: tuple[int, ...] = (0,
 
     n_terms pins the section dimension N (defaults to the robust cutoff at t);
     continuation code passes it explicitly so the dimension never jumps while
-    t slides across an even integer. For a (B, N) stack of parameter points
-    each order maps to an array of B values; otherwise to one float.
+    t slides across an even integer. Each order maps to one float.
 
     t may also be a 1-D array of real points, with n_terms pinned: each order
-    then maps to one value per point, a (points, B) array for a (B, N) stack
-    (see _section_points). WindowProxy tabulates a whole window in one call.
+    then maps to one value per point, and a may also be a (B, N) stack of
+    parameter points, which gives a (points, B) array (see _section_points).
+    WindowProxy tabulates a whole window in one call.
     """
     if isinstance(t, np.ndarray):
         if n_terms is None:
             raise ValueError("section_eval at an array of points needs n_terms")
-        return _section_points(model, t, _as_weights(a, n_terms), orders,
+        return _section_points(model, t, _as_weights(a, n_terms, stack=True), orders,
                                deriv_mode, n_terms)
     n = model.robust_cutoff(t.real if isinstance(t, complex) else t) \
         if n_terms is None else n_terms
@@ -177,8 +177,6 @@ def _weighted(terms: np.ndarray, w):
         if w == 0.0:
             return head
         return head + w * _csum_any(terms[1:])
-    if w.ndim == 2:
-        return np.array([_weighted(terms, row) for row in w])
     weighted = terms.copy()
     weighted[1:] *= w
     return _csum_any(weighted)
@@ -408,37 +406,54 @@ def gram_index_of(model: CoefficientModel, g: float, tol: float = 1e-6) -> int:
 
 
 def localized_sum(model: CoefficientModel, g: float, a_lo: int, b_hi: int,
-                  which: str = "z", *, n_override: int | None = None) -> float:
+                  which: str = "z") -> float:
     """Partial classical-AFE sum over term indices k in [a_lo, b_hi].
 
     which = "z":       2 (-1)^n sum c_k cos(ln k g)/sqrt(k)
     which = "zprime":  (-1)^n sum c_k ln(g/(2 pi k^2)) sin(ln k g)/sqrt(k)
 
-    localized_sum(1, N(n)) reproduces classical_afe bit for bit: both go
-    through this very routine.
+    localized_sum(1, N(n)) reproduces classical_afe bit for bit: both build
+    their terms by _classical_terms.
     """
     n_cut = model.classical_cutoff(g)
     if not (1 <= a_lo <= b_hi <= n_cut):
         raise IndexRangeError(f"need 1 <= {a_lo} <= {b_hi} <= {n_cut}")
-    n = gram_index_of(model, g) if n_override is None else n_override
-    sign = -1.0 if n % 2 else 1.0
-    terms = _classical_terms(model, g, which)[a_lo - 1:b_hi]
+    sign = -1.0 if gram_index_of(model, g) % 2 else 1.0
+    terms = _classical_terms(model, g, (which,))[0][a_lo - 1:b_hi]
     factor = 2.0 * sign if which == "z" else sign
     return factor * csum(terms)
 
 
-def _classical_terms(model: CoefficientModel, g: float, which: str) -> np.ndarray:
-    """Unsigned classical-AFE term array for k = 1..N(g)."""
-    n_cut = model.classical_cutoff(g)
+@lru_cache(maxsize=4)
+def _classical_table(model: CoefficientModel, n_cut: int):
+    """Per-term arrays for k = 1..n_cut: ln k, c_k, sqrt k (read-only).
+
+    N(g) holds over runs of about 50 consecutive Gram points at n = 100 and
+    5,000 at n = 5e5, so a scan window needs one or two tables; keeping more
+    only adds to the peak memory of ops that jump between heights."""
     k = np.arange(1, n_cut + 1, dtype=float)
-    ln_k = np.log(k)
-    c = model.coefficients(n_cut)
-    if which == "z":
-        return c * np.cos(ln_k * g) / np.sqrt(k)
-    if which == "zprime":
-        length = 2.0 * (model.theta_main(g) - ln_k)  # ln(g / (2 pi k^2)) analogue
-        return c * length * np.sin(ln_k * g) / np.sqrt(k)
-    raise ValueError(f"which must be 'z' or 'zprime', got {which!r}")
+    table = np.log(k), model.coefficients(n_cut), np.sqrt(k)
+    for arr in table:
+        arr.flags.writeable = False
+    return table
+
+
+def _classical_terms(model: CoefficientModel, g: float,
+                     which: tuple[str, ...]) -> list[np.ndarray]:
+    """Unsigned classical-AFE term arrays for k = 1..N(g), one per entry of
+    which ("z" or "zprime"), from one pass of cos and sin over ln k g."""
+    ln_k, c, sqrt_k = _classical_table(model, model.classical_cutoff(g))
+    arg = ln_k * g
+    out = []
+    for kind in which:
+        if kind == "z":
+            out.append(c * np.cos(arg) / sqrt_k)
+        elif kind == "zprime":
+            length = 2.0 * (model.theta_main(g) - ln_k)  # ln(g / (2 pi k^2)) analogue
+            out.append(c * length * np.sin(arg) / sqrt_k)
+        else:
+            raise ValueError(f"which must be 'z' or 'zprime', got {kind!r}")
+    return out
 
 
 def classical_afe(model: CoefficientModel, g: float) -> ClassicalValues:
@@ -446,10 +461,9 @@ def classical_afe(model: CoefficientModel, g: float) -> ClassicalValues:
     if not g >= 10.0:
         raise DomainError(f"classical_afe requires g >= 10, got {g}")
     n = gram_index_of(model, g)
-    n_cut = model.classical_cutoff(g)
-    z = localized_sum(model, g, 1, n_cut, "z", n_override=n)
-    zp = localized_sum(model, g, 1, n_cut, "zprime", n_override=n)
-    return ClassicalValues(n=n, z=z, zprime=zp)
+    sign = -1.0 if n % 2 else 1.0
+    z_terms, zp_terms = _classical_terms(model, g, ("z", "zprime"))
+    return ClassicalValues(n=n, z=2.0 * sign * csum(z_terms), zprime=sign * csum(zp_terms))
 
 
 def classical_partial_sums(model: CoefficientModel, g: float, which: str) -> np.ndarray:
@@ -457,7 +471,7 @@ def classical_partial_sums(model: CoefficientModel, g: float, which: str) -> np.
     n = gram_index_of(model, g)
     sign = -1.0 if n % 2 else 1.0
     factor = 2.0 * sign if which == "z" else sign
-    return factor * running_csum(_classical_terms(model, g, which))
+    return factor * running_csum(_classical_terms(model, g, (which,))[0])
 
 
 # Riemann-Siegel remainder coefficients C_0..C_3 (Edwards, Riemann's Zeta

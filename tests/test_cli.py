@@ -312,27 +312,18 @@ class _RecordingExecutor:
         return map(fn, items)
 
 
-@pytest.mark.parametrize("threads,workers", [(0, []), (-3, []), (10 ** 6, [4])])
-def test_scan_threads_clamped_to_cpu_count(tmp_path, monkeypatch, threads, workers):
+@pytest.mark.parametrize("threads", [0, -3, 8, 10 ** 6])
+def test_scan_builds_no_executor(tmp_path, monkeypatch, threads):
+    # --threads is accepted and ignored: the scan classifies on the calling thread
     monkeypatch.setattr(_RecordingExecutor, "built", [])
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _RecordingExecutor)
-    monkeypatch.setattr(gram.os, "cpu_count", lambda: 4)
     out, serial = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main(["gram", "scan", "--from", "30", "--to", "37", "--threads", str(threads),
                  "--cache-dir", str(tmp_path / "c1"), "--out", str(out)]) == 0
-    assert _RecordingExecutor.built == workers
+    assert _RecordingExecutor.built == []
     assert main(["gram", "scan", "--from", "30", "--to", "37",
                  "--cache-dir", str(tmp_path / "c2"), "--out", str(serial)]) == 0
     assert out.read_bytes() == serial.read_bytes()
-
-
-def test_unknown_cpu_count_scans_serially(tmp_path, monkeypatch):
-    monkeypatch.setattr(_RecordingExecutor, "built", [])
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _RecordingExecutor)
-    monkeypatch.setattr(gram.os, "cpu_count", lambda: None)
-    assert main(["gram", "scan", "--from", "30", "--to", "33", "--threads", "8",
-                 "--cache-dir", str(tmp_path), "--out", str(tmp_path / "x.csv")]) == 0
-    assert _RecordingExecutor.built == []
 
 
 def test_scan_and_shard_bytes_identical_across_threads(tmp_path):
@@ -384,15 +375,20 @@ _CONTINUATION_OPS = [("discriminant", "--n", "730119", "--steps", "50"),
 _RUN_GDL = "import sys; from gramdelta.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
+def _gdl_env(**extra) -> dict:
+    """The environment of a `gdl` subprocess that imports this gramdelta."""
+    src = str(Path(gramdelta.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **extra)
+
+
 @pytest.mark.parametrize("argv", _CONTINUATION_OPS, ids=["discriminant", "corrected"])
 def test_continuation_bytes_identical_across_reruns_and_blas_threads(tmp_path, capsys,
                                                                      argv):
-    src = str(Path(gramdelta.__file__).resolve().parent.parent)
     runs = set()
     for threads in ("1", "2"):
         out = tmp_path / f"blas{threads}.csv"
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        env = _gdl_env(OPENBLAS_NUM_THREADS=threads)
         proc = subprocess.run([sys.executable, "-c", _RUN_GDL, *argv,
                                "--cache-dir", str(tmp_path / "c"), "--out", str(out)],
                               env=env, capture_output=True, text=True, timeout=300)
@@ -404,3 +400,24 @@ def test_continuation_bytes_identical_across_reruns_and_blas_threads(tmp_path, c
     assert code == 0
     runs.add((out.read_bytes(), stdout))
     assert len(runs) == 1
+
+
+def test_concurrent_scan_processes_share_one_cache(tmp_path):
+    # two processes append overlapping windows to one shard at the same time
+    shared = tmp_path / "shared"
+    procs = [subprocess.Popen([sys.executable, "-c", _RUN_GDL, "gram", "scan",
+                               "--from", lo, "--to", hi, "--cache-dir", str(shared),
+                               "--out", str(tmp_path / f"scan{lo}.csv")],
+                              env=_gdl_env(), stderr=subprocess.PIPE, text=True)
+             for lo, hi in (("100", "400"), ("300", "600"))]
+    for proc in procs:
+        _, err = proc.communicate(timeout=300)
+        assert proc.returncode == 0, err
+    assert (shared / "riemann_000000.csv").read_text().count("#version=") == 1
+    store = cache.RecordStore(shared)  # loads the shard: no CorruptCacheError
+    assert all(store.get("riemann", n) is not None for n in range(100, 601))
+    warm, cold = tmp_path / "warm.csv", tmp_path / "cold.csv"
+    for out, cache_dir in ((warm, shared), (cold, tmp_path / "cold")):
+        assert main(["gram", "scan", "--from", "100", "--to", "600",
+                     "--cache-dir", str(cache_dir), "--out", str(out)]) == 0
+    assert warm.read_bytes() == cold.read_bytes()

@@ -9,9 +9,11 @@ from gramdelta import (GramKind, blocks, classify, core_zero, gbg_scan,
                        gram_point, gram_point_seed)
 from gramdelta.cache import RecordStore
 from gramdelta.errors import DomainError, IndeterminateSignError
-from gramdelta.gram import RecordSource
+from gramdelta.gram import GramRecord, RecordSource
+from gramdelta.numerics import csum, running_csum
 from gramdelta.special import ThetaKind, theta
-from gramdelta.zmodel import CoefficientModel
+from gramdelta.zmodel import (CoefficientModel, classical_partial_sums, gram_index_of,
+                              hardy_z, hardy_z_error, localized_sum, section_eval)
 
 from oracles import bisect
 
@@ -160,3 +162,74 @@ def test_record_store_roundtrip_is_bit_exact(riemann, tmp_path):
         back = fresh.get(riemann.name, rec.n)
         assert back == rec  # dataclass equality: every float bit-identical
     assert fresh.get(riemann.name, 999) is None
+
+
+def _reference_terms(model, g: float, which: str) -> np.ndarray:
+    """Classical-AFE terms for k = 1..N(g), rebuilt from scratch on every
+    call: the reference makes this pass once for Z and once for Z'."""
+    n_cut = model.classical_cutoff(g)
+    k = np.arange(1, n_cut + 1, dtype=float)
+    ln_k = np.log(k)
+    c = model.coefficients(n_cut)
+    if which == "z":
+        return c * np.cos(ln_k * g) / np.sqrt(k)
+    length = 2.0 * (model.theta_main(g) - ln_k)
+    return c * length * np.sin(ln_k * g) / np.sqrt(k)
+
+
+def _reference_classify(model, n: int) -> GramRecord:
+    """classify with a separate term pass for Z and for Z' (two trig passes,
+    each rebuilding ln k, sqrt k and c_k), then hardy_z or the section."""
+    g = gram_point(model, n)
+    sign = -1.0 if gram_index_of(model, g) % 2 else 1.0
+    z = 2.0 * sign * csum(_reference_terms(model, g, "z"))
+    zprime = sign * csum(_reference_terms(model, g, "zprime"))
+    if model.is_zeta:
+        point, undecided = hardy_z(model, g), hardy_z_error(g)
+    else:
+        point = section_eval(model, g, 1.0, orders=(0, 1), deriv_mode="full")
+        undecided = 1e-4
+    sign = -1.0 if n % 2 else 1.0
+    if abs(z) < max(1e-4, 3.0 * g ** -0.25):
+        if abs(point[0]) < undecided:
+            kind = GramKind.INDETERMINATE
+        else:
+            kind = GramKind.GOOD if sign * point[0] > 0 else GramKind.BAD
+    else:
+        kind = GramKind.GOOD if sign * z > 0 else GramKind.BAD
+    viscosity = math.inf if point[0] == 0.0 else abs(point[1] / point[0])
+    return GramRecord(n=n, t=g, z_value=z, zprime_value=zprime, kind=kind,
+                      viscosity=viscosity)
+
+
+def _bits(rec: GramRecord) -> tuple:
+    return (rec.n, rec.t.hex(), rec.z_value.hex(), rec.zprime_value.hex(),
+            rec.kind, rec.viscosity.hex())
+
+
+@pytest.mark.parametrize("name,n_from,n_to", [
+    ("riemann", 0, 300), ("riemann", 17000, 17060), ("riemann", 730100, 730130),
+    ("riemann", 5_000_000, 5_000_020), ("dh", 2, 200)])  # DH g_1 < 10, theta's floor
+def test_classify_is_bit_identical_to_the_reference(riemann, davenport, name,
+                                                   n_from, n_to):
+    model = riemann if name == "riemann" else davenport
+    expected = [_bits(_reference_classify(model, n)) for n in range(n_from, n_to + 1)]
+    assert [_bits(classify(model, n)) for n in range(n_from, n_to + 1)] == expected
+    assert [_bits(r) for r in RecordSource(model).range(n_from, n_to)] == expected
+
+
+@pytest.mark.parametrize("name,n", [("riemann", 126), ("riemann", 17031),
+                                    ("riemann", 730119), ("dh", 44), ("dh", 190)])
+def test_classical_sums_are_bit_identical_to_the_reference(riemann, davenport, name, n):
+    model = riemann if name == "riemann" else davenport
+    g = gram_point(model, n)
+    sign = -1.0 if n % 2 else 1.0
+    n_cut = model.classical_cutoff(g)
+    for which, factor in (("z", 2.0 * sign), ("zprime", sign)):
+        terms = _reference_terms(model, g, which)
+        for lo, hi in ((1, n_cut), (1, 1), (2, n_cut), (n_cut // 2 + 1, n_cut)):
+            assert localized_sum(model, g, lo, hi, which).hex() == \
+                (factor * csum(terms[lo - 1:hi])).hex()
+        # the running sums are Neumaier prefix sums, not exactly rounded ones
+        assert np.array_equal(classical_partial_sums(model, g, which),
+                              factor * running_csum(terms))

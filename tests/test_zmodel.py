@@ -297,23 +297,21 @@ def test_fused_orders_are_bit_identical(riemann, davenport, mode):
     for model, t in [(riemann, 7005.1), (riemann, 97.3), (davenport, 120.7)]:
         n = model.robust_cutoff(t)
         vec = np.linspace(-0.5, 1.5, n)
-        for a in (0.0, 0.7, vec, np.stack([vec, 1.0 - vec])):
+        for a in (0.0, 0.7, vec):
             fused = section_eval(model, t, a, orders=(0, 1, 2), deriv_mode=mode)
             for j in range(3):
                 single = section_eval(model, t, a, orders=(j,), deriv_mode=mode)[j]
                 assert np.array_equal(fused[j], single)
 
 
-def test_stacked_weights_sum_each_row(riemann):
+def test_scalar_point_refuses_weight_stack(riemann):
+    # a (B, N) stack of parameter points is for the point path only
     t = 500.5
     n = riemann.robust_cutoff(t)
-    rows = np.stack([np.ones(n), np.linspace(0.0, 1.0, n)])
-    stacked = section_eval(riemann, t, rows, orders=(0, 1))
-    for i in range(2):
-        single = section_eval(riemann, t, rows[i], orders=(0, 1))
-        assert stacked[0][i] == single[0] and stacked[1][i] == single[1]
-    with pytest.raises(DimensionError):
-        section_eval(riemann, t, np.ones((2, n + 1)))
+    for a in (np.ones((2, n)), np.ones((1, n)), np.ones((2, n + 1))):
+        with pytest.raises(DimensionError):
+            section_eval(riemann, t, a, orders=(0, 1))
+    section_eval(riemann, np.array([t]), np.ones((2, n)), n_terms=n)
 
 
 @pytest.mark.parametrize("name,n", [("riemann", 0), ("riemann", 90), ("riemann", 20000),
@@ -372,10 +370,16 @@ def _window_nodes(model, n):
 
 
 def _assert_points_match_scalar(model, t, a, dim, mode, check):
-    """section_eval at the points t against one scalar call per point, for the
-    order sets (0,), (1, 2) and (0, 1, 2); check selects the points compared."""
-    single = [section_eval(model, float(t[i]), a, orders=(0, 1, 2), deriv_mode=mode,
-                           n_terms=dim) for i in check]
+    """section_eval at the points t against one scalar call per point (and
+    per row of a (B, N) stack), for the order sets (0,), (1, 2) and (0, 1, 2);
+    check selects the points compared."""
+    rows = a if np.ndim(a) == 2 else [a]
+    single = []
+    for i in check:
+        vals = [section_eval(model, float(t[i]), row, orders=(0, 1, 2), deriv_mode=mode,
+                             n_terms=dim) for row in rows]
+        single.append({j: np.array([v[j] for v in vals]).reshape(np.shape(a)[:-1])
+                       for j in range(3)})
     for orders in [(0,), (1, 2), (0, 1, 2)]:
         batch = section_eval(model, t, a, orders=orders, deriv_mode=mode, n_terms=dim)
         assert sorted(batch) == list(orders)
