@@ -16,7 +16,6 @@ from __future__ import annotations
 import csv
 import fcntl
 import io
-import itertools
 import os
 import threading
 from pathlib import Path
@@ -40,6 +39,8 @@ class RecordStore:
     def __init__(self, cache_dir: str | os.PathLike | None = None):
         self.root = Path(cache_dir) if cache_dir is not None else default_cache_dir()
         self._shards: dict[tuple[str, int], dict[int, GramRecord]] = {}
+        # (bytes, lines) of each shard that this store has read or written
+        self._ends: dict[tuple[str, int], tuple[int, int]] = {}
         self._lock = threading.Lock()
 
     def _path(self, model_name: str, shard: int) -> Path:
@@ -52,30 +53,15 @@ class RecordStore:
             return cached
         records: dict[int, GramRecord] = {}
         path = self._path(model_name, shard)
+        end = (0, 0)
         if path.exists():
-            with path.open(newline="") as fh:
+            with path.open("rb") as fh:
                 # a writer in another process holds the exclusive lock while
                 # it appends, so this never reads half an append
                 fcntl.flock(fh, fcntl.LOCK_SH)
-                version = fh.readline()
-                # empty: a writer has created the shard and not yet locked it
-                if version and version.rstrip("\n") != f"#version={_VERSION}":
-                    raise StaleCacheError(
-                        f"cache shard {path} starts with {version.rstrip()!r}, "
-                        f"expected '#version={_VERSION}'; run `gdl cache clear`")
-                lines = itertools.chain([version], fh) if version else ()
-                for lineno, line in enumerate(lines, start=1):
-                    # every line a write left whole ends in a line end
-                    complete = line.endswith("\n")
-                    if complete and (line.startswith(("#", "n,")) or not line.strip()):
-                        continue
-                    rec = _parse_row(line) if complete else None
-                    if rec is None:
-                        raise CorruptCacheError(
-                            f"cache shard {path} line {lineno} is not a complete "
-                            f"record: {line.rstrip()!r}; run `gdl cache clear`")
-                    records[rec.n] = rec
+                end = _merge_rows(path, fh.read(), end, records)
         self._shards[key] = records
+        self._ends[key] = end
         return records
 
     def get(self, model_name: str, n: int) -> GramRecord | None:
@@ -85,41 +71,56 @@ class RecordStore:
     def put(self, model_name: str, *records: GramRecord) -> None:
         """Append the records not yet stored, in the order given, with one
         write per shard under an exclusive lock on it, so that processes
-        sharing the cache directory never interleave their rows. A record
-        another process appended since this store loaded the shard may be
-        appended again; it holds the same bits, and the loader keeps one."""
+        sharing the cache directory never interleave their rows. Under the
+        lock the rows another process appended since this store last read
+        the shard are read first, and records among them are not appended
+        again."""
         with self._lock:
-            rows: dict[int, list[list]] = {}
+            by_shard: dict[int, list[GramRecord]] = {}
             for record in records:
-                shard = record.n // SHARD
-                stored = self._load(model_name, shard)
+                by_shard.setdefault(record.n // SHARD, []).append(record)
+            for shard, shard_records in by_shard.items():
+                self._append(model_name, shard, shard_records)
+
+    def _append(self, model_name: str, shard: int, records: list[GramRecord]) -> None:
+        stored = self._load(model_name, shard)
+        if all(record.n in stored for record in records):
+            return
+        key = (model_name, shard)
+        path = self._path(model_name, shard)
+        self.root.mkdir(parents=True, exist_ok=True)
+        fd = os.open(path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
+        try:
+            # other processes may share the cache: the exclusive lock keeps
+            # their appends and reads from interleaving with ours
+            fcntl.flock(fd, fcntl.LOCK_EX)
+            size, seen = os.fstat(fd).st_size, self._ends[key][0]
+            if size > seen:
+                self._ends[key] = _merge_rows(path, os.pread(fd, size - seen, seen),
+                                              self._ends[key], stored)
+            rows = []
+            for record in records:
                 if record.n in stored:
                     continue
                 stored[record.n] = record
-                rows.setdefault(shard, []).append(
-                    [record.n, record.t.hex(), record.z_value.hex(),
-                     record.zprime_value.hex(), record.kind.value,
-                     record.viscosity.hex()])
-            if rows:
-                self.root.mkdir(parents=True, exist_ok=True)
-            for shard, shard_rows in rows.items():
-                fd = os.open(self._path(model_name, shard),
-                             os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
-                try:
-                    # other processes may share the cache: the exclusive lock
-                    # keeps their appends and reads from interleaving with ours
-                    fcntl.flock(fd, fcntl.LOCK_EX)
-                    buf = io.StringIO()
-                    if os.fstat(fd).st_size == 0:
-                        buf.write(f"#version={_VERSION}\n#model={model_name}\n")
-                        shard_rows.insert(0, ["n", "t_hex", "z_hex", "zprime_hex",
-                                              "kind", "viscosity_hex"])
-                    csv.writer(buf).writerows(shard_rows)
-                    data = buf.getvalue().encode()
-                    while data:
-                        data = data[os.write(fd, data):]
-                finally:
-                    os.close(fd)  # releases the lock
+                rows.append([record.n, record.t.hex(), record.z_value.hex(),
+                             record.zprime_value.hex(), record.kind.value,
+                             record.viscosity.hex()])
+            if not rows:
+                return
+            buf = io.StringIO()
+            if size == 0:
+                buf.write(f"#version={_VERSION}\n#model={model_name}\n")
+                rows.insert(0, ["n", "t_hex", "z_hex", "zprime_hex", "kind",
+                                "viscosity_hex"])
+            csv.writer(buf).writerows(rows)
+            data = buf.getvalue().encode()
+            self._ends[key] = (size + len(data),
+                               self._ends[key][1] + buf.getvalue().count("\n"))
+            while data:
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)  # releases the lock
 
     def status(self) -> dict:
         files = sorted(self.root.glob("*_*.csv")) if self.root.exists() else []
@@ -141,7 +142,35 @@ class RecordStore:
                 path.unlink()
                 removed += 1
         self._shards.clear()
+        self._ends.clear()
         return removed
+
+
+def _merge_rows(path: Path, data: bytes, start: tuple[int, int],
+                records: dict[int, GramRecord]) -> tuple[int, int]:
+    """Add the records of shard bytes read from byte start[0], the start of
+    line start[1] + 1, to records; return the (bytes, lines) read up to
+    their end. Raises StaleCacheError on a shard of another version and
+    CorruptCacheError on a row that is not a complete record."""
+    lines = io.StringIO(data.decode(), newline="")
+    lineno = start[1]
+    for lineno, line in enumerate(lines, start=start[1] + 1):
+        # a shard a writer has created and not yet locked has no lines
+        if lineno == 1 and line.rstrip("\n") != f"#version={_VERSION}":
+            raise StaleCacheError(
+                f"cache shard {path} starts with {line.rstrip()!r}, "
+                f"expected '#version={_VERSION}'; run `gdl cache clear`")
+        # every line a write left whole ends in a line end
+        complete = line.endswith("\n")
+        if complete and (line.startswith(("#", "n,")) or not line.strip()):
+            continue
+        rec = _parse_row(line) if complete else None
+        if rec is None:
+            raise CorruptCacheError(
+                f"cache shard {path} line {lineno} is not a complete "
+                f"record: {line.rstrip()!r}; run `gdl cache clear`")
+        records[rec.n] = rec
+    return start[0] + len(data), lineno
 
 
 def _parse_row(line: str) -> GramRecord | None:

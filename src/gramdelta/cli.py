@@ -99,9 +99,6 @@ def _cmd_viscosity(args) -> int:
 
 def _cmd_discriminant(args) -> int:
     model = _model(args)
-    if args.curve == "corrected":
-        return _emit_corrected(args, model, curves.corrected_curve(
-            model, args.n, tau=args.tau, steps=args.steps))
     curve = curves.linear_curve(model, args.n)
     trace = discriminant.track_extremum(model, args.n, curve, steps=args.steps)
     meta = _meta(args, model.name)
@@ -117,7 +114,9 @@ def _cmd_discriminant(args) -> int:
     return 0
 
 
-def _emit_corrected(args, model, report) -> int:
+def _cmd_curve_corrected(args) -> int:
+    model = _model(args)
+    report = curves.corrected_curve(model, args.n, tau=args.tau, steps=args.steps)
     meta = _meta(args, model.name)
     meta["n"] = args.n
     meta["verdict"] = report.verdict
@@ -140,12 +139,6 @@ def _emit_corrected(args, model, report) -> int:
     if args.out not in (None, "-"):
         write_json(None, summary)
     return 0 if report.verdict == "true" else 2
-
-
-def _cmd_curve_corrected(args) -> int:
-    model = _model(args)
-    return _emit_corrected(args, model, curves.corrected_curve(
-        model, args.n, tau=args.tau, steps=args.steps))
 
 
 def _cmd_hessian(args) -> int:
@@ -319,11 +312,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=_cmd_viscosity)
 
-    p = sub.add_parser("discriminant", help="discriminant trace along a curve")
+    p = sub.add_parser("discriminant", help="discriminant trace along the linear curve")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--curve", choices=["linear", "corrected"], default="linear")
     p.add_argument("--steps", type=int, default=200)
-    p.add_argument("--tau", type=float, default=1.5)
     common(p)
     p.set_defaults(func=_cmd_discriminant)
 

@@ -183,6 +183,32 @@ def _weighted(terms: np.ndarray, w):
 
 
 _CHUNK_TERMS = 4096
+_TAYLOR_TOL = 2.0 ** -56
+
+
+def _taylor_terms(x: float) -> int:
+    """Number of terms J of the series e^(iy) = sum_j (iy)^j / j! that
+    brings its remainder bound x^J / J! on |y| <= x below 2^-56; 0 when
+    x > 1, where the terms grow before they shrink and cancel in the sum."""
+    if not x <= 1.0:
+        return 0
+    terms, bound = 0, 1.0
+    while bound >= _TAYLOR_TOL:
+        terms += 1
+        bound *= x / terms
+    return terms
+
+
+_TAYLOR_MAX_TERMS = _taylor_terms(1.0)
+
+
+def _taylor_coefs(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of (i d)^j / j! for d in dist and
+    j < _TAYLOR_MAX_TERMS, one row per d."""
+    j = np.arange(_TAYLOR_MAX_TERMS)
+    coef = dist[:, None] ** j / np.cumprod(np.maximum(j, 1))
+    return (coef * np.array([1.0, 0.0, -1.0, 0.0])[j % 4],
+            coef * np.array([0.0, 1.0, 0.0, -1.0])[j % 4])
 
 
 def _section_points(model: CoefficientModel, t: np.ndarray, w, orders: tuple[int, ...],
@@ -191,18 +217,30 @@ def _section_points(model: CoefficientModel, t: np.ndarray, w, orders: tuple[int
 
     With c the point nearest the middle of the set and d_p = t_p - c, each
     term factors as e^(-i t_p ln m) = e^(-i c ln m) e^(-i d_p ln m), and a
-    point at -d_p reuses the trig pass of d_p, conjugated. So the 25 mirrored
-    Chebyshev nodes of a WindowProxy window (d = 0 and 12 pairs +-d) cost 13
-    cos/sin passes over the N + 1 terms instead of 25.
+    point at -d_p reuses the sums of d_p, conjugated. So the 25 mirrored
+    Chebyshev nodes of a WindowProxy window (d = 0 and 12 pairs +-d) need
+    the sums for 13 distinct |d|, not 25.
 
     The terms run in chunks of 4096. Per chunk the columns v = w q f^k
     (k < 1 + max order, f = ln m - theta'(c)) are multiplied by cos and sin
-    of c ln m and contracted against cos and sin of d ln m, one row per
-    distinct |d|; numerics.csum adds the chunk partials in chunk order. Per
-    point the sums of v cos(t_p ln m) and v sin(t_p ln m) follow by the angle
-    sum rules and are rotated by theta(t_p); orders 1 and 2 take the factor
-    theta'(t_p) - ln m as (theta'(t_p) - theta'(c)) - f. Against the scalar
-    path the values agree to the rounding floor of the phases t ln m.
+    of c ln m, one trig pass for all points, and the sums of v cos(|d| ln m)
+    and v sin(|d| ln m) are formed one of two ways:
+
+    * moments: with u = ln m - mid the offset from the chunk's middle log,
+      sum v e^(i d ln m) = e^(i d mid) sum_j (i d)^j / j! sum v u^j. The J
+      moments sum v u^j are one matrix product for all points; J is the
+      fewest terms whose remainder bound (max|d| r/2)^J / J! is below 2^-56,
+      r the chunk's ln m span. Taken when max|d| r/2 <= 1 (_taylor_terms),
+      which holds for every chunk past the first at the spacing of a window.
+    * trig rows: otherwise (the first chunk, m <= 4096, spans 8.3 in ln m;
+      points far apart) one cos/sin pass of |d| ln m per distinct |d|.
+
+    numerics.csum adds the chunk partials in chunk order. Per point the sums
+    of v cos(t_p ln m) and v sin(t_p ln m) follow by the angle sum rules and
+    are rotated by theta(t_p); orders 1 and 2 take the factor theta'(t_p) -
+    ln m as (theta'(t_p) - theta'(c)) - f. Against the scalar path the
+    values agree to the rounding floor of the phases t ln m; the two chunk
+    forms agree to about 1e-15 of the largest value.
     """
     if t.ndim != 1 or np.iscomplexobj(t):
         raise DimensionError(f"points must be a 1-D real array, got {t.dtype} {t.shape}")
@@ -224,6 +262,7 @@ def _section_points(model: CoefficientModel, t: np.ndarray, w, orders: tuple[int
     else:
         tp = np.array([model.theta_deriv(x, 1) for x in t])
     partials = []
+    re = im = None  # Taylor coefficients, built at the first chunk that uses them
     for lo in range(0, n + 1, _CHUNK_TERMS):
         hi = min(lo + _CHUNK_TERMS, n + 1)
         lnm = ln_m[lo:hi]
@@ -240,11 +279,27 @@ def _section_points(model: CoefficientModel, t: np.ndarray, w, orders: tuple[int
         cols = (wts[:, None, :] * np.array(powers)).reshape(blocks * ncols, hi - lo)
         arg = c * lnm
         cols = np.concatenate([cols * np.cos(arg), cols * np.sin(arg)])
-        trig = np.zeros((2, len(dist), hi - lo))
-        trig[0, :zero] = 1.0
-        arg = np.outer(dist[zero:], lnm)
-        trig[0, zero:], trig[1, zero:] = np.cos(arg), np.sin(arg)
-        partials.append(trig.reshape(2 * len(dist), hi - lo) @ cols.T)
+        mid = 0.5 * (lnm[0] + lnm[-1])
+        terms = _taylor_terms(dist[-1] * (mid - lnm[0]))
+        if terms:
+            u = lnm - mid
+            u_pow = np.empty((terms, hi - lo))  # row j holds u^j
+            u_pow[0] = 1.0
+            for j in range(1, terms):
+                np.multiply(u_pow[j - 1], u, out=u_pow[j])
+            if re is None:
+                re, im = _taylor_coefs(dist)
+            # sum v e^(i d ln m) = e^(i d mid) sum_j (i d)^j / j! sum v u^j
+            cos_mid, sin_mid = np.cos(dist * mid)[:, None], np.sin(dist * mid)[:, None]
+            rows = np.concatenate([cos_mid * re[:, :terms] - sin_mid * im[:, :terms],
+                                   sin_mid * re[:, :terms] + cos_mid * im[:, :terms]])
+            partials.append(rows @ (u_pow @ cols.T))
+        else:
+            trig = np.zeros((2, len(dist), hi - lo))
+            trig[0, :zero] = 1.0
+            arg = np.outer(dist[zero:], lnm)
+            trig[0, zero:], trig[1, zero:] = np.cos(arg), np.sin(arg)
+            partials.append(trig.reshape(2 * len(dist), hi - lo) @ cols.T)
     flat = np.array(partials).reshape(len(partials), -1)
     total = np.array([csum(col) for col in flat.T]).reshape(2, len(dist), 2, -1)
     # row k of total[0] holds sum v cos(c ln m) cos(|d_k| ln m) and sum v sin(c ln m)
@@ -319,14 +374,16 @@ class WindowProxy:
     with main-mode derivatives and the m = 1 head evaluated exactly. The proxy
     interpolates every S_B^(j) at the 25 Chebyshev points of a window of
     half-width one local Gram gap, pi / theta_main'(g0), tabulated by one
-    section_eval call per window at all 25 nodes. Against the direct sums it
-    is within 1.7e-8 relative at g_0, where the window is widest, and 7.4e-9
-    at g_730119, the rounding floor of the 225,307-term sum itself. The
-    window is first centred on g0 and tabulated when first needed; a point
-    outside it re-tabulates the window centred on that point. Where that
-    window would reach below theta's domain floor (t < 10 + gap, near the
-    lowest Gram points only) it spans [10, t + gap] instead, which is
-    narrower and so no less accurate.
+    section_eval call per window at all 25 nodes: one cos/sin pass over the
+    N + 1 terms, and past the first 4096 terms Taylor moments in place of
+    the trig passes of the node offsets (see _section_points). Against the
+    direct sums it is within 1.7e-8 relative at g_0, where the window is
+    widest, and 7.4e-9 at g_730119, the rounding floor of the 225,307-term
+    sum itself. The window is first centred on g0 and tabulated when first
+    needed; a point outside it re-tabulates the window centred on that
+    point. Where that window would reach below theta's domain floor
+    (t < 10 + gap, near the lowest Gram points only) it spans [10, t + gap]
+    instead, which is narrower and so no less accurate.
     """
 
     def __init__(self, model: CoefficientModel, n_terms: int, masks, g0: float):

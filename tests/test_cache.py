@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import multiprocessing
+
 import pytest
 
 from gramdelta.cache import SHARD, RecordStore
@@ -77,3 +79,59 @@ def test_shard_cut_inside_its_header_is_refused(tmp_path, cut, line):
     (tmp_path / "riemann_000000.csv").write_text(cut)
     with pytest.raises(CorruptCacheError, match=f"line {line} "):
         RecordStore(tmp_path).get("riemann", 10)
+
+
+def test_stores_sharing_a_shard_append_each_record_once(tmp_path):
+    # both stores read the shard before either appends, as two processes
+    # scanning overlapping windows of one cache directory do
+    first, second = RecordStore(tmp_path), RecordStore(tmp_path)
+    assert first.get("riemann", 100) is None and second.get("riemann", 100) is None
+    first.put("riemann", *(_record(n) for n in range(100, 200)))
+    second.put("riemann", *(_record(n) for n in range(150, 250)))
+    shard = tmp_path / "riemann_000000.csv"
+    rows = [line.split(",")[0] for line in shard.read_text().splitlines()
+            if not line.startswith(("#", "n,"))]
+    assert rows == [str(n) for n in range(100, 250)]
+    assert second.get("riemann", 120) == _record(120)  # merged from the tail
+    fresh = RecordStore(tmp_path)
+    assert all(fresh.get("riemann", n) == _record(n) for n in range(100, 250))
+    assert fresh.status()["records"] == 150
+    # later puts from either store keep reading the other's appends
+    second.put("riemann", *(_record(n) for n in range(240, 260)))
+    first.put("riemann", _record(255), _record(260))
+    assert RecordStore(tmp_path).status()["records"] == 161
+
+
+def _load_then_put(root, lo, hi, loaded):
+    store = RecordStore(root)
+    store.get("riemann", lo)  # reads the shard before any worker appends
+    loaded.wait(timeout=60)
+    store.put("riemann", *(_record(n) for n in range(lo, hi)))
+
+
+def test_processes_sharing_a_shard_append_each_record_once(tmp_path):
+    # more processes than cores, each loading the shard before any appends
+    ctx = multiprocessing.get_context("spawn")
+    windows = [(100, 200), (150, 250), (180, 300), (90, 160)]
+    loaded = ctx.Barrier(len(windows))
+    procs = [ctx.Process(target=_load_then_put, args=(tmp_path, lo, hi, loaded))
+             for lo, hi in windows]
+    for proc in procs:
+        proc.start()
+    for proc in procs:
+        proc.join(timeout=120)
+        assert not proc.is_alive() and proc.exitcode == 0
+    rows = [line.split(",")[0] for line in
+            (tmp_path / "riemann_000000.csv").read_text().splitlines()
+            if not line.startswith(("#", "n,"))]
+    assert sorted(map(int, rows)) == list(range(90, 300))
+
+
+def test_appended_tail_is_checked_like_a_load(tmp_path):
+    # a bad row another writer left after this store read the shard
+    store = RecordStore(tmp_path)
+    store.put("riemann", _record(10))
+    shard = tmp_path / "riemann_000000.csv"
+    shard.write_text(shard.read_text() + "12,0x1.0p+6,0x1.0pz,0x1.0p-1,good,0x1.0p-1\r\n")
+    with pytest.raises(CorruptCacheError, match="line 5 "):
+        store.put("riemann", _record(11))

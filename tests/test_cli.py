@@ -74,8 +74,8 @@ def test_viscosity_gbg_exit_codes(tmp_path, capsys):
 
 def test_discriminant_trace_csv(tmp_path):
     out = tmp_path / "trace.csv"
-    code = main(["discriminant", "--n", "126", "--curve", "linear",
-                 "--steps", "60", "--cache-dir", str(tmp_path), "--out", str(out)])
+    code = main(["discriminant", "--n", "126", "--steps", "60",
+                 "--cache-dir", str(tmp_path), "--out", str(out)])
     assert code == 0
     text = out.read_text()
     assert "#verdict=non-colliding" in text

@@ -421,6 +421,58 @@ def test_section_points_unpaired_offsets(riemann, davenport):
                                                 range(len(pts)))
 
 
+def test_section_points_far_apart_mix_trig_rows_and_moments(riemann, monkeypatch):
+    # points up to 50 apart at n = 730119 (N = 225,307): a chunk takes the
+    # Taylor moments only where 50 times half its ln m span is at most 1,
+    # past m ~ 1e5; every chunk below keeps the trig rows
+    import gramdelta.zmodel as zmodel
+    taylor, chosen = zmodel._taylor_terms, []
+    monkeypatch.setattr(zmodel, "_taylor_terms",
+                        lambda x: chosen.append(taylor(x)) or chosen[-1])
+    g0 = gram_point(riemann, 730119)
+    dim = riemann.robust_cutoff(g0)
+    t = g0 + np.array([-50.0, -25.0, 0.0, 50.0])
+    vec = np.linspace(-0.5, 1.5, dim)
+    for a in (1.0, vec, np.stack([vec, 1.0 - vec])):
+        for mode in ("main", "full"):
+            _assert_points_match_scalar(riemann, t, a, dim, mode, range(len(t)))
+    assert 0 in chosen and any(chosen)
+
+
+def test_moment_chunks_match_trig_rows(riemann, monkeypatch):
+    # the window call at n = 730119 against the same call with every chunk
+    # on trig rows; seen up to 9e-16 of each order's largest value
+    import gramdelta.zmodel as zmodel
+    _, dim, t = _window_nodes(riemann, 730119)
+    vec = np.linspace(-0.5, 1.5, dim)
+    for a in (1.0, np.stack([vec, 1.0 - vec])):
+        for mode in ("main", "full"):
+            moments = section_eval(riemann, t, a, orders=(0, 1, 2), deriv_mode=mode,
+                                   n_terms=dim)
+            with monkeypatch.context() as patch:
+                patch.setattr(zmodel, "_taylor_terms", lambda x: 0)
+                trig = section_eval(riemann, t, a, orders=(0, 1, 2), deriv_mode=mode,
+                                    n_terms=dim)
+            for j in range(3):
+                scale = np.max(np.abs(trig[j]))
+                assert np.max(np.abs(moments[j] - trig[j])) <= 1e-14 * scale, (mode, j)
+
+
+def test_taylor_terms_meet_the_remainder_bound():
+    from gramdelta.zmodel import _TAYLOR_TOL, _taylor_terms
+
+    def bound(x, terms):
+        return x ** terms / math.factorial(terms)
+
+    for x in (1e-9, 0.01, 0.193, 0.5, 1.0):
+        terms = _taylor_terms(x)
+        assert bound(x, terms) < _TAYLOR_TOL <= bound(x, terms - 1), x
+    assert _taylor_terms(0.0) == 1
+    assert _taylor_terms(0.193) == 12  # the second chunk of a g_730119 window
+    for x in (1.0 + 1e-12, 2.3, 50.0, math.inf, math.nan):
+        assert _taylor_terms(x) == 0  # trig rows
+
+
 def test_section_points_validation(riemann):
     t = np.array([100.0, 100.5])
     with pytest.raises(ValueError):
@@ -439,7 +491,7 @@ def test_chebyshev_nodes_are_mirrored_exactly(riemann, davenport):
     exact = np.cos(np.pi * (np.arange(25) + 0.5) / 25)
     assert np.max(np.abs(_CHEB_X - exact)) <= 4e-16
     # the window nodes c +- h x_j keep the pairing: 13 distinct |t - c|,
-    # so the point path makes 13 trig passes per window. A window across a
+    # so a chunk on trig rows makes 13 cos/sin passes, not 25. A window across a
     # power of two (g_0's spans 16) rounds its two halves on different grids
     # and loses some pairs; test_section_points_match_scalar_calls covers it
     for model, n in [(riemann, 6708), (riemann, 730119), (davenport, 44)]:
