@@ -18,7 +18,7 @@ from .curves import (LinearCurve, SampledCurve, TwoParamCurve, corrected_curve,
 from .adjust import (AdjustmentReport, GramVectors, adjustment_phase,
                      adjustments, alpha_average, gram_vectors, partition_approx,
                      stage_analysis)
-from .dh import (DH_COEFFS, KAPPA, dh_core_zero, dh_gram_point, dh_model,
-                 dh_violation_experiment, riemann_contrast)
+from .dh import (DH_COEFFS, KAPPA, dh_model, dh_violation_experiment,
+                 riemann_contrast)
 
 __version__ = "0.1.0"

@@ -132,6 +132,7 @@ def _cmd_curve_corrected(args) -> int:
         "shift_set": sorted(report.shift_set),
         "shift_warning": report.shift_warning,
         "shift_truncated": report.shifting.truncated,
+        "shift_stop_reason": report.shifting.stop_reason,
         "exit_point": list(report.shifting.exit_point),
         "delta_end": report.delta_end,
         "energy_ok": report.descent.energy_ok,

@@ -9,6 +9,7 @@ move the extremum sideways) and descending indices (everything else), then
      (-1)^n Delta stays at 1 (a level curve of the discriminant),
   2. descending stage: a straight segment from the exit point to (1, 1).
 
+Both stages step by discriminant.march (its docstring states the step rules).
 The composite is the paper-of-record experiment for points where the plain
 linear curve collides.
 """
@@ -20,11 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discriminant import _ExtremumSolver
+from .discriminant import (TraceSample, TraceStatus, _ExtremumSolver,
+                           follow_extremum, march)
 from .gram import gram_point
 from .zmodel import CoefficientModel
 
-_MIN_STEP = 1e-5
 _LEVEL_TOL = 1e-3
 
 
@@ -43,6 +44,13 @@ class LinearCurve:
         return (float(r),)
 
 
+def _shift_mask(dimension: int, shift_set) -> np.ndarray:
+    """The shift block of term indices 1..dimension as a boolean mask."""
+    if any(not 1 <= k <= dimension for k in shift_set):
+        raise ValueError("shift indices must lie in [1, dimension]")
+    return np.isin(np.arange(1, dimension + 1), list(shift_set))
+
+
 class TwoParamCurve:
     """Coordinates in shift_set get r1, the rest r2, along a polyline path.
 
@@ -53,8 +61,8 @@ class TwoParamCurve:
     def __init__(self, dimension: int, shift_set, path):
         self.dimension = dimension
         self.shift_set = frozenset(int(k) for k in shift_set)
-        if any(not 1 <= k <= dimension for k in self.shift_set):
-            raise ValueError("shift indices must lie in [1, dimension]")
+        self._mask = _shift_mask(dimension, self.shift_set)
+        self.block_masks = (self._mask, ~self._mask)  # shift block, descend block
         pts = [(float(a), float(b)) for a, b in path]
         if pts[0] != (0.0, 0.0) or pts[-1] != (1.0, 1.0):
             raise ValueError("path must run from (0,0) to (1,1)")
@@ -65,11 +73,6 @@ class TwoParamCurve:
         for s in seg:
             self._cum.append(self._cum[-1] + (s / total if total else 0.0))
         self._cum[-1] = 1.0
-        mask = np.zeros(dimension, dtype=bool)
-        for k in self.shift_set:
-            mask[k - 1] = True
-        self._mask = mask
-        self.block_masks = (mask, ~mask)  # shift block, descend block
 
     def point_at(self, r: float) -> tuple[float, float]:
         r = min(max(r, 0.0), 1.0)
@@ -83,13 +86,10 @@ class TwoParamCurve:
 
     def weights_at(self, r: float):
         r1, r2 = self.point_at(r)
-        return self.weights_of(r1, r2)
+        return np.where(self._mask, r1, r2)
 
     def block_weights_at(self, r: float) -> tuple[float, float]:
         return self.point_at(r)
-
-    def weights_of(self, r1: float, r2: float):
-        return np.where(self._mask, r1, r2)
 
 
 class SampledCurve:
@@ -156,9 +156,12 @@ def select_shift_indices(model: CoefficientModel, n: int, tau: float = 1.5,
                          k_max: int | None = None) -> set[int]:
     """{k : B_k >= tau} inside the surge window k <= ceil(sqrt(robust cutoff)).
 
-    An empty result is legitimate (the shifting stage degenerates to a no-op);
-    callers that care emit a warning status.
+    An empty result is legitimate (the shifting stage degenerates to a no-op;
+    tau = inf asks for it); callers that care emit a warning status. A NaN
+    tau, which would select nothing silently, is refused.
     """
+    if math.isnan(tau):
+        raise ValueError("tau must be a number, got nan")
     g = gram_point(model, n)
     cutoff = model.robust_cutoff(g)
     if k_max is None:
@@ -186,72 +189,62 @@ class ShiftingResult:
     truncated: bool
     exit_point: tuple[float, float]
     exit_g: float
+    stop_reason: str | None = None  # the rejection that truncated the stage
+
+
+def _stage_solver(model: CoefficientModel, n: int, shift_set) -> _ExtremumSolver:
+    """A stage's solver: the proxy of the shift block and the descend block."""
+    g0 = gram_point(model, n)
+    mask = _shift_mask(model.robust_cutoff(g0), shift_set)
+    return _ExtremumSolver(model, n, g0, (mask, ~mask))
 
 
 def shifting_stage(model: CoefficientModel, n: int, shift_set,
                    steps: int = 200) -> ShiftingResult:
-    """Follow the level curve (-1)^n Delta = 1 while r1 climbs to 1.
+    """Follow the level curve (-1)^n Delta = 1 while a march steps r1 to 1.
 
-    At each predictor step in r1 the corrector adjusts r2 (Newton on the
-    analytic d Delta/d r2, extremum re-solved per trial) until the level is
-    restored within 1e-3. If no r2 in [0, 1] restores it, the stage is
-    truncated at the last valid r1 and flagged.
+    Each step's corrector adjusts r2 (Newton on the analytic d Delta/d r2,
+    extremum re-solved per trial) until the level is restored within 1e-3.
+    If no r2 in [0, 1] does, the stage is truncated at the last valid r1 and
+    its last rejection is the stop reason.
     """
-    g0 = gram_point(model, n)
-    n_terms = model.robust_cutoff(g0)
-    curve = TwoParamCurve(n_terms, shift_set, [(0.0, 0.0), (1.0, 1.0)])
-    solver = _ExtremumSolver(model, n, g0, curve.block_masks)
-    sign = -1.0 if n % 2 else 1.0
-    points = [StagePoint("shift", 0.0, 0.0, g0, solver.value((0.0, 0.0), g0))]
+    solver = _stage_solver(model, n, shift_set)
+    g0 = solver.g0
+    start = StagePoint("shift", 0.0, 0.0, g0, solver.value((0.0, 0.0), g0))
     if not shift_set:
-        points.append(StagePoint("shift", 1.0, 0.0, g0, points[0].delta))
+        points = [start, StagePoint("shift", 1.0, 0.0, g0, start.delta)]
         return ShiftingResult(n=n, shift_set=frozenset(), points=points,
                               truncated=False, exit_point=(1.0, 0.0), exit_g=g0)
 
-    r1, r2, g = 0.0, 0.0, g0
-    dr = 1.0 / steps
-    truncated = False
-    while r1 < 1.0 - 1e-12:
-        dr = min(dr, 1.0 - r1)
-        r1_try = r1 + dr
-        sol = _correct_level(solver, sign, r1_try, r2, g)
-        if sol is None:
-            dr *= 0.5
-            if dr < _MIN_STEP:
-                truncated = True
-                break
-            continue
-        r2_new, g_new, delta = sol
-        points.append(StagePoint("shift", r1_try, r2_new, g_new, delta))
-        r1, r2, g = r1_try, r2_new, g_new
-        if dr < 1.0 / steps:
-            dr *= 2.0
-    return ShiftingResult(n=n, shift_set=frozenset(shift_set), points=points,
-                          truncated=truncated, exit_point=(r1, r2), exit_g=g)
+    def correct_level(r_from, r1, prev):
+        r2, g = prev.r2, prev.g
+        for _ in range(12):  # Newton in r2 restoring (-1)^n Delta = 1
+            w = (r1, r2)
+            sol = solver.solve(w, g)
+            if sol is None:
+                return "Newton failed"
+            g = sol[0]
+            delta = solver.value(w, g)
+            err = solver.sign * delta - 1.0
+            if abs(err) <= _LEVEL_TOL:
+                return StagePoint("shift", r1, r2, g, delta)
+            # envelope theorem: dDelta/dr2 is the plain partial, the descend block sum
+            slope = solver.sign * solver.block_sum(g, 1)
+            if abs(slope) < 1e-14:
+                return "level has no slope in r2"
+            r2_next = r2 - err / slope
+            if not -1e-9 <= r2_next <= 1.0 + 1e-9:
+                return "r2 would leave [0, 1]"
+            r2 = min(max(r2_next, 0.0), 1.0)
+        return "level not restored in 12 corrector steps"
 
-
-def _correct_level(solver, sign, r1, r2, g_seed):
-    """Newton in r2 restoring sign * Delta = 1; returns (r2, g, delta) or None."""
-    r2_cur, g = r2, g_seed
-    for _ in range(12):
-        w = (r1, r2_cur)
-        sol = solver.solve(w, g)
-        if sol is None:
-            return None
-        g = sol[0]
-        delta = solver.value(w, g)
-        err = sign * delta - 1.0
-        if abs(err) <= _LEVEL_TOL:
-            return r2_cur, g, delta
-        # envelope theorem: dDelta/dr2 is the plain partial, the descend block sum
-        slope = sign * solver.block_sum(g, 1)
-        if abs(slope) < 1e-14:
-            return None
-        r2_next = r2_cur - err / slope
-        if not -1e-9 <= r2_next <= 1.0 + 1e-9:
-            return None
-        r2_cur = min(max(r2_next, 0.0), 1.0)
-    return None
+    run = march(correct_level, start, steps)
+    last = run.samples[-1][1]
+    truncated = run.status is TraceStatus.CONTINUATION_LOST
+    return ShiftingResult(n=n, shift_set=frozenset(shift_set),
+                          points=[p for _, p in run.samples], truncated=truncated,
+                          exit_point=(last.r1, last.r2), exit_g=last.g,
+                          stop_reason=run.rejections[-1][1] if truncated else None)
 
 
 @dataclass
@@ -265,79 +258,29 @@ class DescentResult:
 def descending_stage(model: CoefficientModel, n: int,
                      start: tuple[float, float], steps: int = 200,
                      shift_set=frozenset(), g_start: float | None = None) -> DescentResult:
-    """Linear segment from the shifting exit to (1, 1), discriminant sampled.
-
-    The energy verdict is (-1)^n Delta > 0 along the whole segment; a sign
-    crossing is bisected and reported.
-    """
-    g0 = gram_point(model, n)
-    n_terms = model.robust_cutoff(g0)
-    curve = TwoParamCurve(n_terms, shift_set, [(0.0, 0.0), (1.0, 1.0)])
-    solver = _ExtremumSolver(model, n, g0, curve.block_masks)
-    sign = -1.0 if n % 2 else 1.0
+    """Linear segment from the shifting exit to (1, 1), marched with no jump
+    cap. energy_ok is (-1)^n Delta > 0 along the whole segment; r_collision is
+    the bisected crossing (None when the march is lost)."""
+    solver = _stage_solver(model, n, shift_set)
     r1_0, r2_0 = start
-    g = g_start if g_start is not None else g0
+    g = g_start if g_start is not None else solver.g0
+    if (r1_0, r2_0) == (1.0, 1.0):  # nothing to march: one solve at the end
+        sol = solver.solve((1.0, 1.0), g)
+        points = [] if sol is None else [
+            StagePoint("descend", 1.0, 1.0, sol[0], solver.value((1.0, 1.0), sol[0]))]
+        return DescentResult(n=n, points=points, r_collision=None,
+                             energy_ok=all(solver.sign * p.delta > 0.0 for p in points))
 
-    points: list[StagePoint] = []
-    energy_ok = True
-    r_coll: float | None = None
-    if (r1_0, r2_0) == (1.0, 1.0):
-        w = (1.0, 1.0)
-        sol = solver.solve(w, g)
-        if sol is not None:
-            g = sol[0]
-            points.append(StagePoint("descend", 1.0, 1.0, g, solver.value(w, g)))
-            energy_ok = sign * points[-1].delta > 0.0
-        return DescentResult(n=n, points=points, energy_ok=energy_ok,
-                             r_collision=None)
+    def at(s):
+        return (r1_0 + s * (1.0 - r1_0), r2_0 + s * (1.0 - r2_0))
 
-    prev_s, prev_g = 0.0, g
-    ds = 1.0 / steps
-    s = 0.0
-    while s < 1.0 - 1e-12:
-        ds = min(ds, 1.0 - s)
-        s_try = s + ds
-        r1 = r1_0 + s_try * (1.0 - r1_0)
-        r2 = r2_0 + s_try * (1.0 - r2_0)
-        w = (r1, r2)
-        sol = solver.solve(w, g)
-        if sol is None or sol[1] > 5:
-            ds *= 0.5
-            if ds < _MIN_STEP:
-                energy_ok = False
-                r_coll = s
-                break
-            continue
-        g = sol[0]
-        delta = solver.value(w, g)
-        points.append(StagePoint("descend", r1, r2, g, delta))
-        if energy_ok and sign * delta <= 0.0:
-            energy_ok = False
-            r_coll = _bisect_descent(solver, sign, (r1_0, r2_0),
-                                     prev_s, prev_g, s_try, g)
-        prev_s, prev_g = s_try, g
-        s = s_try
-        if ds < 1.0 / steps:
-            ds *= 2.0
-    return DescentResult(n=n, points=points, energy_ok=energy_ok, r_collision=r_coll)
-
-
-def _bisect_descent(solver, sign, start, s_lo, g_lo, s_hi, g_hi):
-    r1_0, r2_0 = start
-    for _ in range(40):
-        if s_hi - s_lo <= 1e-6:
-            break
-        s_mid = 0.5 * (s_lo + s_hi)
-        w = (r1_0 + s_mid * (1.0 - r1_0), r2_0 + s_mid * (1.0 - r2_0))
-        sol = solver.solve(w, 0.5 * (g_lo + g_hi))
-        if sol is None:
-            break
-        g_mid = sol[0]
-        if sign * solver.value(w, g_mid) > 0.0:
-            s_lo, g_lo = s_mid, g_mid
-        else:
-            s_hi, g_hi = s_mid, g_mid
-    return 0.5 * (s_lo + s_hi)
+    run = follow_extremum(solver, at, TraceSample(0.0, g, math.nan, math.nan), steps,
+                          with_ztt=False)
+    collided = run.status is TraceStatus.COLLISION
+    return DescentResult(n=n, energy_ok=run.status is TraceStatus.NON_COLLIDING,
+                         points=[StagePoint("descend", *at(s), p.g, p.delta)
+                                 for s, p in run.samples[1:]],
+                         r_collision=run.r_event if collided else None)
 
 
 @dataclass
@@ -365,7 +308,6 @@ def corrected_curve(model: CoefficientModel, n: int, tau: float = 1.5,
     "undetermined" with diagnostics attached, never a silent "false".
     """
     shift_set = select_shift_indices(model, n, tau=tau)
-    warning = not shift_set
     shifting = shifting_stage(model, n, shift_set, steps=steps)
     descent = descending_stage(model, n, shifting.exit_point, steps=steps,
                                shift_set=shift_set, g_start=shifting.exit_g)
@@ -374,14 +316,13 @@ def corrected_curve(model: CoefficientModel, n: int, tau: float = 1.5,
                        for p in shifting.points + descent.points)
     reached = descent.points and abs(descent.points[-1].r1 - 1.0) < 1e-9 \
         and abs(descent.points[-1].r2 - 1.0) < 1e-9
-    if shifting.truncated and not reached:
-        verdict = "undetermined"
-    elif not reached:
-        verdict = "undetermined" if descent.r_collision is None else "false"
+    if not reached:  # only a collision on an untruncated composite is "false"
+        collided = descent.r_collision is not None and not shifting.truncated
+        verdict = "false" if collided else "undetermined"
     else:
         verdict = "true" if composite_ok and descent.energy_ok else "false"
     delta_end = descent.points[-1].delta if descent.points else None
     return CorrectedCurveReport(n=n, tau=tau, shift_set=frozenset(shift_set),
-                                shift_warning=warning, shifting=shifting,
+                                shift_warning=not shift_set, shifting=shifting,
                                 descent=descent, verdict=verdict,
                                 delta_end=delta_end)

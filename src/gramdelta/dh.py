@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 from .curves import LinearCurve
 from .discriminant import DiscriminantTrace, TraceStatus, track_extremum
-from .gram import core_zero as _core_zero
-from .gram import gram_point as _gram_point
+from .gram import gram_point
 from .special import ThetaKind
 from .zmodel import CoefficientModel, riemann_model, z_section
 
@@ -32,14 +31,6 @@ DH_COEFFS = (1.0, KAPPA, -KAPPA, -1.0, 0.0)
 def dh_model() -> CoefficientModel:
     return CoefficientModel(name="dh", theta_kind=ThetaKind.DAVENPORT_HEILBRONN,
                             coeff_period=DH_COEFFS)
-
-
-def dh_gram_point(n: int) -> float:
-    return _gram_point(dh_model(), n)
-
-
-def dh_core_zero(n: int) -> float:
-    return _core_zero(dh_model(), n)
 
 
 @dataclass
@@ -65,7 +56,7 @@ def dh_violation_experiment(steps: int = 200, n: int = 44) -> DhViolationReport:
     and how little the extremum moves.
     """
     model = dh_model()
-    g = _gram_point(model, n)
+    g = gram_point(model, n)
     curve = LinearCurve(model.robust_cutoff(g))
     trace = track_extremum(model, n, curve, steps=steps)
     sign = -1.0 if n % 2 else 1.0
@@ -105,7 +96,7 @@ def riemann_contrast(n_from: int = 0, n_to: int = 199,
     model = riemann_model()
     bad: list[int] = []
     for n in range(n_from, n_to + 1):
-        g = _gram_point(model, n)
+        g = gram_point(model, n)
         trace = track_extremum(model, n, LinearCurve(model.robust_cutoff(g)),
                                steps=steps)
         sign = -1.0 if n % 2 else 1.0

@@ -1,10 +1,10 @@
 """Discriminant of a parameter-space curve: continuation, closed forms, Hessian.
 
 track_extremum follows the extremal point g_n(r) of the section along a curve
-gamma(r) by predictor-corrector continuation (Newton on dZ/dt = 0 in t at each
-accepted r), recording the discriminant value Delta_n(r) = Z(g_n(r); gamma(r)).
-The sign of (-1)^n Delta_n is the collision detector: a crossing means the
-n-th and (n+1)-th zeros have merged and left the real line.
+gamma(r) by march, the one continuation loop (its docstring states the step
+rules), solving dZ/dt = 0 in t at each accepted r and recording Delta_n(r) =
+Z(g_n(r); gamma(r)). The sign of (-1)^n Delta_n is the collision detector: a
+crossing means the n-th and (n+1)-th zeros have merged and left the real line.
 
 closed_forms evaluates the first- and second-order data at the origin of
 parameter space:
@@ -35,8 +35,8 @@ from .gram import gram_point
 
 KAPPA_H = 4.0
 
-_MIN_STEP = 1e-5
-_LEVEL_NEWTON_MAX = 5  # corrector iterations before the step is halved
+_MIN_STEP = 1e-5       # a march gives up below this step
+_NEWTON_BUDGET = 5     # Newton iterations an accepted extremum step may take
 
 
 class TraceStatus(Enum):
@@ -60,16 +60,17 @@ class DiscriminantTrace:
     status: TraceStatus
     r_event: float | None = None  # collision or loss location
 
-    @property
-    def colliding(self) -> bool:
-        return self.status is TraceStatus.COLLISION
-
-    def delta_at_end(self) -> float:
-        return self.samples[-1].delta
-
     def sign_invariant(self) -> bool:
         sign = -1.0 if self.n % 2 else 1.0
         return all(sign * s.delta > 0.0 for s in self.samples)
+
+
+@dataclass
+class MarchResult:
+    samples: list[tuple[float, object]]  # accepted (r, state), from (0, start)
+    status: TraceStatus
+    r_event: float | None                # crossing, or where the step underflowed
+    rejections: list[tuple[float, str]]  # (r tried, reason), in order
 
 
 class _ExtremumSolver:
@@ -85,6 +86,7 @@ class _ExtremumSolver:
         self.model = model
         self.n_terms = model.robust_cutoff(g0)
         self.g0 = g0
+        self.sign = -1.0 if n % 2 else 1.0  # (-1)^n
         lnfac = 2.0 * model.theta_main(g0)
         self.ztt_floor = 1e-8 * lnfac * lnfac
         self.step_tol = 1e-12 * max(1.0, abs(g0))
@@ -127,87 +129,107 @@ class _ExtremumSolver:
         return float(self.proxy.sums(t)[0, block])
 
 
-def _block_view(curve):
-    """(masks, weights_at) of a curve: block masks and per-block weights where
-    the curve has them, else one block and its own weights_at."""
-    if hasattr(curve, "block_weights_at"):
-        return curve.block_masks, curve.block_weights_at
-    return None, curve.weights_at
+def march(advance, start, steps: int, r_max: float = 1.0, crossed=None,
+          probe=None) -> MarchResult:
+    """The one continuation loop: step a state from r = 0 to r_max.
+
+    advance(r_from, r_to, state) returns the state at r_to (states carry the
+    extremum as .g) or a short reason string that rejects the step. The base
+    step is r_max / steps (steps >= 50); while r < r_max - 1e-12 the march
+    tries r + min(dr, r_max - r). A rejection is logged and halves dr; below
+    1e-5 the march stops, CONTINUATION_LOST at the last accepted r unless a
+    crossing came first. An accepted step doubles dr back up to the base.
+
+    crossed(state) is tested on accepted states until it first holds; the
+    crossing is bisected to 1e-6 in r between the last two samples, where
+    probe(r, g_seed) solves from the midpoint g without advance's acceptance
+    tests (a reason string ends the bisection). The status becomes COLLISION
+    at the bracket's midpoint, and the march goes on past it.
+    """
+    if steps < 50:
+        raise ValueError(f"steps must be >= 50, got {steps}")
+    samples = [(0.0, start)]
+    rejections: list[tuple[float, str]] = []
+    status, r_event = TraceStatus.NON_COLLIDING, None
+    r, state = 0.0, start
+    dr = base_dr = r_max / steps
+    while r < r_max - 1e-12:
+        dr = min(dr, r_max - r)
+        r_try = r + dr
+        new = advance(r, r_try, state)
+        if isinstance(new, str):
+            rejections.append((r_try, new))
+            dr *= 0.5
+            if dr < _MIN_STEP:
+                if status is TraceStatus.NON_COLLIDING:
+                    status, r_event = TraceStatus.CONTINUATION_LOST, r
+                break
+            continue
+        if crossed and status is TraceStatus.NON_COLLIDING and crossed(new):
+            status = TraceStatus.COLLISION
+            r_lo, g_lo, r_hi, g_hi = r, state.g, r_try, new.g
+            for _ in range(60):  # never reached: a bracket is at most 1/50 wide
+                if r_hi - r_lo <= 1e-6:
+                    break
+                r_mid = 0.5 * (r_lo + r_hi)
+                mid = probe(r_mid, 0.5 * (g_lo + g_hi))
+                if isinstance(mid, str):
+                    break
+                if crossed(mid):
+                    r_hi, g_hi = r_mid, mid.g
+                else:
+                    r_lo, g_lo = r_mid, mid.g
+            r_event = 0.5 * (r_lo + r_hi)
+        samples.append((r_try, new))
+        r, state = r_try, new
+        if dr < base_dr:
+            dr *= 2.0
+    return MarchResult(samples, status, r_event, rejections)
+
+
+def follow_extremum(solver, weights_at, start, steps: int, r_max: float = 1.0,
+                    jump_cap: float = math.inf, with_ztt: bool = True) -> MarchResult:
+    """March the extremum of solver along weights_at(r) from the TraceSample
+    start, watching sign * Delta <= 0. A step is rejected when Newton fails,
+    takes over 5 iterations or moves g by more than jump_cap."""
+
+    def sample(r, g_seed, accepting=True):
+        a = weights_at(r)
+        sol = solver.solve(a, g_seed)
+        if sol is None:
+            return "Newton failed"
+        if accepting and sol[1] > _NEWTON_BUDGET:
+            return f"Newton took more than {_NEWTON_BUDGET} iterations"
+        if accepting and not abs(sol[0] - g_seed) <= jump_cap:
+            return "extremum moved more than the jump cap"
+        g = sol[0]
+        delta = solver.value(a, g)
+        ztt = solver.curvature(a, g) if accepting and with_ztt else math.nan
+        return TraceSample(r=r, g=g, delta=delta, ztt=ztt)
+
+    return march(lambda _, r, prev: sample(r, prev.g), start, steps, r_max,
+                 crossed=lambda s: solver.sign * s.delta <= 0.0,
+                 probe=lambda r, g_seed: sample(r, g_seed, accepting=False))
 
 
 def track_extremum(model: CoefficientModel, n: int, curve, steps: int = 200,
                    r_max: float = 1.0) -> DiscriminantTrace:
-    """Follow g_n(r) along the curve and record Delta_n(r) up to r_max.
-
-    Adaptive step halving (floor 1e-5) when Newton needs more than 5
-    iterations or the extremum jumps more than half the local Gram gap.
-    A sign change of (-1)^n Delta is localized by bisection to 1e-6 in r and
-    recorded as a collision; the march then continues so the post-collision
-    branch is still sampled. Step underflow yields CONTINUATION_LOST.
-    """
-    if steps < 50:
-        raise ValueError(f"steps must be >= 50, got {steps}")
+    """Follow g_n(r) along the curve and record Delta_n(r) up to r_max: a
+    march (see its step rules) whose jump cap is half the local Gram gap."""
     g0 = gram_point(model, n)
-    masks, weights_at = _block_view(curve)
-    solver = _ExtremumSolver(model, n, g0, masks)
+    # a curve with block weights goes through the proxy, any other term by term
+    weights_at = getattr(curve, "block_weights_at", curve.weights_at)
+    solver = _ExtremumSolver(model, n, g0, getattr(curve, "block_masks", None))
     if getattr(curve, "dimension", solver.n_terms) != solver.n_terms:
         raise DimensionError(
             f"curve dimension {curve.dimension} != robust cutoff {solver.n_terms}")
-    sign = -1.0 if n % 2 else 1.0
-    jump_cap = 0.5 * math.pi / model.theta_main(g0)  # half the local Gram gap
-
-    r, g = 0.0, g0
-    delta0 = solver.value(weights_at(0.0), g0)
-    ztt0 = solver.curvature(weights_at(0.0), g0)
-    samples = [TraceSample(r=0.0, g=g0, delta=delta0, ztt=ztt0)]
-    status = TraceStatus.NON_COLLIDING
-    r_event = None
-
-    base_dr = r_max / steps
-    dr = base_dr
-    while r < r_max - 1e-12:
-        dr = min(dr, r_max - r)
-        r_try = r + dr
-        sol = solver.solve(weights_at(r_try), g)
-        ok = sol is not None and sol[1] <= _LEVEL_NEWTON_MAX \
-            and abs(sol[0] - g) <= jump_cap
-        if not ok:
-            dr *= 0.5
-            if dr < _MIN_STEP:
-                if status is TraceStatus.NON_COLLIDING:
-                    status = TraceStatus.CONTINUATION_LOST
-                    r_event = r
-                break
-            continue
-        g_new = sol[0]
-        a_try = weights_at(r_try)
-        delta = solver.value(a_try, g_new)
-        ztt = solver.curvature(a_try, g_new)
-        if status is TraceStatus.NON_COLLIDING and sign * delta <= 0.0:
-            status = TraceStatus.COLLISION
-            r_event = _bisect_crossing(solver, weights_at, sign, r, g, r_try, g_new)
-        samples.append(TraceSample(r=r_try, g=g_new, delta=delta, ztt=ztt))
-        r, g = r_try, g_new
-        if dr < base_dr:
-            dr *= 2.0
-    return DiscriminantTrace(n=n, samples=samples, status=status, r_event=r_event)
-
-
-def _bisect_crossing(solver, weights_at, sign, r_lo, g_lo, r_hi, g_hi) -> float:
-    """Locate the r where sign * Delta crosses zero, to 1e-6."""
-    for _ in range(60):
-        if r_hi - r_lo <= 1e-6:
-            break
-        r_mid = 0.5 * (r_lo + r_hi)
-        sol = solver.solve(weights_at(r_mid), 0.5 * (g_lo + g_hi))
-        if sol is None:
-            break
-        g_mid = sol[0]
-        if sign * solver.value(weights_at(r_mid), g_mid) > 0.0:
-            r_lo, g_lo = r_mid, g_mid
-        else:
-            r_hi, g_hi = r_mid, g_mid
-    return 0.5 * (r_lo + r_hi)
+    a0 = weights_at(0.0)
+    start = TraceSample(r=0.0, g=g0, delta=solver.value(a0, g0),
+                        ztt=solver.curvature(a0, g0))
+    run = follow_extremum(solver, weights_at, start, steps, r_max,
+                          jump_cap=0.5 * math.pi / model.theta_main(g0))
+    return DiscriminantTrace(n=n, samples=[s for _, s in run.samples],
+                             status=run.status, r_event=run.r_event)
 
 
 def discriminant_at(model: CoefficientModel, n: int, curve, r: float,
@@ -219,11 +241,8 @@ def discriminant_at(model: CoefficientModel, n: int, curve, r: float,
     reached = trace.samples[-1].r >= r - 1e-9
     if trace.status is TraceStatus.CONTINUATION_LOST and not reached:
         raise TraceError(f"continuation lost at r={trace.r_event}", trace)
-    if trace.status is TraceStatus.COLLISION and trace.r_event is not None \
-            and trace.r_event < r:
+    if trace.status is TraceStatus.COLLISION and trace.r_event < r:
         raise TraceError(f"collision at r={trace.r_event} before {r}", trace)
-    if not reached:
-        raise TraceError(f"trace stopped at r={trace.samples[-1].r}", trace)
     return trace.samples[-1].delta
 
 

@@ -139,6 +139,16 @@ def test_curve_corrected_exit_code(tmp_path, capsys):
     assert payload["verdict"] == "true"
 
 
+@pytest.mark.parametrize("n,reason", [(725240, "r2 would leave [0, 1]"), (726787, None)])
+def test_curve_corrected_names_why_the_shifting_stage_stopped(tmp_path, capsys, n, reason):
+    code, text = run(capsys, "curve", "corrected", "--n", str(n), "--steps", "50",
+                     "--cache-dir", str(tmp_path), "--out", str(tmp_path / "c.csv"))
+    assert code == 2  # verdict "false" at both
+    payload = json.loads(text)
+    assert payload["shift_stop_reason"] == reason
+    assert payload["shift_truncated"] is (reason is not None)
+
+
 def test_dh_violation_exit_zero(tmp_path, capsys):
     code, text = run(capsys, "dh", "violation", "--steps", "100",
                      "--cache-dir", str(tmp_path))
@@ -188,6 +198,13 @@ def test_usage_and_domain_errors(tmp_path, capsys):
     assert code == 1  # below the domain floor
     code, _ = run(capsys, "newton", "--cache-dir", str(tmp_path))
     assert code == 1  # neither --index nor --t0
+    # one steps rule for every march, and no NaN shift threshold selecting nothing
+    for bad in (["--steps", "0"], ["--steps", "-3"], ["--steps", "10"], ["--tau", "nan"]):
+        code = main(["curve", "corrected", "--n", "90", *bad, "--cache-dir", str(tmp_path),
+                     "--out", str(tmp_path / "c.csv")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 def _raise(exc):

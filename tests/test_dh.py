@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from gramdelta import (KAPPA, TraceStatus, dh_core_zero, dh_gram_point,
-                       dh_model, dh_violation_experiment, riemann_contrast,
+from gramdelta import (KAPPA, TraceStatus, core_zero, dh_model,
+                       dh_violation_experiment, gram_point, riemann_contrast,
                        z_section)
 from gramdelta.errors import DomainError
 from gramdelta.special import ThetaKind, theta
@@ -34,11 +34,11 @@ def test_coefficients_follow_the_character(davenport):
 
 
 def test_dh_gram_point_anchor():
-    g = dh_gram_point(44)
+    g = gram_point(dh_model(), 44)
     assert g == pytest.approx(85.56, abs=0.05)
     assert theta(ThetaKind.DAVENPORT_HEILBRONN, g) == pytest.approx(
         44 * math.pi, abs=1e-8)
-    assert g < dh_gram_point(45)
+    assert g < gram_point(dh_model(), 45)
 
 
 def test_dh_gram_point_against_w_oracle():
@@ -48,11 +48,12 @@ def test_dh_gram_point_against_w_oracle():
     w = bisect(lambda u: u * math.exp(u) - x, 1.0, 5.0, tol=1e-12)
     assert w == pytest.approx(3.22, abs=0.01)
     seed = 2.0 * math.pi * c / w
-    assert dh_gram_point(44) == pytest.approx(seed, abs=0.05)
+    assert gram_point(dh_model(), 44) == pytest.approx(seed, abs=0.05)
 
 
 def test_dh_core_zero_bracketed_by_gram_points():
-    assert dh_gram_point(43) < dh_core_zero(44) < dh_gram_point(44)
+    model = dh_model()
+    assert gram_point(model, 43) < core_zero(model, 44) < gram_point(model, 44)
 
 
 def test_dh_core_function_is_cosine(davenport):
@@ -62,7 +63,7 @@ def test_dh_core_function_is_cosine(davenport):
 
 
 def test_dh_core_has_two_sign_changes_between_g43_and_g45(davenport):
-    lo, hi = dh_gram_point(43), dh_gram_point(45)
+    lo, hi = gram_point(dh_model(), 43), gram_point(dh_model(), 45)
     grid = np.linspace(lo + 1e-6, hi - 1e-6, 400)
     vals = [z_section(davenport, float(t), 0.0) for t in grid]
     changes = sum(1 for a, b in zip(vals, vals[1:]) if a * b < 0)
@@ -71,7 +72,7 @@ def test_dh_core_has_two_sign_changes_between_g43_and_g45(davenport):
 
 def test_dh_low_index_gram_point_below_domain_floor():
     with pytest.raises(DomainError):
-        dh_gram_point(1)  # seed ~7.3 sits below the t >= 10 floor
+        gram_point(dh_model(), 1)  # seed ~7.3 sits below the t >= 10 floor
 
 
 def test_dh_violation_experiment():
