@@ -26,7 +26,8 @@ import numpy as np
 from .errors import IndexRangeError
 from .gram import gram_point
 from .numerics import adaptive_simpson, csum, uniform01
-from .zmodel import CoefficientModel, classical_partial_sums
+from .special import gram_gap
+from .zmodel import CoefficientModel, classical_partial_sums, term_arrays
 
 _POLE_EPS = 1e-8
 _MC_BLOCK = 1 << 20  # Monte-Carlo draws held at once: trials x N <= 8 MB of floats
@@ -40,7 +41,10 @@ class AdjustmentContext:
     n_cut: int
     delta: float            # synthetic neighbour spacing
     lnfac: float            # ln(g/2pi) analogue, = 2 theta_main'(g)
-    phases: np.ndarray      # phi_k, k = 1..N
+    ln_k: np.ndarray        # k = 1..N, from zmodel.term_arrays (read-only)
+    c: np.ndarray
+    sqrt_k: np.ndarray
+    phases: np.ndarray      # phi_k
     alpha_c: np.ndarray
     alpha_s: np.ndarray
     neighbor_mode: str
@@ -56,9 +60,8 @@ def _context(model: CoefficientModel, n: int, neighbor_mode: str = "synthetic"
     g = gram_point(model, n)
     n_cut = model.classical_cutoff(g)
     lnfac = 2.0 * model.theta_main(g)
-    delta = 2.0 * math.pi / lnfac
-    k = np.arange(1, n_cut + 1, dtype=float)
-    ln_k = np.log(k)
+    delta = gram_gap(model.theta_kind, g)
+    ln_k, c, sqrt_k = term_arrays(model, n_cut)
     phases = ln_k * delta
     with np.errstate(divide="ignore"):
         alpha_c = 2.0 / np.cos(phases)
@@ -74,15 +77,15 @@ def _context(model: CoefficientModel, n: int, neighbor_mode: str = "synthetic"
         ph_minus = np.mod(ln_k * gram_point(model, n - 1), 2.0 * math.pi)
         ph_plus = np.mod(ln_k * gram_point(model, n + 1), 2.0 * math.pi)
     return AdjustmentContext(n=n, g=g, n_cut=n_cut, delta=delta, lnfac=lnfac,
-                             phases=phases, alpha_c=alpha_c, alpha_s=alpha_s,
+                             ln_k=ln_k, c=c, sqrt_k=sqrt_k, phases=phases,
+                             alpha_c=alpha_c, alpha_s=alpha_s,
                              neighbor_mode=neighbor_mode, ph_center=ph_center,
                              ph_minus=ph_minus, ph_plus=ph_plus)
 
 
 def adjustment_phase(model: CoefficientModel, n: int, k: float) -> float:
     """phi_k at real k; exactly pi at the continuous endpoint k = sqrt(g/2pi)."""
-    g = gram_point(model, n)
-    return math.log(k) * 2.0 * math.pi / (2.0 * model.theta_main(g))
+    return math.log(k) * gram_gap(model.theta_kind, gram_point(model, n))
 
 
 @dataclass
@@ -115,9 +118,7 @@ def adjustments(model: CoefficientModel, n: int,
     if n < 1:
         raise ValueError(f"adjustments needs n >= 1, got {n}")
     ctx = _context(model, n, neighbor_mode)
-    k = np.arange(1, ctx.n_cut + 1, dtype=float)
-    ln_k = np.log(k)
-    c = model.coefficients(ctx.n_cut)
+    c = ctx.c
     sign = -1.0 if n % 2 else 1.0
 
     incl_c = np.abs(np.cos(ctx.phases)) >= _POLE_EPS
@@ -126,7 +127,7 @@ def adjustments(model: CoefficientModel, n: int,
 
     cos_m = np.cos(ctx.ph_minus)
     cos_p = np.cos(ctx.ph_plus)
-    inv_sqrt = 1.0 / np.sqrt(k)
+    inv_sqrt = 1.0 / ctx.sqrt_k
 
     zc_m = sign * csum((c * cos_m * inv_sqrt * ctx.alpha_c)[incl_c])
     zc_p = sign * csum((c * cos_p * inv_sqrt * ctx.alpha_c)[incl_c])
@@ -135,7 +136,7 @@ def adjustments(model: CoefficientModel, n: int,
 
     z_ref = 2.0 * sign * csum((c * np.cos(ctx.ph_center) * inv_sqrt)[incl_c])
     zp_ref = sign * csum(
-        (c * (ctx.lnfac - 2.0 * ln_k) * np.sin(ctx.ph_center) * inv_sqrt)[incl_s])
+        (c * (ctx.lnfac - 2.0 * ctx.ln_k) * np.sin(ctx.ph_center) * inv_sqrt)[incl_s])
 
     return AdjustmentReport(
         n=n, neighbor_mode=neighbor_mode, phases=ctx.phases,
@@ -223,10 +224,8 @@ def partition_approx(model: CoefficientModel, n: int, partition,
     if side not in ("+", "-"):
         raise ValueError(f"side must be '+' or '-', got {side!r}")
     ph_nb = ctx.ph_plus if side == "+" else ctx.ph_minus
-    k = np.arange(1, ctx.n_cut + 1, dtype=float)
-    c = model.coefficients(ctx.n_cut)
     sign = -1.0 if n % 2 else 1.0
-    base_terms = sign * c * np.cos(ph_nb) / np.sqrt(k)
+    base_terms = sign * ctx.c * np.cos(ph_nb) / ctx.sqrt_k
 
     if which == "c":
         incl = np.abs(np.cos(ctx.phases)) >= _POLE_EPS
@@ -299,16 +298,14 @@ def stage_analysis(model: CoefficientModel, n: int) -> StageReport:
     sign = -1.0 if n % 2 else 1.0
     # the RMS skips the alpha_s pole at k = 1, which the window holds for
     # g < 2 pi 256; a window left empty (g_0, g_1) deviates by nothing
-    rms_lo = max(2, mid_lo)
-    k = np.arange(rms_lo, mid_hi + 1, dtype=float)
-    idx = slice(rms_lo - 1, mid_hi)
-    alpha_s = ctx.alpha_s[idx]
+    idx = slice(max(2, mid_lo) - 1, mid_hi)
+    alpha_s, sqrt_k = ctx.alpha_s[idx], ctx.sqrt_k[idx]
     phi = ctx.phases[idx]
     base = np.cos(ctx.ph_minus[idx])
-    p_term = sign * alpha_s / np.sqrt(k) * (base - np.cos(ctx.ph_minus[idx] + 2.0 * phi))
-    q_term = 2.0 * sign * alpha_s / np.sqrt(k) * base
+    p_term = sign * alpha_s / sqrt_k * (base - np.cos(ctx.ph_minus[idx] + 2.0 * phi))
+    q_term = 2.0 * sign * alpha_s / sqrt_k * base
     rms_dev = 0.0
-    if k.size:
+    if sqrt_k.size:
         q_rms = math.sqrt(float(np.mean(q_term ** 2)))
         rms_dev = math.sqrt(float(np.mean((p_term - q_term) ** 2))) / max(q_rms, 1e-300)
 
@@ -364,10 +361,9 @@ def gram_vectors(model: CoefficientModel, n: int, trials: int = 1000,
         raise ValueError(f"trials must be >= 100, got {trials}")
     g = gram_point(model, n)
     n_cut = model.classical_cutoff(g)
-    k = np.arange(1, n_cut + 1, dtype=float)
-    c = model.coefficients(n_cut)
-    inv_sqrt = 1.0 / np.sqrt(k)
-    raw = c * np.cos(np.log(k) * g) * inv_sqrt
+    ln_k, c, sqrt_k = term_arrays(model, n_cut)
+    inv_sqrt = 1.0 / sqrt_k
+    raw = c * np.cos(ln_k * g) * inv_sqrt
     sorted_v = np.sort(raw)
 
     acc = np.zeros(n_cut)

@@ -35,10 +35,6 @@ def _store(args) -> RecordStore:
     return RecordStore(args.cache_dir)
 
 
-def _meta(args, model_name: str) -> dict:
-    return {"model": model_name, "seed": getattr(args, "seed", 0)}
-
-
 def _ks(values: np.ndarray) -> np.ndarray:
     """The 1-based term index column k = 1..N for a per-term array."""
     return np.arange(1, values.shape[0] + 1)
@@ -47,7 +43,7 @@ def _ks(values: np.ndarray) -> np.ndarray:
 def _cmd_gram_scan(args) -> int:
     model = _model(args)
     recs = RecordSource(model, _store(args)).range(args.n_from, args.n_to)
-    write_csv(args.out, _meta(args, model.name),
+    write_csv(args.out, {"model": model.name},
               ["n", "t", "z", "zprime", "kind", "viscosity"],
               [np.array([r.n for r in recs]), np.array([r.t for r in recs]),
                np.array([r.z_value for r in recs]),
@@ -61,7 +57,7 @@ def _cmd_gram_blocks(args) -> int:
     model = _model(args)
     source = RecordSource(model, _store(args))
     blocks = gram.blocks(model, args.n_from, args.n_to, source)
-    write_csv(args.out, _meta(args, model.name),
+    write_csv(args.out, {"model": model.name},
               ["start", "length", "interior"],
               [[b.start for b in blocks], [b.length for b in blocks],
                [";".join(str(i) for i in b.interior_bad) for b in blocks]])
@@ -86,9 +82,8 @@ def _cmd_viscosity(args) -> int:
                    [r.kind.value for r in recs],
                    [n in bad and bad[n].isolated for n in ns],
                    [n in bad and bad[n].corrupt for n in ns]]
-    meta = _meta(args, model.name)
-    meta["bound"] = args.bound
-    meta["gbg_conjecture_holds"] = report.conjecture_holds
+    meta = {"model": model.name, "bound": args.bound,
+            "gbg_conjecture_holds": report.conjecture_holds}
     write_csv(args.out, meta,
               ["n", "t", "viscosity", "kind", "isolated", "corrupt"], columns,
               float_cols=["t", "viscosity"])
@@ -101,9 +96,7 @@ def _cmd_discriminant(args) -> int:
     model = _model(args)
     curve = curves.linear_curve(model, args.n)
     trace = discriminant.track_extremum(model, args.n, curve, steps=args.steps)
-    meta = _meta(args, model.name)
-    meta["n"] = args.n
-    meta["verdict"] = trace.status.value
+    meta = {"model": model.name, "n": args.n, "verdict": trace.status.value}
     if trace.r_event is not None:
         meta["r_event"] = repr(trace.r_event)
     samples = trace.samples
@@ -117,10 +110,8 @@ def _cmd_discriminant(args) -> int:
 def _cmd_curve_corrected(args) -> int:
     model = _model(args)
     report = curves.corrected_curve(model, args.n, tau=args.tau, steps=args.steps)
-    meta = _meta(args, model.name)
-    meta["n"] = args.n
-    meta["verdict"] = report.verdict
-    meta["shift_set"] = ";".join(str(k) for k in sorted(report.shift_set))
+    meta = {"model": model.name, "n": args.n, "verdict": report.verdict,
+            "shift_set": ";".join(str(k) for k in sorted(report.shift_set))}
     points = report.points
     write_csv(args.out, meta, ["stage", "r1", "r2", "g", "delta"],
               [[p.stage for p in points], [p.r1 for p in points],
@@ -142,16 +133,17 @@ def _cmd_curve_corrected(args) -> int:
     return 0 if report.verdict == "true" else 2
 
 
+def _second_order_summary(n: int, rep: discriminant.ClosedFormReport) -> dict:
+    """The JSON keys that `hessian` prints and `closed-forms` extends."""
+    return {"n": n, "hessian": rep.hessian_quadratic,
+            "hessian_constant": rep.hessian_constant,
+            "zprime_at_ones": rep.zprime_at_ones,
+            "gradient_identity_residual": rep.gradient_identity_residual}
+
+
 def _cmd_hessian(args) -> int:
-    model = _model(args)
-    rep = discriminant.closed_forms(model, args.n)
-    write_json(args.out, {
-        "n": args.n,
-        "hessian": rep.hessian_quadratic,
-        "hessian_constant": rep.hessian_constant,
-        "zprime_at_ones": rep.zprime_at_ones,
-        "gradient_identity_residual": rep.gradient_identity_residual,
-    })
+    rep = discriminant.closed_forms(_model(args), args.n)
+    write_json(args.out, _second_order_summary(args.n, rep))
     return 0
 
 
@@ -159,17 +151,12 @@ def _cmd_closed_forms(args) -> int:
     model = _model(args)
     rep = discriminant.closed_forms(model, args.n)
     if args.out not in (None, "-"):
-        meta = _meta(args, model.name)
-        meta["n"] = args.n
-        write_csv(args.out, meta, ["k", "grad_delta", "grad_gram"],
+        write_csv(args.out, {"model": model.name, "n": args.n},
+                  ["k", "grad_delta", "grad_gram"],
                   [_ks(rep.grad_delta), rep.grad_delta, rep.grad_gram],
                   float_cols=["grad_delta", "grad_gram"])
     write_json(None, {
-        "n": args.n,
-        "hessian": rep.hessian_quadratic,
-        "hessian_constant": rep.hessian_constant,
-        "zprime_at_ones": rep.zprime_at_ones,
-        "gradient_identity_residual": rep.gradient_identity_residual,
+        **_second_order_summary(args.n, rep),
         "grad_delta_head": [float(x) for x in rep.grad_delta[:16]],
         "grad_gram_head": [float(x) for x in rep.grad_gram[:16]],
     })
@@ -180,9 +167,7 @@ def _cmd_adjustments(args) -> int:
     model = _model(args)
     rep = adjust.adjustments(model, args.n, args.neighbor)
     if args.out not in (None, "-"):
-        meta = _meta(args, model.name)
-        meta["n"] = args.n
-        meta["neighbor"] = args.neighbor
+        meta = {"model": model.name, "n": args.n, "neighbor": args.neighbor}
         write_csv(args.out, meta, ["k", "phase", "alpha_c", "alpha_s"],
                   [_ks(rep.phases), rep.phases, rep.alpha_c, rep.alpha_s],
                   float_cols=["phase", "alpha_c", "alpha_s"])
@@ -201,9 +186,8 @@ def _cmd_stages(args) -> int:
     model = _model(args)
     rep = adjust.stage_analysis(model, args.n)
     if args.out not in (None, "-"):
-        meta = _meta(args, model.name)
-        meta["n"] = args.n
-        write_csv(args.out, meta, ["k", "z_partial", "zprime_partial"],
+        write_csv(args.out, {"model": model.name, "n": args.n},
+                  ["k", "z_partial", "zprime_partial"],
                   [_ks(rep.z_partials), rep.z_partials, rep.zprime_partials],
                   float_cols=["z_partial", "zprime_partial"])
     write_json(None, {
@@ -221,9 +205,7 @@ def _cmd_stages(args) -> int:
 def _cmd_mc(args) -> int:
     model = _model(args)
     gv = adjust.gram_vectors(model, args.n, trials=args.trials, seed=args.seed)
-    meta = _meta(args, model.name)
-    meta["n"] = args.n
-    meta["trials"] = args.trials
+    meta = {"model": model.name, "seed": args.seed, "n": args.n, "trials": args.trials}
     write_csv(args.out, meta, ["k", "raw", "sorted", "baseline", "essential"],
               [_ks(gv.raw), gv.raw, gv.sorted_v, gv.baseline, gv.essential],
               float_cols=["raw", "sorted", "baseline", "essential"])
@@ -279,7 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cache-dir", default=None,
                        help=f"cache directory (default ${ENV_VAR}, "
                             "else ~/.cache/gramdelta)")
-        p.add_argument("--seed", type=int, default=42)
         p.add_argument("--threads", type=int, default=1,
                        help="accepted and ignored: scans run on the calling "
                             "thread, since classification holds the GIL and a "
@@ -343,6 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mc", help="Monte-Carlo Gram vectors")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--seed", type=int, default=42)
     common(p)
     p.set_defaults(func=_cmd_mc)
 

@@ -24,7 +24,7 @@ import numpy as np
 from .discriminant import (TraceSample, TraceStatus, _ExtremumSolver,
                            follow_extremum, march)
 from .gram import gram_point
-from .zmodel import CoefficientModel
+from .zmodel import CoefficientModel, term_arrays
 
 _LEVEL_TOL = 1e-3
 
@@ -139,17 +139,15 @@ def term_table(model: CoefficientModel, n: int, k_max: int) -> TermTable:
     g = gram_point(model, n)
     if k_max > model.robust_cutoff(g):
         raise ValueError(f"k_max {k_max} exceeds the robust cutoff")
-    k = np.arange(1, k_max + 1)
-    m = k + 1.0
-    ln_m = np.log(m)
+    ln_m, coeff, sqrt_m = (arr[1:] for arr in term_arrays(model, k_max + 1))  # m = k + 1
     phase = model.theta(g) - g * ln_m
     cos_t = np.cos(phase)
     sin_t = -np.sin(phase)  # equals (-1)^n sin(ln(k+1) g_n)
-    coeff = model.coefficients(k_max + 1)[1:]
     length = 2.0 * model.theta_main(g) - 2.0 * ln_m
-    a = coeff * cos_t / np.sqrt(m)
-    b = coeff * length * sin_t / np.sqrt(m)
-    return TermTable(n=n, k=k, cos_term=cos_t, sin_term=sin_t, a=a, b=b)
+    a = coeff * cos_t / sqrt_m
+    b = coeff * length * sin_t / sqrt_m
+    return TermTable(n=n, k=np.arange(1, k_max + 1), cos_term=cos_t, sin_term=sin_t,
+                     a=a, b=b)
 
 
 def select_shift_indices(model: CoefficientModel, n: int, tau: float = 1.5,
@@ -316,11 +314,12 @@ def corrected_curve(model: CoefficientModel, n: int, tau: float = 1.5,
                        for p in shifting.points + descent.points)
     reached = descent.points and abs(descent.points[-1].r1 - 1.0) < 1e-9 \
         and abs(descent.points[-1].r2 - 1.0) < 1e-9
-    if not reached:  # only a collision on an untruncated composite is "false"
-        collided = descent.r_collision is not None and not shifting.truncated
-        verdict = "false" if collided else "undetermined"
+    if reached and composite_ok and descent.energy_ok:
+        verdict = "true"
+    elif not shifting.truncated and (reached or descent.r_collision is not None):
+        verdict = "false"  # only a collision on an untruncated composite
     else:
-        verdict = "true" if composite_ok and descent.energy_ok else "false"
+        verdict = "undetermined"  # a truncated stage names why in its stop_reason
     delta_end = descent.points[-1].delta if descent.points else None
     return CorrectedCurveReport(n=n, tau=tau, shift_set=frozenset(shift_set),
                                 shift_warning=not shift_set, shifting=shifting,

@@ -44,7 +44,7 @@ class DhViolationReport:
     delta_end: float
     first_order_deviation_ratio: float   # max |Delta - Z(g;r)| over the Delta range
     max_displacement: float              # max |g_n(r) - g_n|
-    displacement_bound: float            # quarter Gram gap, 0.25 * 2pi/theta'(g)
+    displacement_bound: float            # half the Gram gap pi/theta'(g): 0.25 * 2pi/theta'(g)
 
 
 def dh_violation_experiment(steps: int = 200, n: int = 44) -> DhViolationReport:

@@ -28,9 +28,10 @@ from enum import Enum
 import numpy as np
 
 from .errors import DimensionError, TraceError
-from .numerics import csum
-from .zmodel import (CoefficientModel, WindowProxy, section_eval, z_section,
-                     z_section_deriv)
+from .numerics import csum, newton_scalar
+from .special import gram_gap
+from .zmodel import (CoefficientModel, WindowProxy, section_eval, term_arrays,
+                     z_section, z_section_deriv)
 from .gram import gram_point
 
 KAPPA_H = 4.0
@@ -89,7 +90,6 @@ class _ExtremumSolver:
         self.sign = -1.0 if n % 2 else 1.0  # (-1)^n
         lnfac = 2.0 * model.theta_main(g0)
         self.ztt_floor = 1e-8 * lnfac * lnfac
-        self.step_tol = 1e-12 * max(1.0, abs(g0))
         self.proxy = WindowProxy(model, self.n_terms, masks, g0)
 
     def section(self, a, t: float, orders: tuple[int, ...] = (0, 1, 2)):
@@ -101,22 +101,17 @@ class _ExtremumSolver:
             a = (float(a),) * self.proxy.blocks
         return self.proxy.section(t, a)
 
-    def solve(self, a, t_seed: float, max_newton: int = 10):
-        """Returns (t, iterations, degenerate_flag) or None on failure."""
-        t = t_seed
-        polish = False
-        for it in range(1, max_newton + 1):
+    def solve(self, a, t_seed: float):
+        """Newton on Z_t = 0 from t_seed: (t, iterations), or None when Z_tt
+        reaches the flat-point floor or 10 steps do not converge."""
+        def slope_and_curvature(t):
             vals = self.section(a, t, (1, 2))
-            zp, ztt = vals[1], vals[2]
-            if abs(ztt) < self.ztt_floor:
-                return None
-            dt = zp / ztt
-            t -= dt
-            if abs(dt) <= self.step_tol:
-                if polish:
-                    return t, it, False
-                polish = True
-        return (t, max_newton, False) if polish else None
+            return vals[1], vals[2]
+
+        t, iterations, converged = newton_scalar(
+            slope_and_curvature, t_seed, rel_step_tol=1e-12, max_iter=10,
+            min_slope=self.ztt_floor)
+        return (t, iterations) if converged else None
 
     def value(self, a, t: float) -> float:
         return self.section(a, t, (0,))[0]
@@ -227,7 +222,7 @@ def track_extremum(model: CoefficientModel, n: int, curve, steps: int = 200,
     start = TraceSample(r=0.0, g=g0, delta=solver.value(a0, g0),
                         ztt=solver.curvature(a0, g0))
     run = follow_extremum(solver, weights_at, start, steps, r_max,
-                          jump_cap=0.5 * math.pi / model.theta_main(g0))
+                          jump_cap=0.5 * gram_gap(model.theta_kind, g0))
     return DiscriminantTrace(n=n, samples=[s for _, s in run.samples],
                              status=run.status, r_event=run.r_event)
 
@@ -267,9 +262,8 @@ def closed_forms(model: CoefficientModel, n: int) -> ClosedFormReport:
     """
     g = gram_point(model, n)
     n_terms = model.robust_cutoff(g)
-    m = np.arange(2, n_terms + 2, dtype=float)
-    ln_m = np.log(m)
-    coeff = model.coefficients(n_terms + 1)[1:]
+    # m = 2..N+1: the terms that carry a parameter
+    ln_m, coeff, sqrt_m = (arr[1:] for arr in term_arrays(model, n_terms + 1))
     th = model.theta(g)
     phase = th - g * ln_m
     cos_t = np.cos(phase)
@@ -279,8 +273,8 @@ def closed_forms(model: CoefficientModel, n: int) -> ClosedFormReport:
     sign = -1.0 if n % 2 else 1.0
     parity = -sign                              # (-1)^(n+1)
 
-    grad_delta = coeff * cos_t / np.sqrt(m)
-    grad_gram = 2.0 * parity * coeff * sin_t * length / (np.sqrt(m) * lnfac * lnfac)
+    grad_delta = coeff * cos_t / sqrt_m
+    grad_gram = 2.0 * parity * coeff * sin_t * length / (sqrt_m * lnfac * lnfac)
 
     zprime = z_section_deriv(model, g, 1.0, order=1, mode="main")
     hessian = KAPPA_H * sign * (zprime / lnfac) ** 2

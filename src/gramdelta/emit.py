@@ -1,6 +1,6 @@
 """CSV and JSON emission with reproducible bytes.
 
-CSV files carry '#'-prefixed metadata lines (#version, #model, #seed, ...),
+CSV files carry '#'-prefixed metadata lines (#version, #model, ...),
 an RFC-4180 body, and for every float column a hex-float twin column, so a
 reader can recover the exact bits while the decimal column stays
 plot-friendly. No timestamps: identical configuration must give identical

@@ -21,8 +21,7 @@ from enum import Enum
 from .errors import DomainError, IndeterminateSignError
 from .numerics import newton_scalar
 from .special import ThetaKind, lambert_w0
-from .zmodel import (CoefficientModel, classical_afe, hardy_z, hardy_z_error,
-                     section_eval)
+from .zmodel import CoefficientModel, classical_afe, point_values
 
 _INV_E = math.exp(-1.0)
 
@@ -117,12 +116,10 @@ def classify(model: CoefficientModel, n: int) -> GramRecord:
 
     The first look is the classical AFE, whose dropped error term is
     O(g^(-1/4)); whenever |Z| is within a few multiples of that, the verdict
-    is re-derived from the point pair (Z, Z') at g. For the zeta model that
-    pair is hardy_z, Riemann-Siegel with remainder terms, and its sign is
-    trusted where |Z| exceeds hardy_z_error(g) (below 1e-4 from t = 10, 1e-8
-    near t = 1e4); any other model uses its section at a = 1, whose dropped
-    tail is O(t^(-1/2)), and trusts |Z| >= 1e-4. Below that the record is
-    flagged indeterminate rather than silently classified.
+    is re-derived from the point pair (Z, Z') at g, zmodel.point_values, and
+    trusted where |Z| reaches its allowance (hardy_z_error(g) for the zeta
+    model: below 1e-4 from t = 10, 1e-8 near t = 1e4). Below that the record
+    is flagged indeterminate rather than silently classified.
 
     Viscosity |Z'/Z| is taken from the same point pair, so for the zeta model
     it is the true logarithmic derivative; z_value/zprime_value keep the
@@ -130,15 +127,10 @@ def classify(model: CoefficientModel, n: int) -> GramRecord:
     """
     g = gram_point(model, n)
     vals = classical_afe(model, g)
-    if model.is_zeta:
-        point = hardy_z(model, g)
-        undecided = hardy_z_error(g)
-    else:
-        point = section_eval(model, g, 1.0, orders=(0, 1), deriv_mode="full")
-        undecided = _SMALL
+    point, allowance = point_values(model, g)
     sign = -1.0 if n % 2 else 1.0
     if abs(vals.z) < max(_SMALL, _CLASSICAL_ERROR_SCALE * g ** -0.25):
-        if abs(point[0]) < undecided:
+        if abs(point[0]) < allowance:
             kind = GramKind.INDETERMINATE
         else:
             kind = GramKind.GOOD if sign * point[0] > 0 else GramKind.BAD

@@ -17,9 +17,10 @@ the target function. Derivatives in t come in two flavours: "main" replaces
 theta' by its main term (1/2) ln(t/2pi) — the convention every closed form
 downstream is stated in — and "full" keeps the correction series.
 
-Point values of the Riemann model (Gram-point viscosity, Newton zeros) come
-from hardy_z, the Riemann-Siegel formula with remainder terms, not from the
-section: at a = 1 the section drops a tail of size about 1/sqrt(2t).
+Point values (Gram-point signs and viscosity, Newton zeros) come from
+point_values: for the Riemann model hardy_z, the Riemann-Siegel formula with
+remainder terms, not the section, which at a = 1 drops a tail of size about
+1/sqrt(2t).
 
 All sums run in ascending term order with compensated accumulation
 (numerics.csum), so repeated runs emit bit-identical values.
@@ -37,7 +38,7 @@ import numpy as np
 from .errors import (DimensionError, DomainError, FlatPointError,
                      IndexRangeError, NonConvergenceError, NotAGramPointError)
 from .numerics import csum, running_csum
-from .special import ThetaKind, theta, theta_deriv, theta_main_deriv
+from .special import ThetaKind, gram_gap, theta, theta_deriv, theta_main_deriv
 
 TWO_PI = 2.0 * math.pi
 
@@ -373,7 +374,7 @@ class WindowProxy:
 
     with main-mode derivatives and the m = 1 head evaluated exactly. The proxy
     interpolates every S_B^(j) at the 25 Chebyshev points of a window of
-    half-width one local Gram gap, pi / theta_main'(g0), tabulated by one
+    half-width one local Gram gap (special.gram_gap at g0), tabulated by one
     section_eval call per window at all 25 nodes: one cos/sin pass over the
     N + 1 terms, and past the first 4096 terms Taylor moments in place of
     the trig passes of the node offsets (see _section_points). Against the
@@ -391,7 +392,7 @@ class WindowProxy:
         self.n_terms = n_terms
         self.weights = 1.0 if masks is None else np.array(masks, dtype=float)
         self.blocks = 1 if masks is None else len(masks)
-        self.gap = math.pi / model.theta_main(g0)
+        self.gap = gram_gap(model.theta_kind, g0)
         self.half_width = self.gap
         self.center = g0
         self._c1 = float(model.coefficients(1)[0])
@@ -482,14 +483,17 @@ def localized_sum(model: CoefficientModel, g: float, a_lo: int, b_hi: int,
 
 
 @lru_cache(maxsize=4)
-def _classical_table(model: CoefficientModel, n_cut: int):
-    """Per-term arrays for k = 1..n_cut: ln k, c_k, sqrt k (read-only).
+def term_arrays(model: CoefficientModel, count: int):
+    """Per-term arrays for m = 1..count: ln m, c_m, sqrt m (read-only).
 
-    N(g) holds over runs of about 50 consecutive Gram points at n = 100 and
-    5,000 at n = 5e5, so a scan window needs one or two tables; keeping more
-    only adds to the peak memory of ops that jump between heights."""
-    k = np.arange(1, n_cut + 1, dtype=float)
-    table = np.log(k), model.coefficients(n_cut), np.sqrt(k)
+    The one source of these arrays for the classical AFE, the closed forms,
+    the A_k/B_k table and the neighbour adjustments; the section keeps its
+    own (ln m, c_m/sqrt m) basis. N(g) holds over runs of about 50
+    consecutive Gram points at n = 100 and 5,000 at n = 5e5, so a scan
+    window needs one or two tables; keeping more only adds to the peak
+    memory of ops that jump between heights."""
+    m = np.arange(1, count + 1, dtype=float)
+    table = np.log(m), model.coefficients(count), np.sqrt(m)
     for arr in table:
         arr.flags.writeable = False
     return table
@@ -499,7 +503,7 @@ def _classical_terms(model: CoefficientModel, g: float,
                      which: tuple[str, ...]) -> list[np.ndarray]:
     """Unsigned classical-AFE term arrays for k = 1..N(g), one per entry of
     which ("z" or "zprime"), from one pass of cos and sin over ln k g."""
-    ln_k, c, sqrt_k = _classical_table(model, model.classical_cutoff(g))
+    ln_k, c, sqrt_k = term_arrays(model, model.classical_cutoff(g))
     arg = ln_k * g
     out = []
     for kind in which:
@@ -599,7 +603,7 @@ def hardy_z(model: CoefficientModel, t: float,
     remainder is differentiated analytically. Against mpmath.siegelz the
     error in Z is below 1e-4 on [10, 30], 1e-5 on [30, 100], 1e-6 on
     [100, 1e3] and 1e-8 on [1e3, 1e4]; hardy_z_error(t) is the allowance
-    that classify grants it at any height. Only the zeta model has this
+    that point_values grants it at any height. Only the zeta model has this
     remainder.
     """
     if not model.is_zeta:
@@ -645,19 +649,30 @@ class NewtonResult:
     final_value: float
 
 
-def _newton_values(model: CoefficientModel, t: float,
-                   orders: tuple[int, ...]) -> dict[int, float]:
+_SECTION_SIGN_FLOOR = 1e-4  # |Z| below which a section value's sign is not trusted
+
+
+def point_values(model: CoefficientModel, t: float, orders: tuple[int, ...] = (0, 1)
+                 ) -> tuple[dict[int, float], float]:
+    """Z(t) and Z'(t) for point work (Gram-point signs and viscosity, Newton
+    zeros) and the |Z| below which the sign of Z is not trusted.
+
+    The zeta model takes hardy_z, with allowance hardy_z_error(t); any other
+    model its section at a = 1 with the full-mode derivative, whose dropped
+    tail is O(t^(-1/2)), with allowance 1e-4.
+    """
     if model.is_zeta:
-        return hardy_z(model, t, orders)
-    return section_eval(model, t, 1.0, orders=orders)
+        return hardy_z(model, t, orders), hardy_z_error(t)
+    return (section_eval(model, t, 1.0, orders=orders, deriv_mode="full"),
+            _SECTION_SIGN_FLOOR)
 
 
 def find_zero_newton(model: CoefficientModel, t0: float, max_iter: int = 50,
                      tol: float = 1e-10) -> NewtonResult:
     """Newton iteration t <- t - Z(t)/Z'(t), with full iterate history.
 
-    Z is hardy_z for the zeta model; any other model iterates on its section
-    at a = 1 with the main-mode derivative. Stops when |Z| < tol, or when the
+    Z and Z' come from point_values: hardy_z for the zeta model, the section
+    at a = 1 for any other. Stops when |Z| < tol, or when the
     step falls below rounding scale (at large heights the rounding noise of
     the sum sits above 1e-10, so a pure value test could spin forever at the
     fixed point). Raises FlatPointError if |Z'| falls below 1e-12 and
@@ -669,7 +684,7 @@ def find_zero_newton(model: CoefficientModel, t0: float, max_iter: int = 50,
     iterates = [t]
     step_floor = 1e-13 * max(1.0, abs(t0))
     for _ in range(max_iter):
-        vals = _newton_values(model, t, (0, 1))
+        vals = point_values(model, t)[0]
         z, zp = vals[0], vals[1]
         if abs(z) < tol:
             return NewtonResult(t=t, iterates=iterates, converged=True, final_value=z)
@@ -680,8 +695,8 @@ def find_zero_newton(model: CoefficientModel, t0: float, max_iter: int = 50,
         iterates.append(t)
         if abs(step) <= step_floor:
             return NewtonResult(t=t, iterates=iterates, converged=True,
-                                final_value=_newton_values(model, t, (0,))[0])
-    z = _newton_values(model, t, (0,))[0]
+                                final_value=point_values(model, t, (0,))[0][0])
+    z = point_values(model, t, (0,))[0][0]
     if abs(z) < tol:
         return NewtonResult(t=t, iterates=iterates, converged=True, final_value=z)
     raise NonConvergenceError(

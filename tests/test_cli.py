@@ -26,7 +26,7 @@ def test_gram_scan_csv(tmp_path, capsys):
                  "--cache-dir", str(tmp_path / "cache"), "--out", str(out)])
     assert code == 0
     text = out.read_text()
-    assert text.startswith("#version=1\n#model=riemann\n#seed=42\n")
+    assert text.startswith("#version=1\n#model=riemann\nn,")
     header, *rows = [l for l in text.splitlines() if not l.startswith("#")]
     assert header.split(",")[:6] == ["n", "t", "z", "zprime", "kind", "viscosity"]
     row126 = next(r for r in rows if r.startswith("126,"))
@@ -99,6 +99,15 @@ def test_closed_forms_json(tmp_path, capsys):
     assert payload["gradient_identity_residual"] < 1e-10
 
 
+def test_hessian_json_is_the_closed_forms_summary(tmp_path, capsys):
+    _, hessian = run(capsys, "hessian", "--n", "90", "--cache-dir", str(tmp_path))
+    _, closed = run(capsys, "closed-forms", "--n", "90", "--cache-dir", str(tmp_path))
+    hessian, closed = json.loads(hessian), json.loads(closed)
+    assert sorted(hessian) == ["gradient_identity_residual", "hessian",
+                               "hessian_constant", "n", "zprime_at_ones"]
+    assert hessian == {key: closed[key] for key in hessian}
+
+
 def test_adjustments_json(tmp_path, capsys):
     code, text = run(capsys, "adjustments", "--n", "1000", "--cache-dir", str(tmp_path))
     assert code == 0
@@ -123,6 +132,16 @@ def test_mc_csv_deterministic(tmp_path):
     assert "#trials=200" in a.read_text()
 
 
+def test_seed_is_an_mc_option_only(tmp_path, capsys):
+    out = tmp_path / "mc.csv"
+    assert main(["mc", "--n", "100", "--trials", "100", "--seed", "1",
+                 "--cache-dir", str(tmp_path), "--out", str(out)]) == 0
+    assert out.read_text().startswith("#version=1\n#model=riemann\n#seed=1\n#n=100\n")
+    assert main(["gram", "scan", "--from", "1", "--to", "2", "--seed", "1",
+                 "--cache-dir", str(tmp_path), "--out", str(tmp_path / "scan.csv")]) == 1
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
 def test_newton_json(tmp_path, capsys):
     code, text = run(capsys, "newton", "--index", "6708", "--cache-dir", str(tmp_path))
     assert code == 0
@@ -143,7 +162,7 @@ def test_curve_corrected_exit_code(tmp_path, capsys):
 def test_curve_corrected_names_why_the_shifting_stage_stopped(tmp_path, capsys, n, reason):
     code, text = run(capsys, "curve", "corrected", "--n", str(n), "--steps", "50",
                      "--cache-dir", str(tmp_path), "--out", str(tmp_path / "c.csv"))
-    assert code == 2  # verdict "false" at both
+    assert code == 2  # verdict "undetermined" at 725240, "false" at 726787
     payload = json.loads(text)
     assert payload["shift_stop_reason"] == reason
     assert payload["shift_truncated"] is (reason is not None)

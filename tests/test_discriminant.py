@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gramdelta import (TraceStatus, closed_forms, discriminant_at, gram_point,
-                       linear_curve, second_order_approx, track_extremum)
+                       linear_curve, second_order_approx, term_table, track_extremum)
 from gramdelta.discriminant import _ExtremumSolver
 from gramdelta.errors import DimensionError, TraceError
 
@@ -129,6 +129,14 @@ def test_grad_delta_formula(riemann):
     for k in [1, 2, 7]:
         expect = math.cos(126 * math.pi - math.log(k + 1) * g) / math.sqrt(k + 1)
         assert rep.grad_delta[k - 1] == pytest.approx(expect, abs=1e-9)
+
+
+@pytest.mark.parametrize("name,n", [("riemann", 730119), ("dh", 44)])
+def test_grad_delta_head_is_the_pull_table(riemann, davenport, name, n):
+    # both read the per-term arrays of zmodel.term_arrays: the same bits
+    model = riemann if name == "riemann" else davenport
+    head = closed_forms(model, n).grad_delta[:15]
+    assert head.tobytes() == term_table(model, n, 15).a.tobytes()
 
 
 def test_finite_difference_gradients(riemann):

@@ -130,7 +130,8 @@ def _descent_is_the_segment(report):
 
 
 def test_corrected_curve_truncated_shift_then_collision_at_725240(riemann):
-    # the shifting stage stops at r1 ~ 0.001 and the descent collides: "false"
+    # the shifting stage stops at r1 ~ 0.001 and the descent collides: a
+    # truncated stage leaves the verdict "undetermined", never "false"
     rep = corrected_curve(riemann, 725240, steps=50)
     assert sorted(rep.shift_set) == [1, 2, 3, 4, 5, 6, 8, 10]
     assert [(p.r1, p.r2) for p in rep.shifting.points] == [
@@ -139,7 +140,7 @@ def test_corrected_curve_truncated_shift_then_collision_at_725240(riemann):
     assert rep.shifting.stop_reason == "r2 would leave [0, 1]"
     _descent_is_the_segment(rep)
     assert rep.descent.r_collision == pytest.approx(0.5288229370117188, abs=1e-6)
-    assert rep.verdict == "false"
+    assert rep.verdict == "undetermined"
 
 
 def test_corrected_curve_untruncated_false_at_726787(riemann):

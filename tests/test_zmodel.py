@@ -12,7 +12,8 @@ from gramdelta import (GramKind, classical_afe, classify, core_zero,
 from gramdelta.errors import DimensionError, DomainError, IndexRangeError
 from gramdelta.special import ThetaKind, theta
 from gramdelta.zmodel import (_CHEB_X, _RS_REMAINDER, WindowProxy, _parity_series,
-                              classical_partial_sums, hardy_z_error, section_eval)
+                              classical_partial_sums, hardy_z_error, point_values,
+                              section_eval)
 
 from oracles import bisect, central_difference, zeta_euler_maclaurin
 
@@ -177,6 +178,19 @@ def test_newton_misconverges_to_adjacent_zero(riemann):
     # lands on the adjacent zero t_730121, far from the intended t_730120
     assert abs(res.t - 450613.8004) < 2e-3
     assert abs(res.t - 450613.7144) > 0.08
+
+
+def test_point_values_of_the_zeta_model_are_hardy_z(riemann):
+    for t in (14.1, 7005.06, 450613.8):
+        vals, allowance = point_values(riemann, t)
+        assert vals == hardy_z(riemann, t)
+        assert allowance == hardy_z_error(t)
+
+
+def test_dh_newton_ends_on_a_point_value_zero(davenport):
+    res = find_zero_newton(davenport, core_zero(davenport, 44))
+    assert res.converged
+    assert abs(point_values(davenport, res.t, (0,))[0][0]) < 1e-10
 
 
 def test_newton_domain_error(riemann):
