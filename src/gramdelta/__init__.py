@@ -12,9 +12,8 @@ from .gram import (GramBlock, GramKind, GramRecord, RecordSource, blocks,
 from .discriminant import (ClosedFormReport, DiscriminantTrace, TraceStatus,
                            closed_forms, discriminant_at, second_order_approx,
                            track_extremum)
-from .curves import (LinearCurve, SampledCurve, TwoParamCurve, corrected_curve,
-                     descending_stage, linear_curve, select_shift_indices,
-                     shifting_stage, term_table)
+from .curves import (LinearCurve, SampledCurve, corrected_curve, descending_stage,
+                     linear_curve, select_shift_indices, shifting_stage, term_table)
 from .adjust import (AdjustmentReport, GramVectors, adjustment_phase,
                      adjustments, alpha_average, gram_vectors, partition_approx,
                      stage_analysis)

@@ -127,6 +127,7 @@ def _cmd_curve_corrected(args) -> int:
         "exit_point": list(report.shifting.exit_point),
         "delta_end": report.delta_end,
         "energy_ok": report.descent.energy_ok,
+        "descent_stop_reason": report.descent.stop_reason,
     }
     if args.out not in (None, "-"):
         write_json(None, summary)

@@ -9,7 +9,8 @@ move the extremum sideways) and descending indices (everything else), then
      (-1)^n Delta stays at 1 (a level curve of the discriminant),
   2. descending stage: a straight segment from the exit point to (1, 1).
 
-Both stages step by discriminant.march (its docstring states the step rules).
+Both stages step by discriminant.march (its docstring states the step rules)
+on one two-block solver, the shift block and the descend block.
 The composite is the paper-of-record experiment for points where the plain
 linear curve collides.
 """
@@ -30,9 +31,7 @@ _LEVEL_TOL = 1e-3
 
 
 class LinearCurve:
-    """gamma(r) = r * (1, ..., 1)."""
-
-    block_masks = None  # one block: every index
+    """gamma(r) = r * (1, ..., 1): one uniform weight, so one proxy block."""
 
     def __init__(self, dimension: int):
         self.dimension = dimension
@@ -40,56 +39,12 @@ class LinearCurve:
     def weights_at(self, r: float):
         return float(r)
 
-    def block_weights_at(self, r: float) -> tuple[float]:
-        return (float(r),)
-
 
 def _shift_mask(dimension: int, shift_set) -> np.ndarray:
     """The shift block of term indices 1..dimension as a boolean mask."""
     if any(not 1 <= k <= dimension for k in shift_set):
         raise ValueError("shift indices must lie in [1, dimension]")
     return np.isin(np.arange(1, dimension + 1), list(shift_set))
-
-
-class TwoParamCurve:
-    """Coordinates in shift_set get r1, the rest r2, along a polyline path.
-
-    The path runs from (0, 0) to (1, 1) in the (r1, r2) plane and is
-    traversed by arc length as r goes 0 -> 1.
-    """
-
-    def __init__(self, dimension: int, shift_set, path):
-        self.dimension = dimension
-        self.shift_set = frozenset(int(k) for k in shift_set)
-        self._mask = _shift_mask(dimension, self.shift_set)
-        self.block_masks = (self._mask, ~self._mask)  # shift block, descend block
-        pts = [(float(a), float(b)) for a, b in path]
-        if pts[0] != (0.0, 0.0) or pts[-1] != (1.0, 1.0):
-            raise ValueError("path must run from (0,0) to (1,1)")
-        self._pts = pts
-        seg = [math.hypot(b[0] - a[0], b[1] - a[1]) for a, b in zip(pts, pts[1:])]
-        total = sum(seg)
-        self._cum = [0.0]
-        for s in seg:
-            self._cum.append(self._cum[-1] + (s / total if total else 0.0))
-        self._cum[-1] = 1.0
-
-    def point_at(self, r: float) -> tuple[float, float]:
-        r = min(max(r, 0.0), 1.0)
-        for i in range(len(self._pts) - 1):
-            lo, hi = self._cum[i], self._cum[i + 1]
-            if r <= hi or i == len(self._pts) - 2:
-                f = 0.0 if hi == lo else (r - lo) / (hi - lo)
-                a, b = self._pts[i], self._pts[i + 1]
-                return (a[0] + f * (b[0] - a[0]), a[1] + f * (b[1] - a[1]))
-        return self._pts[-1]
-
-    def weights_at(self, r: float):
-        r1, r2 = self.point_at(r)
-        return np.where(self._mask, r1, r2)
-
-    def block_weights_at(self, r: float) -> tuple[float, float]:
-        return self.point_at(r)
 
 
 class SampledCurve:
@@ -181,8 +136,6 @@ class StagePoint:
 
 @dataclass
 class ShiftingResult:
-    n: int
-    shift_set: frozenset[int]
     points: list[StagePoint]
     truncated: bool
     exit_point: tuple[float, float]
@@ -191,28 +144,28 @@ class ShiftingResult:
 
 
 def _stage_solver(model: CoefficientModel, n: int, shift_set) -> _ExtremumSolver:
-    """A stage's solver: the proxy of the shift block and the descend block."""
+    """The corrected curve's solver, which both stages march on: one proxy
+    window of the shift block and the descend block."""
     g0 = gram_point(model, n)
     mask = _shift_mask(model.robust_cutoff(g0), shift_set)
     return _ExtremumSolver(model, n, g0, (mask, ~mask))
 
 
-def shifting_stage(model: CoefficientModel, n: int, shift_set,
-                   steps: int = 200) -> ShiftingResult:
+def shifting_stage(solver: _ExtremumSolver, steps: int = 200) -> ShiftingResult:
     """Follow the level curve (-1)^n Delta = 1 while a march steps r1 to 1.
 
     Each step's corrector adjusts r2 (Newton on the analytic d Delta/d r2,
     extremum re-solved per trial) until the level is restored within 1e-3.
     If no r2 in [0, 1] does, the stage is truncated at the last valid r1 and
-    its last rejection is the stop reason.
+    its last rejection is the stop reason. An empty shift block leaves Delta
+    unmoved, so the stage jumps to (1, 0).
     """
-    solver = _stage_solver(model, n, shift_set)
     g0 = solver.g0
     start = StagePoint("shift", 0.0, 0.0, g0, solver.value((0.0, 0.0), g0))
-    if not shift_set:
+    if not solver.proxy.weights[0].any():
         points = [start, StagePoint("shift", 1.0, 0.0, g0, start.delta)]
-        return ShiftingResult(n=n, shift_set=frozenset(), points=points,
-                              truncated=False, exit_point=(1.0, 0.0), exit_g=g0)
+        return ShiftingResult(points=points, truncated=False, exit_point=(1.0, 0.0),
+                              exit_g=g0)
 
     def correct_level(r_from, r1, prev):
         r2, g = prev.r2, prev.g
@@ -239,35 +192,34 @@ def shifting_stage(model: CoefficientModel, n: int, shift_set,
     run = march(correct_level, start, steps)
     last = run.samples[-1][1]
     truncated = run.status is TraceStatus.CONTINUATION_LOST
-    return ShiftingResult(n=n, shift_set=frozenset(shift_set),
-                          points=[p for _, p in run.samples], truncated=truncated,
+    return ShiftingResult(points=[p for _, p in run.samples], truncated=truncated,
                           exit_point=(last.r1, last.r2), exit_g=last.g,
                           stop_reason=run.rejections[-1][1] if truncated else None)
 
 
 @dataclass
 class DescentResult:
-    n: int
     points: list[StagePoint]
     energy_ok: bool
     r_collision: float | None
+    stop_reason: str | None  # why the descent did not reach (1, 1)
 
 
-def descending_stage(model: CoefficientModel, n: int,
-                     start: tuple[float, float], steps: int = 200,
-                     shift_set=frozenset(), g_start: float | None = None) -> DescentResult:
+def descending_stage(solver: _ExtremumSolver, start: tuple[float, float],
+                     steps: int = 200, g_start: float | None = None) -> DescentResult:
     """Linear segment from the shifting exit to (1, 1), marched with no jump
     cap. energy_ok is (-1)^n Delta > 0 along the whole segment; r_collision is
-    the bisected crossing (None when the march is lost)."""
-    solver = _stage_solver(model, n, shift_set)
+    the bisected crossing (None when the march is lost). A descent that stops
+    short of (1, 1) names its last rejection as the stop reason."""
     r1_0, r2_0 = start
     g = g_start if g_start is not None else solver.g0
     if (r1_0, r2_0) == (1.0, 1.0):  # nothing to march: one solve at the end
         sol = solver.solve((1.0, 1.0), g)
         points = [] if sol is None else [
             StagePoint("descend", 1.0, 1.0, sol[0], solver.value((1.0, 1.0), sol[0]))]
-        return DescentResult(n=n, points=points, r_collision=None,
-                             energy_ok=all(solver.sign * p.delta > 0.0 for p in points))
+        return DescentResult(points=points, r_collision=None,
+                             energy_ok=all(solver.sign * p.delta > 0.0 for p in points),
+                             stop_reason=None if points else "Newton failed")
 
     def at(s):
         return (r1_0 + s * (1.0 - r1_0), r2_0 + s * (1.0 - r2_0))
@@ -275,10 +227,12 @@ def descending_stage(model: CoefficientModel, n: int,
     run = follow_extremum(solver, at, TraceSample(0.0, g, math.nan, math.nan), steps,
                           with_ztt=False)
     collided = run.status is TraceStatus.COLLISION
-    return DescentResult(n=n, energy_ok=run.status is TraceStatus.NON_COLLIDING,
+    stopped = run.samples[-1][0] < 1.0 - 1e-12  # the march broke off short of s = 1
+    return DescentResult(energy_ok=run.status is TraceStatus.NON_COLLIDING,
                          points=[StagePoint("descend", *at(s), p.g, p.delta)
                                  for s, p in run.samples[1:]],
-                         r_collision=run.r_event if collided else None)
+                         r_collision=run.r_event if collided else None,
+                         stop_reason=run.rejections[-1][1] if stopped else None)
 
 
 @dataclass
@@ -301,16 +255,17 @@ def corrected_curve(model: CoefficientModel, n: int, tau: float = 1.5,
                     steps: int = 200) -> CorrectedCurveReport:
     """Shifting stage + descending stage; verdict of the corrected Gram law.
 
-    verdict "true" means (-1)^n Delta stayed positive along the composite and
-    the endpoint (1, ..., 1) was reached; any stage failure yields
-    "undetermined" with diagnostics attached, never a silent "false".
+    Both stages march on one solver, so the window is tabulated once. verdict
+    "true" means (-1)^n Delta stayed positive along the composite and the
+    endpoint (1, ..., 1) was reached; any stage failure yields "undetermined"
+    with diagnostics attached, never a silent "false".
     """
     shift_set = select_shift_indices(model, n, tau=tau)
-    shifting = shifting_stage(model, n, shift_set, steps=steps)
-    descent = descending_stage(model, n, shifting.exit_point, steps=steps,
-                               shift_set=shift_set, g_start=shifting.exit_g)
-    sign = -1.0 if n % 2 else 1.0
-    composite_ok = all(sign * p.delta > 0.0
+    solver = _stage_solver(model, n, shift_set)
+    shifting = shifting_stage(solver, steps=steps)
+    descent = descending_stage(solver, shifting.exit_point, steps=steps,
+                               g_start=shifting.exit_g)
+    composite_ok = all(solver.sign * p.delta > 0.0
                        for p in shifting.points + descent.points)
     reached = descent.points and abs(descent.points[-1].r1 - 1.0) < 1e-9 \
         and abs(descent.points[-1].r2 - 1.0) < 1e-9

@@ -16,10 +16,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .curves import LinearCurve
+from .curves import linear_curve
 from .discriminant import DiscriminantTrace, TraceStatus, track_extremum
 from .gram import gram_point
-from .special import ThetaKind
+from .special import ThetaKind, gram_gap
 from .zmodel import CoefficientModel, riemann_model, z_section
 
 KAPPA = (math.sqrt(10.0 - 2.0 * math.sqrt(5.0)) - 2.0) / (math.sqrt(5.0) - 1.0)
@@ -44,7 +44,7 @@ class DhViolationReport:
     delta_end: float
     first_order_deviation_ratio: float   # max |Delta - Z(g;r)| over the Delta range
     max_displacement: float              # max |g_n(r) - g_n|
-    displacement_bound: float            # half the Gram gap pi/theta'(g): 0.25 * 2pi/theta'(g)
+    displacement_bound: float            # half the Gram gap: 0.5 * special.gram_gap at g
 
 
 def dh_violation_experiment(steps: int = 200, n: int = 44) -> DhViolationReport:
@@ -57,8 +57,7 @@ def dh_violation_experiment(steps: int = 200, n: int = 44) -> DhViolationReport:
     """
     model = dh_model()
     g = gram_point(model, n)
-    curve = LinearCurve(model.robust_cutoff(g))
-    trace = track_extremum(model, n, curve, steps=steps)
+    trace = track_extremum(model, n, linear_curve(model, n), steps=steps)
     sign = -1.0 if n % 2 else 1.0
 
     deltas = [s.delta for s in trace.samples]
@@ -66,7 +65,6 @@ def dh_violation_experiment(steps: int = 200, n: int = 44) -> DhViolationReport:
     span = max(hi - lo, 1e-300)
     dev = max(abs(s.delta - z_section(model, g, s.r)) for s in trace.samples)
     disp = max(abs(s.g - g) for s in trace.samples)
-    gap = 2.0 * math.pi / model.theta_deriv(g, 1)
 
     violation = trace.status is TraceStatus.COLLISION or sign * deltas[-1] < 0.0
     return DhViolationReport(
@@ -75,7 +73,7 @@ def dh_violation_experiment(steps: int = 200, n: int = 44) -> DhViolationReport:
         delta_end=deltas[-1],
         first_order_deviation_ratio=dev / span,
         max_displacement=disp,
-        displacement_bound=0.25 * gap)
+        displacement_bound=0.5 * gram_gap(model.theta_kind, g))
 
 
 @dataclass
@@ -96,9 +94,7 @@ def riemann_contrast(n_from: int = 0, n_to: int = 199,
     model = riemann_model()
     bad: list[int] = []
     for n in range(n_from, n_to + 1):
-        g = gram_point(model, n)
-        trace = track_extremum(model, n, LinearCurve(model.robust_cutoff(g)),
-                               steps=steps)
+        trace = track_extremum(model, n, linear_curve(model, n), steps=steps)
         sign = -1.0 if n % 2 else 1.0
         if trace.status is not TraceStatus.NON_COLLIDING \
                 or sign * trace.samples[-1].delta <= 0.0:

@@ -116,9 +116,6 @@ class _ExtremumSolver:
     def value(self, a, t: float) -> float:
         return self.section(a, t, (0,))[0]
 
-    def curvature(self, a, t: float) -> float:
-        return self.section(a, t, (2,))[2]
-
     def block_sum(self, t: float, block: int) -> float:
         """S_B(t), the section's sum over one block of indices."""
         return float(self.proxy.sums(t)[0, block])
@@ -198,9 +195,10 @@ def follow_extremum(solver, weights_at, start, steps: int, r_max: float = 1.0,
         if accepting and not abs(sol[0] - g_seed) <= jump_cap:
             return "extremum moved more than the jump cap"
         g = sol[0]
-        delta = solver.value(a, g)
-        ztt = solver.curvature(a, g) if accepting and with_ztt else math.nan
-        return TraceSample(r=r, g=g, delta=delta, ztt=ztt)
+        with_curvature = accepting and with_ztt
+        vals = solver.section(a, g, (0, 2) if with_curvature else (0,))
+        return TraceSample(r=r, g=g, delta=vals[0],
+                           ztt=vals[2] if with_curvature else math.nan)
 
     return march(lambda _, r, prev: sample(r, prev.g), start, steps, r_max,
                  crossed=lambda s: solver.sign * s.delta <= 0.0,
@@ -210,18 +208,17 @@ def follow_extremum(solver, weights_at, start, steps: int, r_max: float = 1.0,
 def track_extremum(model: CoefficientModel, n: int, curve, steps: int = 200,
                    r_max: float = 1.0) -> DiscriminantTrace:
     """Follow g_n(r) along the curve and record Delta_n(r) up to r_max: a
-    march (see its step rules) whose jump cap is half the local Gram gap."""
+    march (see its step rules) whose jump cap is half the local Gram gap.
+    curve.weights_at(r) is a float, the uniform weight the one-block proxy
+    takes, or a weight vector, summed term by term."""
     g0 = gram_point(model, n)
-    # a curve with block weights goes through the proxy, any other term by term
-    weights_at = getattr(curve, "block_weights_at", curve.weights_at)
-    solver = _ExtremumSolver(model, n, g0, getattr(curve, "block_masks", None))
-    if getattr(curve, "dimension", solver.n_terms) != solver.n_terms:
+    solver = _ExtremumSolver(model, n, g0)
+    if curve.dimension != solver.n_terms:
         raise DimensionError(
             f"curve dimension {curve.dimension} != robust cutoff {solver.n_terms}")
-    a0 = weights_at(0.0)
-    start = TraceSample(r=0.0, g=g0, delta=solver.value(a0, g0),
-                        ztt=solver.curvature(a0, g0))
-    run = follow_extremum(solver, weights_at, start, steps, r_max,
+    z0 = solver.section(curve.weights_at(0.0), g0, (0, 2))
+    start = TraceSample(r=0.0, g=g0, delta=z0[0], ztt=z0[2])
+    run = follow_extremum(solver, curve.weights_at, start, steps, r_max,
                           jump_cap=0.5 * gram_gap(model.theta_kind, g0))
     return DiscriminantTrace(n=n, samples=[s for _, s in run.samples],
                              status=run.status, r_event=run.r_event)

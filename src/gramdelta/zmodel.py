@@ -31,7 +31,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
@@ -43,14 +42,6 @@ from .special import ThetaKind, gram_gap, theta, theta_deriv, theta_main_deriv
 TWO_PI = 2.0 * math.pi
 
 
-def robust_cutoff_half_t(t: float) -> int:
-    return max(1, int(math.floor(t / 2.0)))
-
-
-def classical_cutoff_sqrt(g: float) -> int:
-    return max(1, int(math.floor(math.sqrt(g / TWO_PI))))
-
-
 @dataclass(frozen=True)
 class CoefficientModel:
     """Immutable description of one rotated Dirichlet sum."""
@@ -58,8 +49,12 @@ class CoefficientModel:
     name: str
     theta_kind: ThetaKind
     coeff_period: tuple[float, ...] | None = None  # None means c_m = 1 for all m
-    robust_cutoff: Callable[[float], int] = robust_cutoff_half_t
-    classical_cutoff: Callable[[float], int] = classical_cutoff_sqrt
+
+    def robust_cutoff(self, t: float) -> int:
+        return max(1, int(math.floor(t / 2.0)))
+
+    def classical_cutoff(self, g: float) -> int:
+        return max(1, int(math.floor(math.sqrt(g / TWO_PI))))
 
     def coefficients(self, count: int) -> np.ndarray:
         """c_m for m = 1..count."""

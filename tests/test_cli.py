@@ -168,6 +168,15 @@ def test_curve_corrected_names_why_the_shifting_stage_stopped(tmp_path, capsys, 
     assert payload["shift_truncated"] is (reason is not None)
 
 
+def test_curve_corrected_json_names_why_the_descent_stopped(tmp_path, capsys):
+    code, text = run(capsys, "curve", "corrected", "--n", "90", "--steps", "50",
+                     "--cache-dir", str(tmp_path), "--out", str(tmp_path / "c.csv"))
+    assert code == 0
+    payload = json.loads(text)
+    assert "descent_stop_reason" in payload
+    assert payload["descent_stop_reason"] is None  # the descent reached (1, 1)
+
+
 def test_dh_violation_exit_zero(tmp_path, capsys):
     code, text = run(capsys, "dh", "violation", "--steps", "100",
                      "--cache-dir", str(tmp_path))

@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from gramdelta import (LinearCurve, SampledCurve, TwoParamCurve,
-                       corrected_curve, descending_stage, gram_point,
-                       linear_curve, select_shift_indices, shifting_stage,
+from gramdelta import (LinearCurve, SampledCurve, corrected_curve, descending_stage,
+                       gram_point, linear_curve, select_shift_indices, shifting_stage,
                        term_table, track_extremum)
+from gramdelta.curves import _stage_solver
+from gramdelta.zmodel import WindowProxy
 
 # printed reference rows for n = 730119, k = 1..15
 PAPER_COS = [-0.14, 0.25, 0.96, -0.53, 0.99, -0.20, 0.41, 0.88, 0.77, -0.99,
@@ -53,9 +54,6 @@ def test_curve_endpoint_contracts(riemann):
     lin = LinearCurve(8)
     assert lin.weights_at(0.0) == 0.0
     assert lin.weights_at(1.0) == 1.0
-    two = TwoParamCurve(8, {2, 5}, [(0, 0), (1, 0.4), (1, 1)])
-    assert np.all(two.weights_at(0.0) == 0.0)
-    assert np.all(two.weights_at(1.0) == 1.0)
     pts = np.zeros((3, 8))
     pts[1] = 0.3
     pts[2] = 1.0
@@ -65,31 +63,30 @@ def test_curve_endpoint_contracts(riemann):
     assert np.all(samp.weights_at(0.5) == 0.3)
 
 
-def test_curve_validation():
+def test_curve_validation(riemann):
+    dim = riemann.robust_cutoff(gram_point(riemann, 90))
     with pytest.raises(ValueError):
-        TwoParamCurve(8, {9}, [(0, 0), (1, 1)])
+        _stage_solver(riemann, 90, {dim + 1})
     with pytest.raises(ValueError):
-        TwoParamCurve(8, {1}, [(0.1, 0), (1, 1)])
+        _stage_solver(riemann, 90, {0})
     with pytest.raises(ValueError):
         SampledCurve(np.ones((2, 4)))
 
 
 def test_two_param_empty_shift_matches_linear(riemann):
+    # with no shift indices the descent from (0, 0) is the linear curve
     n = 90
-    g = gram_point(riemann, n)
-    dim = riemann.robust_cutoff(g)
-    diag = TwoParamCurve(dim, set(), [(0, 0), (1, 1)])
-    t_lin = track_extremum(riemann, n, LinearCurve(dim), steps=60)
-    t_two = track_extremum(riemann, n, diag, steps=60)
-    assert len(t_lin.samples) == len(t_two.samples)
-    for a, b in zip(t_lin.samples, t_two.samples):
-        assert a.r == b.r
+    t_lin = track_extremum(riemann, n, linear_curve(riemann, n), steps=60)
+    descent = descending_stage(_stage_solver(riemann, n, set()), (0.0, 0.0), steps=60)
+    assert [s.r for s in t_lin.samples[1:]] == [p.r1 for p in descent.points]
+    assert [p.r1 for p in descent.points] == [p.r2 for p in descent.points]
+    for a, b in zip(t_lin.samples[1:], descent.points):
         assert abs(a.delta - b.delta) <= 1e-12
         assert abs(a.g - b.g) <= 1e-9
 
 
 def test_shifting_stage_empty_set_degenerates(riemann):
-    res = shifting_stage(riemann, 126, set(), steps=100)
+    res = shifting_stage(_stage_solver(riemann, 126, set()), steps=100)
     assert res.exit_point == (1.0, 0.0)
     assert not res.truncated
     assert res.points[-1].delta == pytest.approx(1.0, abs=1e-9)
@@ -97,7 +94,7 @@ def test_shifting_stage_empty_set_degenerates(riemann):
 
 def test_shifting_stage_level_constraint(riemann):
     # any nonempty shift set is valid input; the stage must hold the level
-    res = shifting_stage(riemann, 6708, {1, 2, 3}, steps=100)
+    res = shifting_stage(_stage_solver(riemann, 6708, {1, 2, 3}), steps=100)
     assert not res.truncated
     assert len(res.points) > 50
     for p in res.points:
@@ -105,9 +102,10 @@ def test_shifting_stage_level_constraint(riemann):
 
 
 def test_descending_stage_trivial_start(riemann):
-    res = descending_stage(riemann, 90, (1.0, 1.0), steps=100)
+    res = descending_stage(_stage_solver(riemann, 90, set()), (1.0, 1.0), steps=100)
     assert res.energy_ok
     assert res.r_collision is None
+    assert res.stop_reason is None
 
 
 def test_corrected_curve_good_point(riemann):
@@ -135,3 +133,19 @@ def test_stage_points_are_plain_floats(riemann):
     rep = corrected_curve(riemann, 6708, steps=100)
     assert all(type(v) is float for p in rep.points
                for v in (p.r1, p.r2, p.g, p.delta))
+
+
+def test_corrected_curve_tabulates_one_window(riemann, monkeypatch):
+    # both stages march on one solver, so its window is tabulated once
+    calls = []
+    tabulate = WindowProxy._tabulate
+
+    def counted(self):
+        calls.append(self.center)
+        return tabulate(self)
+
+    monkeypatch.setattr(WindowProxy, "_tabulate", counted)
+    rep = corrected_curve(riemann, 730119, steps=50)
+    assert rep.verdict == "true"
+    assert len(calls) == 1
+    assert rep.descent.stop_reason is None

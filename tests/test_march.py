@@ -10,6 +10,7 @@ import pytest
 
 from gramdelta import (TraceStatus, corrected_curve, descending_stage,
                        linear_curve, track_extremum)
+from gramdelta.curves import _stage_solver
 from gramdelta.discriminant import _ExtremumSolver, march
 
 
@@ -74,10 +75,13 @@ def test_march_bisects_the_first_crossing_and_goes_on():
 def test_descent_underflow_is_undetermined_not_a_collision(riemann, monkeypatch):
     # n = 126 selects no shift indices, so only the descent calls the solver
     monkeypatch.setattr(_ExtremumSolver, "solve", lambda self, a, t_seed, max_newton=10: None)
-    descent = descending_stage(riemann, 126, (1.0, 0.0), steps=50)
+    descent = descending_stage(_stage_solver(riemann, 126, set()), (1.0, 0.0), steps=50)
     assert descent.points == [] and not descent.energy_ok
     assert descent.r_collision is None
-    assert corrected_curve(riemann, 126, steps=50).verdict == "undetermined"
+    assert descent.stop_reason == "Newton failed"
+    rep = corrected_curve(riemann, 126, steps=50)
+    assert rep.verdict == "undetermined"
+    assert rep.descent.stop_reason == "Newton failed"
 
 
 # Recorded before `march` replaced the three step loops (steps = 50). Accepted r
