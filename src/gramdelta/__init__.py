@@ -11,9 +11,9 @@ from .gram import (GramBlock, GramKind, GramRecord, RecordSource, blocks,
                    classify, core_zero, gbg_scan, gram_point, gram_point_seed)
 from .discriminant import (ClosedFormReport, DiscriminantTrace, TraceStatus,
                            closed_forms, discriminant_at, second_order_approx,
-                           track_extremum)
+                           term_table, track_extremum)
 from .curves import (LinearCurve, SampledCurve, corrected_curve, descending_stage,
-                     linear_curve, select_shift_indices, shifting_stage, term_table)
+                     linear_curve, select_shift_indices, shifting_stage)
 from .adjust import (AdjustmentReport, GramVectors, adjustment_phase,
                      adjustments, alpha_average, gram_vectors, partition_approx,
                      stage_analysis)

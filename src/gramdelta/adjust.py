@@ -36,7 +36,6 @@ _MC_BLOCK = 1 << 20  # Monte-Carlo draws held at once: trials x N <= 8 MB of flo
 @dataclass
 class AdjustmentContext:
     """Shared per-(model, n) data for every operation in this module."""
-    n: int
     g: float
     n_cut: int
     delta: float            # synthetic neighbour spacing
@@ -47,7 +46,8 @@ class AdjustmentContext:
     phases: np.ndarray      # phi_k
     alpha_c: np.ndarray
     alpha_s: np.ndarray
-    neighbor_mode: str
+    incl_c: np.ndarray      # terms clear of an alpha_c pole
+    incl_s: np.ndarray      # terms clear of an alpha_s pole, k = 1 never
     ph_center: np.ndarray   # ln(k) g
     ph_minus: np.ndarray    # neighbour phase arrays ln(k) g_(n-+1)
     ph_plus: np.ndarray
@@ -63,9 +63,13 @@ def _context(model: CoefficientModel, n: int, neighbor_mode: str = "synthetic"
     delta = gram_gap(model.theta_kind, g)
     ln_k, c, sqrt_k = term_arrays(model, n_cut)
     phases = ln_k * delta
+    cos_phi, sin_phi = np.cos(phases), np.sin(phases)
     with np.errstate(divide="ignore"):
-        alpha_c = 2.0 / np.cos(phases)
-        alpha_s = (lnfac - 2.0 * ln_k) / np.sin(phases)
+        alpha_c = 2.0 / cos_phi
+        alpha_s = (lnfac - 2.0 * ln_k) / sin_phi
+    incl_c = np.abs(cos_phi) >= _POLE_EPS
+    incl_s = np.abs(sin_phi) >= _POLE_EPS
+    incl_s[0] = False  # ln(1) = 0: the Z' term is identically zero
     # reduce mod 2pi before any +-phi arithmetic: the raw products reach ~1e7,
     # where a single rounding already costs 1e-9 of phase and would drown the
     # exactness of the recombination identities
@@ -76,11 +80,10 @@ def _context(model: CoefficientModel, n: int, neighbor_mode: str = "synthetic"
     else:
         ph_minus = np.mod(ln_k * gram_point(model, n - 1), 2.0 * math.pi)
         ph_plus = np.mod(ln_k * gram_point(model, n + 1), 2.0 * math.pi)
-    return AdjustmentContext(n=n, g=g, n_cut=n_cut, delta=delta, lnfac=lnfac,
-                             ln_k=ln_k, c=c, sqrt_k=sqrt_k, phases=phases,
-                             alpha_c=alpha_c, alpha_s=alpha_s,
-                             neighbor_mode=neighbor_mode, ph_center=ph_center,
-                             ph_minus=ph_minus, ph_plus=ph_plus)
+    return AdjustmentContext(g=g, n_cut=n_cut, delta=delta, lnfac=lnfac, ln_k=ln_k, c=c,
+                             sqrt_k=sqrt_k, phases=phases, alpha_c=alpha_c,
+                             alpha_s=alpha_s, incl_c=incl_c, incl_s=incl_s,
+                             ph_center=ph_center, ph_minus=ph_minus, ph_plus=ph_plus)
 
 
 def adjustment_phase(model: CoefficientModel, n: int, k: float) -> float:
@@ -118,12 +121,8 @@ def adjustments(model: CoefficientModel, n: int,
     if n < 1:
         raise ValueError(f"adjustments needs n >= 1, got {n}")
     ctx = _context(model, n, neighbor_mode)
-    c = ctx.c
+    c, incl_c, incl_s = ctx.c, ctx.incl_c, ctx.incl_s
     sign = -1.0 if n % 2 else 1.0
-
-    incl_c = np.abs(np.cos(ctx.phases)) >= _POLE_EPS
-    incl_s = np.abs(np.sin(ctx.phases)) >= _POLE_EPS
-    incl_s[0] = False  # ln(1) = 0: the Z' term is identically zero
 
     cos_m = np.cos(ctx.ph_minus)
     cos_p = np.cos(ctx.ph_plus)
@@ -173,7 +172,10 @@ def alpha_average(model: CoefficientModel, n: int, a: float, b: float,
     ordinary quadrature. For alpha_s the non-integrable k = 1 endpoint is
     clipped to k = 1.5, half a cell away from the excluded discrete term.
     """
-    ctx = _context(model, n)
+    return _alpha_mean(_context(model, n), a, b, which)
+
+
+def _alpha_mean(ctx: AdjustmentContext, a: float, b: float, which: str) -> AlphaAverage:
     if not (1.0 <= a < b <= ctx.n_cut + 1e-9):
         raise IndexRangeError(f"need 1 <= a < b <= {ctx.n_cut}")
     if which == "c":
@@ -228,12 +230,9 @@ def partition_approx(model: CoefficientModel, n: int, partition,
     base_terms = sign * ctx.c * np.cos(ph_nb) / ctx.sqrt_k
 
     if which == "c":
-        incl = np.abs(np.cos(ctx.phases)) >= _POLE_EPS
-        alpha = ctx.alpha_c
+        incl, alpha = ctx.incl_c, ctx.alpha_c
     elif which == "s":
-        incl = np.abs(np.sin(ctx.phases)) >= _POLE_EPS
-        incl[0] = False
-        alpha = ctx.alpha_s
+        incl, alpha = ctx.incl_s, ctx.alpha_s
     else:
         raise ValueError(f"which must be 'c' or 's', got {which!r}")
 
@@ -252,7 +251,7 @@ def partition_approx(model: CoefficientModel, n: int, partition,
         # one-integer segment reproduces its own alpha by the midpoint rule
         w_lo = max(1.0, lo - 0.5)
         w_hi = min(ctx.n_cut + 0.0, hi_incl + 0.5)
-        avg = alpha_average(model, n, w_lo, w_hi, which).value
+        avg = _alpha_mean(ctx, w_lo, w_hi, which).value
         means.append(avg)
         approx += avg * csum(base_terms[seg_mask])
     scale = max(abs(exact), 1e-300)

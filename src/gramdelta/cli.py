@@ -66,22 +66,12 @@ def _cmd_gram_blocks(args) -> int:
 
 def _cmd_viscosity(args) -> int:
     model = _model(args)
-    source = RecordSource(model, _store(args))
     report = gram.gbg_scan(model, args.n_from, args.n_to, bound=args.bound,
-                           source=source)
-    if args.bad_only or args.gbg:
-        bad = report.bad_points
-        columns = [[b.n for b in bad], [b.t for b in bad], [b.viscosity for b in bad],
-                   ["bad"] * len(bad), [b.isolated for b in bad],
-                   [b.corrupt for b in bad]]
-    else:
-        bad = {b.n: b for b in report.bad_points}
-        ns = range(args.n_from, args.n_to + 1)
-        recs = [source.get(n) for n in ns]
-        columns = [ns, [r.t for r in recs], [r.viscosity for r in recs],
-                   [r.kind.value for r in recs],
-                   [n in bad and bad[n].isolated for n in ns],
-                   [n in bad and bad[n].corrupt for n in ns]]
+                           source=RecordSource(model, _store(args)))
+    rows = report.bad_points if args.bad_only or args.gbg else report.rows
+    columns = [[r.n for r in rows], [r.t for r in rows], [r.viscosity for r in rows],
+               [r.kind.value for r in rows], [r.isolated for r in rows],
+               [r.corrupt for r in rows]]
     meta = {"model": model.name, "bound": args.bound,
             "gbg_conjecture_holds": report.conjecture_holds}
     write_csv(args.out, meta,

@@ -22,10 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discriminant import (TraceSample, TraceStatus, _ExtremumSolver,
+from .discriminant import (TraceSample, TraceStatus, _ExtremumSolver, _term_table,
                            follow_extremum, march)
 from .gram import gram_point
-from .zmodel import CoefficientModel, term_arrays
+from .zmodel import CoefficientModel
 
 _LEVEL_TOL = 1e-3
 
@@ -38,13 +38,6 @@ class LinearCurve:
 
     def weights_at(self, r: float):
         return float(r)
-
-
-def _shift_mask(dimension: int, shift_set) -> np.ndarray:
-    """The shift block of term indices 1..dimension as a boolean mask."""
-    if any(not 1 <= k <= dimension for k in shift_set):
-        raise ValueError("shift indices must lie in [1, dimension]")
-    return np.isin(np.arange(1, dimension + 1), list(shift_set))
 
 
 class SampledCurve:
@@ -71,40 +64,6 @@ def linear_curve(model: CoefficientModel, n: int) -> LinearCurve:
     return LinearCurve(model.robust_cutoff(gram_point(model, n)))
 
 
-@dataclass
-class TermTable:
-    """Per-term phase data at g_n: A_k is the first-order (discriminant) pull,
-    B_k the shift weight entering the gradient of g_n and the Hessian."""
-    n: int
-    k: np.ndarray
-    cos_term: np.ndarray
-    sin_term: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
-
-
-def term_table(model: CoefficientModel, n: int, k_max: int) -> TermTable:
-    """Rows k = 1..k_max of ((-1)^n cos, (-1)^n sin, A_k, B_k) at g_n.
-
-    Both trig columns carry the (-1)^n of cos(theta(g_n) - x) = (-1)^n cos(x)
-    folded in, so A_k is the first-order pull of term k on (-1)^n Delta up to
-    parity and B_k > 0 picks the terms whose gradient moves g_n leftward for
-    odd n (the orientation of the published k = 1..15 table).
-    """
-    g = gram_point(model, n)
-    if k_max > model.robust_cutoff(g):
-        raise ValueError(f"k_max {k_max} exceeds the robust cutoff")
-    ln_m, coeff, sqrt_m = (arr[1:] for arr in term_arrays(model, k_max + 1))  # m = k + 1
-    phase = model.theta(g) - g * ln_m
-    cos_t = np.cos(phase)
-    sin_t = -np.sin(phase)  # equals (-1)^n sin(ln(k+1) g_n)
-    length = 2.0 * model.theta_main(g) - 2.0 * ln_m
-    a = coeff * cos_t / sqrt_m
-    b = coeff * length * sin_t / sqrt_m
-    return TermTable(n=n, k=np.arange(1, k_max + 1), cos_term=cos_t, sin_term=sin_t,
-                     a=a, b=b)
-
-
 def select_shift_indices(model: CoefficientModel, n: int, tau: float = 1.5,
                          k_max: int | None = None) -> set[int]:
     """{k : B_k >= tau} inside the surge window k <= ceil(sqrt(robust cutoff)).
@@ -118,10 +77,13 @@ def select_shift_indices(model: CoefficientModel, n: int, tau: float = 1.5,
     g = gram_point(model, n)
     cutoff = model.robust_cutoff(g)
     if k_max is None:
+        if cutoff < 15:
+            raise ValueError(f"the robust cutoff N = {cutoff} at g_{n} is below the "
+                             "15-term surge window")
         k_max = min(cutoff, max(15, math.ceil(math.sqrt(cutoff))))
-    if k_max < 15:
+    elif k_max < 15:
         raise ValueError(f"k_max must be >= 15, got {k_max}")
-    table = term_table(model, n, k_max)
+    table = _term_table(model, n, g, k_max)
     return {int(k) for k, b in zip(table.k, table.b) if b >= tau}
 
 
@@ -145,9 +107,12 @@ class ShiftingResult:
 
 def _stage_solver(model: CoefficientModel, n: int, shift_set) -> _ExtremumSolver:
     """The corrected curve's solver, which both stages march on: one proxy
-    window of the shift block and the descend block."""
+    window of the shift block and the descend block (term indices 1..N)."""
     g0 = gram_point(model, n)
-    mask = _shift_mask(model.robust_cutoff(g0), shift_set)
+    dimension = model.robust_cutoff(g0)
+    if any(not 1 <= k <= dimension for k in shift_set):
+        raise ValueError("shift indices must lie in [1, dimension]")
+    mask = np.isin(np.arange(1, dimension + 1), list(shift_set))
     return _ExtremumSolver(model, n, g0, (mask, ~mask))
 
 
@@ -208,9 +173,10 @@ class DescentResult:
 def descending_stage(solver: _ExtremumSolver, start: tuple[float, float],
                      steps: int = 200, g_start: float | None = None) -> DescentResult:
     """Linear segment from the shifting exit to (1, 1), marched with no jump
-    cap. energy_ok is (-1)^n Delta > 0 along the whole segment; r_collision is
-    the bisected crossing (None when the march is lost). A descent that stops
-    short of (1, 1) names its last rejection as the stop reason."""
+    cap. energy_ok is (-1)^n Delta > 0 along the whole segment, so false for a
+    descent that never ran; r_collision is the bisected crossing (None when
+    the march is lost). A descent that stops short of (1, 1) names its last
+    rejection as the stop reason."""
     r1_0, r2_0 = start
     g = g_start if g_start is not None else solver.g0
     if (r1_0, r2_0) == (1.0, 1.0):  # nothing to march: one solve at the end
@@ -218,14 +184,13 @@ def descending_stage(solver: _ExtremumSolver, start: tuple[float, float],
         points = [] if sol is None else [
             StagePoint("descend", 1.0, 1.0, sol[0], solver.value((1.0, 1.0), sol[0]))]
         return DescentResult(points=points, r_collision=None,
-                             energy_ok=all(solver.sign * p.delta > 0.0 for p in points),
+                             energy_ok=bool(points) and solver.sign * points[0].delta > 0.0,
                              stop_reason=None if points else "Newton failed")
 
     def at(s):
         return (r1_0 + s * (1.0 - r1_0), r2_0 + s * (1.0 - r2_0))
 
-    run = follow_extremum(solver, at, TraceSample(0.0, g, math.nan, math.nan), steps,
-                          with_ztt=False)
+    run = follow_extremum(solver, at, TraceSample(0.0, g, math.nan, math.nan), steps)
     collided = run.status is TraceStatus.COLLISION
     stopped = run.samples[-1][0] < 1.0 - 1e-12  # the march broke off short of s = 1
     return DescentResult(energy_ok=run.status is TraceStatus.NON_COLLIDING,

@@ -47,15 +47,15 @@ class DhViolationReport:
     displacement_bound: float            # half the Gram gap: 0.5 * special.gram_gap at g
 
 
-def dh_violation_experiment(steps: int = 200, n: int = 44) -> DhViolationReport:
-    """Track Delta_n(r) for the period-5 model along the linear curve.
+def dh_violation_experiment(steps: int = 200) -> DhViolationReport:
+    """Track Delta_44(r) for the period-5 model along the linear curve.
 
     Reports the violation verdict, how tightly the first-order value
     Z_N(g_n; r) follows the discriminant (this stays tight: the violation is
     genuinely first-order, unlike the bad Gram points of the Riemann model),
     and how little the extremum moves.
     """
-    model = dh_model()
+    model, n = dh_model(), 44  # g_44: the first off-line zero pair
     g = gram_point(model, n)
     trace = track_extremum(model, n, linear_curve(model, n), steps=steps)
     sign = -1.0 if n % 2 else 1.0

@@ -6,8 +6,8 @@ rules), solving dZ/dt = 0 in t at each accepted r and recording Delta_n(r) =
 Z(g_n(r); gamma(r)). The sign of (-1)^n Delta_n is the collision detector: a
 crossing means the n-th and (n+1)-th zeros have merged and left the real line.
 
-closed_forms evaluates the first- and second-order data at the origin of
-parameter space:
+term_table holds the first-order data at the origin of parameter space, one
+row per term, and closed_forms adds the second-order data:
 
     dDelta/da_k   = cos(theta(g_n) - ln(k+1) g_n) / sqrt(k+1)
     dg_n/da_k     = 2 (-1)^(n+1) sin(theta(g_n) - ln(k+1) g_n)
@@ -180,7 +180,7 @@ def march(advance, start, steps: int, r_max: float = 1.0, crossed=None,
 
 
 def follow_extremum(solver, weights_at, start, steps: int, r_max: float = 1.0,
-                    jump_cap: float = math.inf, with_ztt: bool = True) -> MarchResult:
+                    jump_cap: float = math.inf) -> MarchResult:
     """March the extremum of solver along weights_at(r) from the TraceSample
     start, watching sign * Delta <= 0. A step is rejected when Newton fails,
     takes over 5 iterations or moves g by more than jump_cap."""
@@ -195,10 +195,8 @@ def follow_extremum(solver, weights_at, start, steps: int, r_max: float = 1.0,
         if accepting and not abs(sol[0] - g_seed) <= jump_cap:
             return "extremum moved more than the jump cap"
         g = sol[0]
-        with_curvature = accepting and with_ztt
-        vals = solver.section(a, g, (0, 2) if with_curvature else (0,))
-        return TraceSample(r=r, g=g, delta=vals[0],
-                           ztt=vals[2] if with_curvature else math.nan)
+        vals = solver.section(a, g, (0, 2) if accepting else (0,))
+        return TraceSample(r=r, g=g, delta=vals[0], ztt=vals[2] if accepting else math.nan)
 
     return march(lambda _, r, prev: sample(r, prev.g), start, steps, r_max,
                  crossed=lambda s: solver.sign * s.delta <= 0.0,
@@ -239,6 +237,52 @@ def discriminant_at(model: CoefficientModel, n: int, curve, r: float,
 
 
 @dataclass
+class TermTable:
+    """Per-term first-order data at g_n: A_k = dDelta/da_k is the discriminant
+    pull, B_k the shift weight in grad_gram = dg_n/da_k and the Hessian."""
+    n: int
+    g: float
+    k: np.ndarray
+    cos_term: np.ndarray
+    sin_term: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    grad_gram: np.ndarray
+
+
+def term_table(model: CoefficientModel, n: int, k_max: int | None = None) -> TermTable:
+    """Rows k = 1..k_max (default every term of the section, k <= N, the
+    robust cutoff) of ((-1)^n cos, (-1)^n sin, A_k, B_k, dg_n/da_k) at g_n.
+
+    Both trig columns carry the (-1)^n of cos(theta(g_n) - x) = (-1)^n cos(x)
+    folded in, so A_k is the first-order pull of term k on (-1)^n Delta up to
+    parity and B_k > 0 picks the terms whose gradient moves g_n leftward for
+    odd n (the orientation of the published k = 1..15 table).
+    """
+    return _term_table(model, n, gram_point(model, n), k_max)
+
+
+def _term_table(model: CoefficientModel, n: int, g: float, k_max: int | None) -> TermTable:
+    cutoff = model.robust_cutoff(g)
+    if k_max is None:
+        k_max = cutoff
+    elif k_max > cutoff:
+        raise ValueError(f"k_max {k_max} exceeds the robust cutoff")
+    ln_m, coeff, sqrt_m = (arr[1:] for arr in term_arrays(model, k_max + 1))  # m = k + 1
+    phase = model.theta(g) - g * ln_m
+    cos_t = np.cos(phase)
+    sin_t = np.sin(phase)
+    lnfac = 2.0 * model.theta_main(g)          # ln(g/2pi) analogue
+    length = lnfac - 2.0 * ln_m                # ln(g/(2pi m^2)) analogue
+    parity = 1.0 if n % 2 else -1.0            # (-1)^(n+1)
+    sin_term = -sin_t  # equals (-1)^n sin(ln(k+1) g_n)
+    return TermTable(
+        n=n, g=g, k=np.arange(1, k_max + 1), cos_term=cos_t, sin_term=sin_term,
+        a=coeff * cos_t / sqrt_m, b=coeff * length * sin_term / sqrt_m,
+        grad_gram=2.0 * parity * coeff * sin_t * length / (sqrt_m * lnfac * lnfac))
+
+
+@dataclass
 class ClosedFormReport:
     n: int
     grad_delta: np.ndarray
@@ -252,34 +296,22 @@ class ClosedFormReport:
 def closed_forms(model: CoefficientModel, n: int) -> ClosedFormReport:
     """First/second-order data of Delta_n at the origin of parameter space.
 
-    The gradient identity evaluates Z'(g_n; 1) both as the closed derivative
-    sum and as (1/4)(-1)^n ln^2(g_n/2pi) <1, grad g_n>, reporting the
-    relative residual (an algebraic identity, so it should sit at rounding
-    level).
+    The gradients are term_table's A_k and dg_n/da_k columns. The gradient
+    identity evaluates Z'(g_n; 1) both as the closed derivative sum and as
+    (1/4)(-1)^n ln^2(g_n/2pi) <1, grad g_n>, reporting the relative residual
+    (an algebraic identity, so it should sit at rounding level).
     """
-    g = gram_point(model, n)
-    n_terms = model.robust_cutoff(g)
-    # m = 2..N+1: the terms that carry a parameter
-    ln_m, coeff, sqrt_m = (arr[1:] for arr in term_arrays(model, n_terms + 1))
-    th = model.theta(g)
-    phase = th - g * ln_m
-    cos_t = np.cos(phase)
-    sin_t = np.sin(phase)
-    lnfac = 2.0 * model.theta_main(g)          # ln(g/2pi) analogue
-    length = lnfac - 2.0 * ln_m                # ln(g/(2pi m^2)) analogue
+    table = term_table(model, n)
+    g = table.g
+    lnfac = 2.0 * model.theta_main(g)
     sign = -1.0 if n % 2 else 1.0
-    parity = -sign                              # (-1)^(n+1)
-
-    grad_delta = coeff * cos_t / sqrt_m
-    grad_gram = 2.0 * parity * coeff * sin_t * length / (sqrt_m * lnfac * lnfac)
-
     zprime = z_section_deriv(model, g, 1.0, order=1, mode="main")
     hessian = KAPPA_H * sign * (zprime / lnfac) ** 2
 
-    identity_rhs = 0.25 * sign * lnfac * lnfac * csum(grad_gram)
+    identity_rhs = 0.25 * sign * lnfac * lnfac * csum(table.grad_gram)
     scale = max(abs(zprime), 1e-300)
     residual = abs(zprime - identity_rhs) / scale
-    return ClosedFormReport(n=n, grad_delta=grad_delta, grad_gram=grad_gram,
+    return ClosedFormReport(n=n, grad_delta=table.a, grad_gram=table.grad_gram,
                             zprime_at_ones=zprime, hessian_quadratic=hessian,
                             hessian_constant=KAPPA_H,
                             gradient_identity_residual=residual)

@@ -213,26 +213,29 @@ def blocks(model: CoefficientModel, n_from: int, n_to: int,
     return out
 
 
-@dataclass(frozen=True)
-class BadPointReport:
+@dataclass
+class GbgRow:
+    """One index of a G-B-G scan; isolated and corrupt are false on good points."""
     n: int
     t: float
     viscosity: float
+    kind: GramKind
     isolated: bool
     corrupt: bool
 
 
 @dataclass
 class GbgScanReport:
-    """Every bad point in range, with the repulsion-conjecture verdict."""
-    n_from: int
-    n_to: int
-    bound: float
-    bad_points: list[BadPointReport] = field(default_factory=list)
+    """Every index in range, with the repulsion-conjecture verdict."""
+    rows: list[GbgRow] = field(default_factory=list)
 
     @property
-    def offenders(self) -> list[BadPointReport]:
-        return [b for b in self.bad_points if b.corrupt and b.isolated]
+    def bad_points(self) -> list[GbgRow]:
+        return [r for r in self.rows if r.kind is GramKind.BAD]
+
+    @property
+    def offenders(self) -> list[GbgRow]:
+        return [r for r in self.rows if r.corrupt and r.isolated]
 
     @property
     def conjecture_holds(self) -> bool:
@@ -248,15 +251,15 @@ def gbg_scan(model: CoefficientModel, n_from: int, n_to: int,
     """
     src = source or RecordSource(model)
     src.range(n_from, n_to)  # classify and store the window at once
-    report = GbgScanReport(n_from=n_from, n_to=n_to, bound=bound)
+    report = GbgScanReport()
     for n in range(n_from, n_to + 1):
         rec = _require_determinate(src.get(n))
-        if rec.kind is not GramKind.BAD:
-            continue
-        left = _require_determinate(src.get(n - 1)).kind if n - 1 >= 0 else GramKind.GOOD
-        right = _require_determinate(src.get(n + 1)).kind
-        isolated = left is GramKind.GOOD and right is GramKind.GOOD
-        report.bad_points.append(BadPointReport(
-            n=n, t=rec.t, viscosity=rec.viscosity, isolated=isolated,
-            corrupt=rec.viscosity < bound))
+        isolated = corrupt = False
+        if rec.kind is GramKind.BAD:
+            left = _require_determinate(src.get(n - 1)).kind if n - 1 >= 0 else GramKind.GOOD
+            right = _require_determinate(src.get(n + 1)).kind
+            isolated = left is GramKind.GOOD and right is GramKind.GOOD
+            corrupt = rec.viscosity < bound
+        report.rows.append(GbgRow(n=n, t=rec.t, viscosity=rec.viscosity, kind=rec.kind,
+                                  isolated=isolated, corrupt=corrupt))
     return report

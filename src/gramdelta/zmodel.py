@@ -94,13 +94,14 @@ def _basis(model: CoefficientModel, m_count: int):
 def _as_weights(a, n: int, stack: bool = False):
     """Normalize a parameter point: scalar -> uniform, sequence -> validated array.
 
-    With stack, a 2-D array of shape (B, n) is a stack of B parameter points
+    With stack (the point path), a scalar becomes a constant read-only (n,)
+    view, and a 2-D array of shape (B, n) is a stack of B parameter points
     (block masks, for instance); the point path then returns one sum per row.
     """
     if a is None:
-        return 0.0
+        a = 0.0
     if isinstance(a, (int, float)):
-        return float(a)
+        return np.broadcast_to(float(a), (n,)) if stack else float(a)
     arr = np.asarray(a, dtype=float)
     if arr.ndim not in ((1, 2) if stack else (1,)) or arr.shape[-1] != n:
         raise DimensionError(f"parameter point has dimension {arr.shape}, expected ({n},)")
@@ -248,8 +249,8 @@ def _section_points(model: CoefficientModel, t: np.ndarray, w, orders: tuple[int
     offset = t - c
     dist, slot = np.unique(np.abs(offset), return_inverse=True)
     zero = int(dist[0] == 0.0)  # the centre itself needs no trig pass
-    stack = None if isinstance(w, float) else np.atleast_2d(w)
-    blocks = 1 if stack is None else len(stack)
+    stack = np.atleast_2d(w)
+    blocks = len(stack)
     ncols = 1 + max(orders)
     if ncols == 1:
         tp = np.zeros(len(t))
@@ -263,10 +264,7 @@ def _section_points(model: CoefficientModel, t: np.ndarray, w, orders: tuple[int
         hi = min(lo + _CHUNK_TERMS, n + 1)
         lnm = ln_m[lo:hi]
         # term i (0-based, m = i + 1) has weight w[i - 1]; the head i = 0 has 1
-        if stack is None:
-            wts = np.full((1, hi - max(lo, 1)), w)
-        else:
-            wts = stack[:, max(lo - 1, 0):hi - 1]
+        wts = stack[:, max(lo - 1, 0):hi - 1]
         if lo == 0:
             wts = np.concatenate([np.ones((blocks, 1)), wts], axis=1)
         powers = [q[lo:hi]]
@@ -321,7 +319,7 @@ def _section_points(model: CoefficientModel, t: np.ndarray, w, orders: tuple[int
         if deriv_mode == "full":
             tpp = np.array([model.theta_deriv(x, 2) for x in t])[:, None]
             out[2] = out[2] - tpp * rot_sin[..., 0]
-    if stack is None or w.ndim == 1:
+    if w.ndim == 1:
         out = {j: v[:, 0] for j, v in out.items()}
     return out
 
@@ -438,23 +436,16 @@ class WindowProxy:
 @dataclass(frozen=True)
 class ClassicalValues:
     """Classical-AFE value pair at a Gram point."""
-    n: int
     z: float
     zprime: float
 
-    @property
-    def viscosity(self) -> float:
-        if self.z == 0.0:
-            return math.inf
-        return abs(self.zprime / self.z)
 
-
-def gram_index_of(model: CoefficientModel, g: float, tol: float = 1e-6) -> int:
+def gram_index_of(model: CoefficientModel, g: float) -> int:
     """Recover n from theta(g)/pi, complaining if g is not a Gram point."""
     x = model.theta(g) / math.pi
     n = int(round(x))
-    if abs(x - n) > tol:
-        raise NotAGramPointError(f"theta({g})/pi = {x} is not integral within {tol}")
+    if abs(x - n) > 1e-6:
+        raise NotAGramPointError(f"theta({g})/pi = {x} is not integral within 1e-06")
     return n
 
 
@@ -516,10 +507,9 @@ def classical_afe(model: CoefficientModel, g: float) -> ClassicalValues:
     """Z(g_n) and Z'(g_n) from the classical AFE (error term not added)."""
     if not g >= 10.0:
         raise DomainError(f"classical_afe requires g >= 10, got {g}")
-    n = gram_index_of(model, g)
-    sign = -1.0 if n % 2 else 1.0
+    sign = -1.0 if gram_index_of(model, g) % 2 else 1.0
     z_terms, zp_terms = _classical_terms(model, g, ("z", "zprime"))
-    return ClassicalValues(n=n, z=2.0 * sign * csum(z_terms), zprime=sign * csum(zp_terms))
+    return ClassicalValues(z=2.0 * sign * csum(z_terms), zprime=sign * csum(zp_terms))
 
 
 def classical_partial_sums(model: CoefficientModel, g: float, which: str) -> np.ndarray:
@@ -662,26 +652,25 @@ def point_values(model: CoefficientModel, t: float, orders: tuple[int, ...] = (0
             _SECTION_SIGN_FLOOR)
 
 
-def find_zero_newton(model: CoefficientModel, t0: float, max_iter: int = 50,
-                     tol: float = 1e-10) -> NewtonResult:
+def find_zero_newton(model: CoefficientModel, t0: float) -> NewtonResult:
     """Newton iteration t <- t - Z(t)/Z'(t), with full iterate history.
 
     Z and Z' come from point_values: hardy_z for the zeta model, the section
-    at a = 1 for any other. Stops when |Z| < tol, or when the
+    at a = 1 for any other. Stops when |Z| < 1e-10, or when the
     step falls below rounding scale (at large heights the rounding noise of
     the sum sits above 1e-10, so a pure value test could spin forever at the
     fixed point). Raises FlatPointError if |Z'| falls below 1e-12 and
-    NonConvergenceError if the budget runs out; both carry the iterate list.
+    NonConvergenceError after 50 steps; both carry the iterate list.
     """
     if not t0 >= 10.0:
         raise DomainError(f"find_zero_newton requires t0 >= 10, got {t0}")
     t = float(t0)
     iterates = [t]
     step_floor = 1e-13 * max(1.0, abs(t0))
-    for _ in range(max_iter):
+    for _ in range(50):
         vals = point_values(model, t)[0]
         z, zp = vals[0], vals[1]
-        if abs(z) < tol:
+        if abs(z) < 1e-10:
             return NewtonResult(t=t, iterates=iterates, converged=True, final_value=z)
         if abs(zp) < 1e-12:
             raise FlatPointError(f"flat point at t={t}: |Z'|={abs(zp):.3e}", iterates)
@@ -692,7 +681,7 @@ def find_zero_newton(model: CoefficientModel, t0: float, max_iter: int = 50,
             return NewtonResult(t=t, iterates=iterates, converged=True,
                                 final_value=point_values(model, t, (0,))[0][0])
     z = point_values(model, t, (0,))[0][0]
-    if abs(z) < tol:
+    if abs(z) < 1e-10:
         return NewtonResult(t=t, iterates=iterates, converged=True, final_value=z)
     raise NonConvergenceError(
-        f"no convergence after {max_iter} iterations (|Z|={abs(z):.3e})", iterates)
+        f"no convergence after 50 iterations (|Z|={abs(z):.3e})", iterates)

@@ -121,6 +121,23 @@ def test_partition_single_segment_collapses(riemann):
     assert pa.approx == pytest.approx(expect, rel=1e-12)
 
 
+def test_partition_builds_one_context(riemann, monkeypatch):
+    from gramdelta import adjust
+    calls = []
+    context = adjust._context
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return context(*args, **kwargs)
+
+    monkeypatch.setattr(adjust, "_context", counted)
+    n = 730119
+    n_cut = riemann.classical_cutoff(gram_point(riemann, n))
+    pa = partition_approx(riemann, n, _geometric_partition(n_cut, 8), "c", "+")
+    assert len(pa.segment_means) == 8
+    assert calls == [n]
+
+
 def test_partition_refinement(riemann):
     n = 9807962
     g = gram_point(riemann, n)

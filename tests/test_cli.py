@@ -72,6 +72,35 @@ def test_viscosity_gbg_exit_codes(tmp_path, capsys):
     assert code == 2  # absurd bound makes the isolated bad point corrupt
 
 
+def _csv_rows(text: str) -> list[list[str]]:
+    header, *rows = [line for line in text.splitlines() if not line.startswith("#")]
+    return [row.split(",") for row in rows]
+
+
+def test_viscosity_listing_holds_the_bad_only_rows(tmp_path, capsys):
+    window = ("--from", "6700", "--to", "6715", "--cache-dir", str(tmp_path))
+    code, full = run(capsys, "viscosity", *window)
+    assert code == 0
+    code, bad_only = run(capsys, "viscosity", *window, "--bad-only")
+    assert code == 0
+    rows, bad_rows = _csv_rows(full), _csv_rows(bad_only)
+    assert [int(r[0]) for r in rows] == list(range(6700, 6716))
+    assert [r for r in rows if r[3] == "bad"] == bad_rows
+    # a block 6703..6706 and the isolated 6708 and 6711
+    assert [(r[0], r[4]) for r in bad_rows] == [("6704", "False"), ("6705", "False"),
+                                                ("6708", "True"), ("6711", "True")]
+    good = [r for r in rows if r[3] == "good"]
+    assert len(good) == len(rows) - len(bad_rows)
+    assert all(r[4:6] == ["False", "False"] for r in good)
+
+
+def test_curve_corrected_names_a_cutoff_below_the_surge_window(tmp_path, capsys):
+    code = main(["curve", "corrected", "--n", "2", "--cache-dir", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: the robust cutoff N = 13 at g_2 is below the 15-term surge window\n")
+
+
 def test_discriminant_trace_csv(tmp_path):
     out = tmp_path / "trace.csv"
     code = main(["discriminant", "--n", "126", "--steps", "60",

@@ -9,6 +9,7 @@ from gramdelta import (LinearCurve, SampledCurve, corrected_curve, descending_st
                        gram_point, linear_curve, select_shift_indices, shifting_stage,
                        term_table, track_extremum)
 from gramdelta.curves import _stage_solver
+from gramdelta.discriminant import _ExtremumSolver
 from gramdelta.zmodel import WindowProxy
 
 # printed reference rows for n = 730119, k = 1..15
@@ -106,6 +107,22 @@ def test_descending_stage_trivial_start(riemann):
     assert res.energy_ok
     assert res.r_collision is None
     assert res.stop_reason is None
+
+
+def test_descent_that_never_ran_is_not_energy_ok(riemann, monkeypatch):
+    monkeypatch.setattr(_ExtremumSolver, "solve", lambda self, a, t_seed: None)
+    res = descending_stage(_stage_solver(riemann, 90, set()), (1.0, 1.0))
+    assert res.points == []
+    assert not res.energy_ok
+    assert res.stop_reason == "Newton failed"
+
+
+@pytest.mark.parametrize("n,cutoff", [(0, 8), (1, 11), (2, 13)])
+def test_shift_selection_names_a_cutoff_below_the_surge_window(riemann, n, cutoff):
+    with pytest.raises(ValueError) as err:
+        select_shift_indices(riemann, n)
+    assert str(err.value) == (f"the robust cutoff N = {cutoff} at g_{n} is below "
+                              "the 15-term surge window")
 
 
 def test_corrected_curve_good_point(riemann):

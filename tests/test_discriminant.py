@@ -131,12 +131,42 @@ def test_grad_delta_formula(riemann):
         assert rep.grad_delta[k - 1] == pytest.approx(expect, abs=1e-9)
 
 
-@pytest.mark.parametrize("name,n", [("riemann", 730119), ("dh", 44)])
-def test_grad_delta_head_is_the_pull_table(riemann, davenport, name, n):
-    # both read the per-term arrays of zmodel.term_arrays: the same bits
+def _reference_gradients(model, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """dDelta/da_k and dg_n/da_k for k = 1..N, with their own cos/sin pass
+    over per-term arrays rebuilt from scratch."""
+    g = gram_point(model, n)
+    n_terms = model.robust_cutoff(g)
+    m = np.arange(2, n_terms + 2, dtype=float)
+    ln_m, coeff, sqrt_m = np.log(m), model.coefficients(n_terms + 1)[1:], np.sqrt(m)
+    phase = model.theta(g) - g * ln_m
+    cos_t, sin_t = np.cos(phase), np.sin(phase)
+    lnfac = 2.0 * model.theta_main(g)
+    length = lnfac - 2.0 * ln_m
+    parity = -(-1.0 if n % 2 else 1.0)
+    grad_delta = coeff * cos_t / sqrt_m
+    grad_gram = 2.0 * parity * coeff * sin_t * length / (sqrt_m * lnfac * lnfac)
+    return grad_delta, grad_gram
+
+
+@pytest.mark.parametrize("name,n", [("riemann", 90), ("riemann", 126), ("riemann", 6708),
+                                    ("riemann", 730119), ("dh", 44)])
+def test_closed_form_gradients_are_bit_identical_to_the_reference(riemann, davenport,
+                                                                  name, n):
     model = riemann if name == "riemann" else davenport
-    head = closed_forms(model, n).grad_delta[:15]
-    assert head.tobytes() == term_table(model, n, 15).a.tobytes()
+    grad_delta, grad_gram = _reference_gradients(model, n)
+    rep = closed_forms(model, n)
+    assert rep.grad_delta.tobytes() == grad_delta.tobytes()
+    assert rep.grad_gram.tobytes() == grad_gram.tobytes()
+
+
+def test_term_table_defaults_to_every_term_of_the_section(riemann, davenport):
+    for model, n in ((riemann, 126), (riemann, 6708), (davenport, 44)):
+        table = term_table(model, n)
+        n_terms = model.robust_cutoff(gram_point(model, n))
+        assert table.g == gram_point(model, n)
+        assert table.k.tolist() == list(range(1, n_terms + 1))
+        assert all(len(col) == n_terms for col in (table.cos_term, table.sin_term,
+                                                    table.a, table.b, table.grad_gram))
 
 
 def test_finite_difference_gradients(riemann):
