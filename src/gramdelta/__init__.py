@@ -12,8 +12,8 @@ from .gram import (GramBlock, GramKind, GramRecord, RecordSource, blocks,
 from .discriminant import (ClosedFormReport, DiscriminantTrace, TraceStatus,
                            closed_forms, discriminant_at, second_order_approx,
                            term_table, track_extremum)
-from .curves import (LinearCurve, SampledCurve, corrected_curve, descending_stage,
-                     linear_curve, select_shift_indices, shifting_stage)
+from .curves import (corrected_curve, descending_stage, linear, select_shift_indices,
+                     shifting_stage)
 from .adjust import (AdjustmentReport, GramVectors, adjustment_phase,
                      adjustments, alpha_average, gram_vectors, partition_approx,
                      stage_analysis)

@@ -84,8 +84,7 @@ def _cmd_viscosity(args) -> int:
 
 def _cmd_discriminant(args) -> int:
     model = _model(args)
-    curve = curves.linear_curve(model, args.n)
-    trace = discriminant.track_extremum(model, args.n, curve, steps=args.steps)
+    trace = discriminant.track_extremum(model, args.n, curves.linear, steps=args.steps)
     meta = {"model": model.name, "n": args.n, "verdict": trace.status.value}
     if trace.r_event is not None:
         meta["r_event"] = repr(trace.r_event)
@@ -231,10 +230,9 @@ def _cmd_dh_violation(args) -> int:
 def _cmd_cache(args) -> int:
     store = _store(args)
     if args.action == "status":
-        write_json(None, store.status())
+        write_json(args.out, store.status())
     else:
-        removed = store.clear()
-        write_json(None, {"cleared_files": removed})
+        write_json(args.out, {"cleared_files": store.clear()})
     return 0
 
 

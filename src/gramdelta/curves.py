@@ -1,9 +1,10 @@
 """Connecting curves in parameter space and the corrected two-stage curve.
 
-Every curve maps r in [0, 1] to a parameter point with gamma(0) = 0 and
-gamma(1) = 1 (all-ones). The corrected curve for an isolated bad Gram point
-splits the coordinates into shifting indices (those with large B_k, which
-move the extremum sideways) and descending indices (everything else), then
+Every curve is a function weights_at(r) on r in [0, 1] with gamma(0) = 0 and
+gamma(1) = 1 (all-ones); linear is r -> r, the uniform weight. The corrected
+curve for an isolated bad Gram point splits the coordinates into shifting
+indices (those with large B_k, which move the extremum sideways) and
+descending indices (everything else), then
 
   1. shifting stage: raise r1 to 1 while correcting r2 so that
      (-1)^n Delta stays at 1 (a level curve of the discriminant),
@@ -30,38 +31,9 @@ from .zmodel import CoefficientModel
 _LEVEL_TOL = 1e-3
 
 
-class LinearCurve:
+def linear(r: float) -> float:
     """gamma(r) = r * (1, ..., 1): one uniform weight, so one proxy block."""
-
-    def __init__(self, dimension: int):
-        self.dimension = dimension
-
-    def weights_at(self, r: float):
-        return float(r)
-
-
-class SampledCurve:
-    """Polyline through explicit parameter points, uniform in r."""
-
-    def __init__(self, points):
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim != 2 or pts.shape[0] < 2:
-            raise ValueError("need a (m, N) array with m >= 2")
-        if np.any(pts[0] != 0.0) or np.any(pts[-1] != 1.0):
-            raise ValueError("sampled curve must start at 0 and end at 1")
-        self._pts = pts
-        self.dimension = pts.shape[1]
-
-    def weights_at(self, r: float):
-        r = min(max(r, 0.0), 1.0)
-        x = r * (self._pts.shape[0] - 1)
-        i = min(int(math.floor(x)), self._pts.shape[0] - 2)
-        f = x - i
-        return (1.0 - f) * self._pts[i] + f * self._pts[i + 1]
-
-
-def linear_curve(model: CoefficientModel, n: int) -> LinearCurve:
-    return LinearCurve(model.robust_cutoff(gram_point(model, n)))
+    return float(r)
 
 
 def select_shift_indices(model: CoefficientModel, n: int, tau: float = 1.5,
@@ -156,10 +128,10 @@ def shifting_stage(solver: _ExtremumSolver, steps: int = 200) -> ShiftingResult:
 
     run = march(correct_level, start, steps)
     last = run.samples[-1][1]
-    truncated = run.status is TraceStatus.CONTINUATION_LOST
-    return ShiftingResult(points=[p for _, p in run.samples], truncated=truncated,
+    return ShiftingResult(points=[p for _, p in run.samples],
+                          truncated=run.stop_reason is not None,
                           exit_point=(last.r1, last.r2), exit_g=last.g,
-                          stop_reason=run.rejections[-1][1] if truncated else None)
+                          stop_reason=run.stop_reason)
 
 
 @dataclass
@@ -192,12 +164,11 @@ def descending_stage(solver: _ExtremumSolver, start: tuple[float, float],
 
     run = follow_extremum(solver, at, TraceSample(0.0, g, math.nan, math.nan), steps)
     collided = run.status is TraceStatus.COLLISION
-    stopped = run.samples[-1][0] < 1.0 - 1e-12  # the march broke off short of s = 1
     return DescentResult(energy_ok=run.status is TraceStatus.NON_COLLIDING,
                          points=[StagePoint("descend", *at(s), p.g, p.delta)
                                  for s, p in run.samples[1:]],
                          r_collision=run.r_event if collided else None,
-                         stop_reason=run.rejections[-1][1] if stopped else None)
+                         stop_reason=run.stop_reason)
 
 
 @dataclass

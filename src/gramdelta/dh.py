@@ -16,9 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .curves import linear_curve
+from .curves import linear
 from .discriminant import DiscriminantTrace, TraceStatus, track_extremum
-from .gram import gram_point
 from .special import ThetaKind, gram_gap
 from .zmodel import CoefficientModel, riemann_model, z_section
 
@@ -56,8 +55,8 @@ def dh_violation_experiment(steps: int = 200) -> DhViolationReport:
     and how little the extremum moves.
     """
     model, n = dh_model(), 44  # g_44: the first off-line zero pair
-    g = gram_point(model, n)
-    trace = track_extremum(model, n, linear_curve(model, n), steps=steps)
+    trace = track_extremum(model, n, linear, steps=steps)
+    g = trace.samples[0].g
     sign = -1.0 if n % 2 else 1.0
 
     deltas = [s.delta for s in trace.samples]
@@ -94,7 +93,7 @@ def riemann_contrast(n_from: int = 0, n_to: int = 199,
     model = riemann_model()
     bad: list[int] = []
     for n in range(n_from, n_to + 1):
-        trace = track_extremum(model, n, linear_curve(model, n), steps=steps)
+        trace = track_extremum(model, n, linear, steps=steps)
         sign = -1.0 if n % 2 else 1.0
         if trace.status is not TraceStatus.NON_COLLIDING \
                 or sign * trace.samples[-1].delta <= 0.0:

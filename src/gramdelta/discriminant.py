@@ -1,8 +1,11 @@
 """Discriminant of a parameter-space curve: continuation, closed forms, Hessian.
 
-track_extremum follows the extremal point g_n(r) of the section along a curve
-gamma(r) by march, the one continuation loop (its docstring states the step
-rules), solving dZ/dt = 0 in t at each accepted r and recording Delta_n(r) =
+A curve is a function weights_at(r) on r in [0, 1], with gamma(0) = 0 and
+gamma(1) = 1: a float is the uniform weight the one-block proxy takes (the
+linear curve is curves.linear, r -> r), a vector is summed term by term.
+track_extremum follows the extremal point g_n(r) of the section along it by
+march, the one continuation loop (its docstring states the step rules),
+solving dZ/dt = 0 in t at each accepted r and recording Delta_n(r) =
 Z(g_n(r); gamma(r)). The sign of (-1)^n Delta_n is the collision detector: a
 crossing means the n-th and (n+1)-th zeros have merged and left the real line.
 
@@ -27,7 +30,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DimensionError, TraceError
+from .errors import TraceError
 from .numerics import csum, newton_scalar
 from .special import gram_gap
 from .zmodel import (CoefficientModel, WindowProxy, section_eval, term_arrays,
@@ -72,6 +75,11 @@ class MarchResult:
     status: TraceStatus
     r_event: float | None                # crossing, or where the step underflowed
     rejections: list[tuple[float, str]]  # (r tried, reason), in order
+
+    @property
+    def stop_reason(self) -> str | None:
+        """The last rejection when the march ended short of r = 1, else None."""
+        return self.rejections[-1][1] if self.samples[-1][0] < 1.0 - 1e-12 else None
 
 
 class _ExtremumSolver:
@@ -121,14 +129,13 @@ class _ExtremumSolver:
         return float(self.proxy.sums(t)[0, block])
 
 
-def march(advance, start, steps: int, r_max: float = 1.0, crossed=None,
-          probe=None) -> MarchResult:
-    """The one continuation loop: step a state from r = 0 to r_max.
+def march(advance, start, steps: int, crossed=None, probe=None) -> MarchResult:
+    """The one continuation loop: step a state from r = 0 to r = 1.
 
     advance(r_from, r_to, state) returns the state at r_to (states carry the
     extremum as .g) or a short reason string that rejects the step. The base
-    step is r_max / steps (steps >= 50); while r < r_max - 1e-12 the march
-    tries r + min(dr, r_max - r). A rejection is logged and halves dr; below
+    step is 1 / steps (steps >= 50); while r < 1 - 1e-12 the march tries
+    r + min(dr, 1 - r). A rejection is logged and halves dr; below
     1e-5 the march stops, CONTINUATION_LOST at the last accepted r unless a
     crossing came first. An accepted step doubles dr back up to the base.
 
@@ -144,9 +151,9 @@ def march(advance, start, steps: int, r_max: float = 1.0, crossed=None,
     rejections: list[tuple[float, str]] = []
     status, r_event = TraceStatus.NON_COLLIDING, None
     r, state = 0.0, start
-    dr = base_dr = r_max / steps
-    while r < r_max - 1e-12:
-        dr = min(dr, r_max - r)
+    dr = base_dr = 1.0 / steps
+    while r < 1.0 - 1e-12:
+        dr = min(dr, 1.0 - r)
         r_try = r + dr
         new = advance(r, r_try, state)
         if isinstance(new, str):
@@ -179,7 +186,7 @@ def march(advance, start, steps: int, r_max: float = 1.0, crossed=None,
     return MarchResult(samples, status, r_event, rejections)
 
 
-def follow_extremum(solver, weights_at, start, steps: int, r_max: float = 1.0,
+def follow_extremum(solver, weights_at, start, steps: int,
                     jump_cap: float = math.inf) -> MarchResult:
     """March the extremum of solver along weights_at(r) from the TraceSample
     start, watching sign * Delta <= 0. A step is rejected when Newton fails,
@@ -198,41 +205,39 @@ def follow_extremum(solver, weights_at, start, steps: int, r_max: float = 1.0,
         vals = solver.section(a, g, (0, 2) if accepting else (0,))
         return TraceSample(r=r, g=g, delta=vals[0], ztt=vals[2] if accepting else math.nan)
 
-    return march(lambda _, r, prev: sample(r, prev.g), start, steps, r_max,
+    return march(lambda _, r, prev: sample(r, prev.g), start, steps,
                  crossed=lambda s: solver.sign * s.delta <= 0.0,
                  probe=lambda r, g_seed: sample(r, g_seed, accepting=False))
 
 
-def track_extremum(model: CoefficientModel, n: int, curve, steps: int = 200,
-                   r_max: float = 1.0) -> DiscriminantTrace:
-    """Follow g_n(r) along the curve and record Delta_n(r) up to r_max: a
-    march (see its step rules) whose jump cap is half the local Gram gap.
-    curve.weights_at(r) is a float, the uniform weight the one-block proxy
-    takes, or a weight vector, summed term by term."""
+def track_extremum(model: CoefficientModel, n: int, weights_at,
+                   steps: int = 200) -> DiscriminantTrace:
+    """Follow g_n(r) along the curve weights_at and record Delta_n(r) for r
+    in [0, 1]: a march (see its step rules) whose jump cap is half the local
+    Gram gap. A weight vector whose length is not the robust cutoff at g_n is
+    refused by section_eval with DimensionError."""
     g0 = gram_point(model, n)
     solver = _ExtremumSolver(model, n, g0)
-    if curve.dimension != solver.n_terms:
-        raise DimensionError(
-            f"curve dimension {curve.dimension} != robust cutoff {solver.n_terms}")
-    z0 = solver.section(curve.weights_at(0.0), g0, (0, 2))
+    z0 = solver.section(weights_at(0.0), g0, (0, 2))
     start = TraceSample(r=0.0, g=g0, delta=z0[0], ztt=z0[2])
-    run = follow_extremum(solver, curve.weights_at, start, steps, r_max,
+    run = follow_extremum(solver, weights_at, start, steps,
                           jump_cap=0.5 * gram_gap(model.theta_kind, g0))
     return DiscriminantTrace(n=n, samples=[s for _, s in run.samples],
                              status=run.status, r_event=run.r_event)
 
 
-def discriminant_at(model: CoefficientModel, n: int, curve, r: float,
+def discriminant_at(model: CoefficientModel, n: int, weights_at, r: float,
                     steps: int = 200) -> float:
-    """Delta_n(r; curve), provided continuation reaches r without collision."""
+    """Delta_n(r) along weights_at, provided continuation reaches r without
+    collision: the trace of the rescaled curve s -> weights_at(r s) to s = 1,
+    which is attached, in s, to a TraceError."""
     if r == 0.0:
         return 1.0 if n % 2 == 0 else -1.0
-    trace = track_extremum(model, n, curve, steps=steps, r_max=r)
-    reached = trace.samples[-1].r >= r - 1e-9
-    if trace.status is TraceStatus.CONTINUATION_LOST and not reached:
-        raise TraceError(f"continuation lost at r={trace.r_event}", trace)
-    if trace.status is TraceStatus.COLLISION and trace.r_event < r:
-        raise TraceError(f"collision at r={trace.r_event} before {r}", trace)
+    trace = track_extremum(model, n, lambda s: weights_at(r * s), steps=steps)
+    if trace.status is TraceStatus.CONTINUATION_LOST:
+        raise TraceError(f"continuation lost at r={r * trace.r_event}", trace)
+    if trace.status is TraceStatus.COLLISION and trace.r_event < 1.0:
+        raise TraceError(f"collision at r={r * trace.r_event} before {r}", trace)
     return trace.samples[-1].delta
 
 
@@ -285,6 +290,7 @@ def _term_table(model: CoefficientModel, n: int, g: float, k_max: int | None) ->
 @dataclass
 class ClosedFormReport:
     n: int
+    g: float
     grad_delta: np.ndarray
     grad_gram: np.ndarray
     zprime_at_ones: float
@@ -311,7 +317,7 @@ def closed_forms(model: CoefficientModel, n: int) -> ClosedFormReport:
     identity_rhs = 0.25 * sign * lnfac * lnfac * csum(table.grad_gram)
     scale = max(abs(zprime), 1e-300)
     residual = abs(zprime - identity_rhs) / scale
-    return ClosedFormReport(n=n, grad_delta=table.a, grad_gram=table.grad_gram,
+    return ClosedFormReport(n=n, g=g, grad_delta=table.a, grad_gram=table.grad_gram,
                             zprime_at_ones=zprime, hessian_quadratic=hessian,
                             hessian_constant=KAPPA_H,
                             gradient_identity_residual=residual)
@@ -319,7 +325,5 @@ def closed_forms(model: CoefficientModel, n: int) -> ClosedFormReport:
 
 def second_order_approx(model: CoefficientModel, n: int, r: float) -> float:
     """Z(g_n; r) + (1/2) H_n r^2, the quadratic model of Delta_n(r)."""
-    g = gram_point(model, n)
-    first = z_section(model, g, float(r))
     report = closed_forms(model, n)
-    return first + 0.5 * report.hessian_quadratic * r * r
+    return z_section(model, report.g, float(r)) + 0.5 * report.hessian_quadratic * r * r

@@ -157,7 +157,10 @@ class RecordSource:
         classified in index order on the calling thread, then stored with one
         put. There is no worker pool, so `gdl --threads` changes nothing:
         classification holds the GIL, and a thread pool was measured slower
-        than this loop at every window size."""
+        than this loop at every window size. A reversed window is refused: it
+        would hold no record."""
+        if n_from > n_to:
+            raise ValueError(f"need n_from <= n_to, got [{n_from}, {n_to}]")
         indices = range(n_from, n_to + 1)
         missing = []
         for n in indices:
@@ -247,8 +250,10 @@ def gbg_scan(model: CoefficientModel, n_from: int, n_to: int,
     """Scan for bad points; corrupt means viscosity < bound.
 
     The verdict asserts that no corrupt point is isolated (good neighbours on
-    both sides).
+    both sides). A NaN bound, under which no point is corrupt, is refused.
     """
+    if math.isnan(bound):
+        raise ValueError("bound must be a number, got nan")
     src = source or RecordSource(model)
     src.range(n_from, n_to)  # classify and store the window at once
     report = GbgScanReport()

@@ -142,11 +142,11 @@ def test_c06_discriminant_traces(model):
     ok = True
     details = []
     for n in [90, 126, 6708]:
-        trace = gd.track_extremum(model, n, gd.linear_curve(model, n), steps=200)
+        trace = gd.track_extremum(model, n, gd.linear, steps=200)
         good = trace.status is gd.TraceStatus.NON_COLLIDING and trace.sign_invariant()
         ok &= good
         details.append(f"n={n}:{trace.status.value}")
-    trace = gd.track_extremum(model, 730119, gd.linear_curve(model, 730119), steps=200)
+    trace = gd.track_extremum(model, 730119, gd.linear, steps=200)
     collided = trace.status is gd.TraceStatus.COLLISION and trace.r_event is not None \
         and 0.2 < trace.r_event < 0.3
     ok &= collided

@@ -72,6 +72,31 @@ def test_viscosity_gbg_exit_codes(tmp_path, capsys):
     assert code == 2  # absurd bound makes the isolated bad point corrupt
 
 
+@pytest.mark.parametrize("argv,rows", [(("gram", "scan"), ["5"]),
+                                       (("viscosity", "--gbg"), [])],  # g_5 is good
+                         ids=["scan", "viscosity"])
+def test_reversed_window_is_refused_with_one_line(tmp_path, capsys, argv, rows):
+    code = main([*argv, "--from", "5", "--to", "3", "--cache-dir", str(tmp_path),
+                 "--out", str(tmp_path / "w.csv")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == "error: need n_from <= n_to, got [5, 3]\n"
+    assert captured.out == "" and not (tmp_path / "w.csv").exists()
+    # a one-index window is still a window
+    code, text = run(capsys, *argv, "--from", "5", "--to", "5", "--cache-dir", str(tmp_path))
+    assert code == 0
+    assert [row[0] for row in _csv_rows(text)] == rows
+
+
+def test_nan_bound_is_refused_with_one_line(tmp_path, capsys):
+    code = main(["viscosity", "--from", "125", "--to", "127", "--gbg", "--bound", "nan",
+                 "--cache-dir", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == "error: bound must be a number, got nan\n"
+    assert captured.out == ""
+
+
 def _csv_rows(text: str) -> list[list[str]]:
     header, *rows = [line for line in text.splitlines() if not line.startswith("#")]
     return [row.split(",") for row in rows]
@@ -99,6 +124,12 @@ def test_curve_corrected_names_a_cutoff_below_the_surge_window(tmp_path, capsys)
     assert code == 1
     assert capsys.readouterr().err == (
         "error: the robust cutoff N = 13 at g_2 is below the 15-term surge window\n")
+
+
+def test_discriminant_refines_its_gram_point_once(tmp_path, gram_point_calls):
+    assert main(["discriminant", "--n", "126", "--steps", "50",
+                 "--cache-dir", str(tmp_path), "--out", str(tmp_path / "d.csv")]) == 0
+    assert gram_point_calls == [126]
 
 
 def test_discriminant_trace_csv(tmp_path):
@@ -226,6 +257,18 @@ def test_cache_status_and_clear(tmp_path, capsys):
     code, text = run(capsys, "cache", "clear", "--cache-dir", str(cache))
     assert code == 0
     assert json.loads(text)["cleared_files"] == 1
+
+
+def test_cache_commands_write_their_json_to_out(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    main(["gram", "scan", "--from", "10", "--to", "12",
+          "--cache-dir", str(cache), "--out", str(tmp_path / "x.csv")])
+    status, cleared = tmp_path / "status.json", tmp_path / "cleared.json"
+    assert main(["cache", "status", "--cache-dir", str(cache), "--out", str(status)]) == 0
+    assert main(["cache", "clear", "--cache-dir", str(cache), "--out", str(cleared)]) == 0
+    assert capsys.readouterr().out == ""
+    assert json.loads(status.read_text())["records"] == 3
+    assert json.loads(cleared.read_text()) == {"cleared_files": 1}
 
 
 def test_stale_cache_shard_is_refused(tmp_path, capsys):

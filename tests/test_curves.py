@@ -5,9 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from gramdelta import (LinearCurve, SampledCurve, corrected_curve, descending_stage,
-                       gram_point, linear_curve, select_shift_indices, shifting_stage,
-                       term_table, track_extremum)
+from gramdelta import (corrected_curve, descending_stage, gram_point, linear,
+                       select_shift_indices, shifting_stage, term_table, track_extremum)
 from gramdelta.curves import _stage_solver
 from gramdelta.discriminant import _ExtremumSolver
 from gramdelta.zmodel import WindowProxy
@@ -52,16 +51,9 @@ def test_shift_selection(riemann):
 
 
 def test_curve_endpoint_contracts(riemann):
-    lin = LinearCurve(8)
-    assert lin.weights_at(0.0) == 0.0
-    assert lin.weights_at(1.0) == 1.0
-    pts = np.zeros((3, 8))
-    pts[1] = 0.3
-    pts[2] = 1.0
-    samp = SampledCurve(pts)
-    assert np.all(samp.weights_at(0.0) == 0.0)
-    assert np.all(samp.weights_at(1.0) == 1.0)
-    assert np.all(samp.weights_at(0.5) == 0.3)
+    assert linear(0.0) == 0.0
+    assert linear(1.0) == 1.0
+    assert type(linear(1)) is float  # the one-block proxy's uniform weight
 
 
 def test_curve_validation(riemann):
@@ -70,14 +62,12 @@ def test_curve_validation(riemann):
         _stage_solver(riemann, 90, {dim + 1})
     with pytest.raises(ValueError):
         _stage_solver(riemann, 90, {0})
-    with pytest.raises(ValueError):
-        SampledCurve(np.ones((2, 4)))
 
 
 def test_two_param_empty_shift_matches_linear(riemann):
     # with no shift indices the descent from (0, 0) is the linear curve
     n = 90
-    t_lin = track_extremum(riemann, n, linear_curve(riemann, n), steps=60)
+    t_lin = track_extremum(riemann, n, linear, steps=60)
     descent = descending_stage(_stage_solver(riemann, n, set()), (0.0, 0.0), steps=60)
     assert [s.r for s in t_lin.samples[1:]] == [p.r1 for p in descent.points]
     assert [p.r1 for p in descent.points] == [p.r2 for p in descent.points]

@@ -84,6 +84,12 @@ def test_dh_violation_experiment():
     assert rep.max_displacement < rep.displacement_bound
 
 
+def test_dh_violation_refines_its_gram_point_once(gram_point_calls):
+    rep = dh_violation_experiment(steps=100)
+    assert gram_point_calls == [44]
+    assert rep.g == rep.trace.samples[0].g == gram_point(dh_model(), 44)
+
+
 def test_riemann_contrast_is_clean():
     rep = riemann_contrast(0, 30, steps=50)
     assert rep.clean

@@ -5,30 +5,20 @@ import math
 import numpy as np
 import pytest
 
-from gramdelta import (TraceStatus, closed_forms, discriminant_at, gram_point,
-                       linear_curve, second_order_approx, term_table, track_extremum)
+from gramdelta import (TraceStatus, closed_forms, discriminant_at, gram_point, linear,
+                       second_order_approx, term_table, track_extremum)
 from gramdelta.discriminant import _ExtremumSolver
 from gramdelta.errors import DimensionError, TraceError
 
 
-class _ConstantCurve:
+def _constant(r):
     """Stays at the origin of parameter space (degenerate test curve)."""
-
-    def __init__(self, dimension):
-        self.dimension = dimension
-
-    def weights_at(self, r):
-        return 0.0
+    return 0.0
 
 
-class _JumpCurve:
+def _jump(r):
     """Discontinuous at r = 1/2; continuation must give up there."""
-
-    def __init__(self, dimension):
-        self.dimension = dimension
-
-    def weights_at(self, r):
-        return 0.0 if r < 0.5 else 40.0
+    return 0.0 if r < 0.5 else 40.0
 
 
 def _delta_uniform(model, n, r):
@@ -41,8 +31,7 @@ def _delta_uniform(model, n, r):
 def test_constant_curve_keeps_core_values(riemann):
     n = 91
     g = gram_point(riemann, n)
-    curve = _ConstantCurve(riemann.robust_cutoff(g))
-    trace = track_extremum(riemann, n, curve, steps=60)
+    trace = track_extremum(riemann, n, _constant, steps=60)
     assert trace.status is TraceStatus.NON_COLLIDING
     for s in trace.samples:
         assert s.delta == pytest.approx(-1.0, abs=1e-9)
@@ -50,7 +39,7 @@ def test_constant_curve_keeps_core_values(riemann):
 
 
 def test_trace_start_sample_invariants(riemann):
-    trace = track_extremum(riemann, 90, linear_curve(riemann, 90), steps=60)
+    trace = track_extremum(riemann, 90, linear, steps=60)
     first = trace.samples[0]
     assert first.r == 0.0
     assert first.delta == pytest.approx(1.0, abs=1e-9)
@@ -60,7 +49,7 @@ def test_trace_start_sample_invariants(riemann):
 
 def test_linear_traces_noncolliding(riemann):
     for n in [90, 126]:
-        trace = track_extremum(riemann, n, linear_curve(riemann, n), steps=100)
+        trace = track_extremum(riemann, n, linear, steps=100)
         assert trace.status is TraceStatus.NON_COLLIDING
         assert trace.sign_invariant()
 
@@ -69,38 +58,36 @@ def test_good_point_tracks_first_order(riemann):
     from gramdelta import z_section
     n = 90
     g = gram_point(riemann, n)
-    trace = track_extremum(riemann, n, linear_curve(riemann, n), steps=100)
+    trace = track_extremum(riemann, n, linear, steps=100)
     dev = max(abs(s.delta - z_section(riemann, g, s.r)) for s in trace.samples)
     assert dev < 0.01  # H_90 ~ 0.002: first order is nearly the whole story
 
 
 def test_discriminant_at_values(riemann):
-    assert discriminant_at(riemann, 90, linear_curve(riemann, 90), 0.0) == 1.0
-    d126 = discriminant_at(riemann, 126, linear_curve(riemann, 126), 1.0)
+    assert discriminant_at(riemann, 90, linear, 0.0) == 1.0
+    d126 = discriminant_at(riemann, 126, linear, 1.0)
     assert d126 > 0  # corrected Gram law at the first classical violation
-    d6708 = discriminant_at(riemann, 6708, linear_curve(riemann, 6708), 1.0, steps=100)
+    d6708 = discriminant_at(riemann, 6708, linear, 1.0, steps=100)
     assert d6708 > 0  # holds despite the Lehmer-pair proximity
 
 
 def test_dimension_mismatch_rejected(riemann):
-    with pytest.raises(DimensionError):
-        track_extremum(riemann, 90, _ConstantCurve(4), steps=60)
+    with pytest.raises(DimensionError):  # section_eval's check of the weight vector
+        track_extremum(riemann, 90, lambda r: np.full(4, r), steps=60)
 
 
 def test_steps_floor(riemann):
     with pytest.raises(ValueError):
-        track_extremum(riemann, 90, linear_curve(riemann, 90), steps=10)
+        track_extremum(riemann, 90, linear, steps=10)
 
 
 def test_continuation_lost_is_a_verdict_not_an_exception(riemann):
     n = 91
-    g = gram_point(riemann, n)
-    curve = _JumpCurve(riemann.robust_cutoff(g))
-    trace = track_extremum(riemann, n, curve, steps=60)
+    trace = track_extremum(riemann, n, _jump, steps=60)
     assert trace.status is TraceStatus.CONTINUATION_LOST
     assert trace.r_event == pytest.approx(0.5, abs=0.02)
     with pytest.raises(TraceError):
-        discriminant_at(riemann, n, curve, 1.0, steps=60)
+        discriminant_at(riemann, n, _jump, 1.0, steps=60)
 
 
 def test_closed_form_hessian_anchors(riemann):
@@ -206,6 +193,11 @@ def test_second_order_approx_origin(riemann):
     assert second_order_approx(riemann, 91, 0.0) == pytest.approx(-1.0, abs=1e-9)
 
 
+def test_second_order_refines_its_gram_point_once(riemann, gram_point_calls):
+    second_order_approx(riemann, 126, 0.3)
+    assert gram_point_calls == [126]
+
+
 def test_second_order_cubic_decay(riemann):
     n = 90
     errs = [abs(_delta_uniform(riemann, n, r) - second_order_approx(riemann, n, r))
@@ -223,22 +215,13 @@ def test_second_order_term_magnitude_126(riemann):
     assert term > 0
 
 
-class _VectorLinearCurve:
-    """LinearCurve with its weights spelled out term by term: the direct path."""
-
-    def __init__(self, dimension):
-        self.dimension = dimension
-
-    def weights_at(self, r):
-        return np.full(self.dimension, float(r))
-
-
 @pytest.mark.parametrize("name,n", [("riemann", 6708), ("dh", 44)])
 def test_proxy_march_matches_direct_march(riemann, davenport, name, n):
     model = riemann if name == "riemann" else davenport
     dim = model.robust_cutoff(gram_point(model, n))
-    proxied = track_extremum(model, n, linear_curve(model, n), steps=100)
-    direct = track_extremum(model, n, _VectorLinearCurve(dim), steps=100)
+    proxied = track_extremum(model, n, linear, steps=100)
+    # the linear curve with its weights spelled out term by term: the direct path
+    direct = track_extremum(model, n, lambda r: np.full(dim, float(r)), steps=100)
     assert proxied.status is direct.status
     assert proxied.r_event == direct.r_event
     assert [s.r for s in proxied.samples] == [s.r for s in direct.samples]
@@ -251,14 +234,14 @@ def test_proxy_march_matches_direct_march(riemann, davenport, name, n):
 
 def test_proxy_march_keeps_the_730119_collision(riemann):
     # r_event of the direct floor(t/2)-term march, before the proxy
-    trace = track_extremum(riemann, 730119, linear_curve(riemann, 730119), steps=50)
+    trace = track_extremum(riemann, 730119, linear, steps=50)
     assert trace.status is TraceStatus.COLLISION
     assert abs(trace.r_event - 0.24384918212890616) <= 1e-6
 
 
 def test_march_is_deterministic_and_plain_floats(riemann):
     def run(n):
-        return track_extremum(riemann, n, linear_curve(riemann, n), steps=60)
+        return track_extremum(riemann, n, linear, steps=60)
 
     first = run(6708)
     run(90)  # other work in between must not leak a window into the next march

@@ -8,8 +8,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from gramdelta import (TraceStatus, corrected_curve, descending_stage,
-                       linear_curve, track_extremum)
+from gramdelta import (TraceStatus, corrected_curve, descending_stage, linear,
+                       track_extremum)
 from gramdelta.curves import _stage_solver
 from gramdelta.discriminant import _ExtremumSolver, march
 
@@ -38,6 +38,7 @@ def test_march_halves_on_rejection_and_doubles_back():
     assert all(b - a <= 0.02 + 1e-15 for a, b in zip(grid, grid[1:]))
     assert run.rejections == [(calls[2][1], "stub refuses"), (calls[3][1], "stub refuses")]
     assert run.status is TraceStatus.NON_COLLIDING and run.r_event is None
+    assert run.stop_reason is None  # it reached r = 1 despite the rejections
 
 
 def test_march_that_never_converges_is_lost_at_its_last_sample():
@@ -46,6 +47,7 @@ def test_march_that_never_converges_is_lost_at_its_last_sample():
     assert [r for r, _ in run.rejections] == pytest.approx([0.02 / 2 ** k for k in range(11)])
     assert {why for _, why in run.rejections} == {"Newton failed"}
     assert run.status is TraceStatus.CONTINUATION_LOST and run.r_event == 0.0
+    assert run.stop_reason == "Newton failed"
     assert [r for r, _ in run.samples] == [0.0]
 
 
@@ -120,7 +122,7 @@ SHIFT_R2_726787 = [
 
 
 def test_linear_trace_grid_at_730119(riemann):
-    trace = track_extremum(riemann, 730119, linear_curve(riemann, 730119), steps=50)
+    trace = track_extremum(riemann, 730119, linear, steps=50)
     assert [s.r for s in trace.samples] == GRID_50
     assert trace.status is TraceStatus.COLLISION
     assert repr(trace.r_event) == "0.24384918212890616"
