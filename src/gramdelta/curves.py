@@ -44,9 +44,14 @@ def select_shift_indices(model: CoefficientModel, n: int, tau: float = 1.5,
     tau = inf asks for it); callers that care emit a warning status. A NaN
     tau, which would select nothing silently, is refused.
     """
+    return _shift_indices(model, n, gram_point(model, n), tau, k_max)
+
+
+def _shift_indices(model: CoefficientModel, n: int, g: float, tau: float,
+                   k_max: int | None) -> set[int]:
+    """select_shift_indices at the refined Gram point g = g_n."""
     if math.isnan(tau):
         raise ValueError("tau must be a number, got nan")
-    g = gram_point(model, n)
     cutoff = model.robust_cutoff(g)
     if k_max is None:
         if cutoff < 15:
@@ -77,10 +82,13 @@ class ShiftingResult:
     stop_reason: str | None = None  # the rejection that truncated the stage
 
 
-def _stage_solver(model: CoefficientModel, n: int, shift_set) -> _ExtremumSolver:
+def _stage_solver(model: CoefficientModel, n: int, shift_set,
+                  g0: float | None = None) -> _ExtremumSolver:
     """The corrected curve's solver, which both stages march on: one proxy
-    window of the shift block and the descend block (term indices 1..N)."""
-    g0 = gram_point(model, n)
+    window of the shift block and the descend block (term indices 1..N).
+    g0 is g_n, refined here when not given."""
+    if g0 is None:
+        g0 = gram_point(model, n)
     dimension = model.robust_cutoff(g0)
     if any(not 1 <= k <= dimension for k in shift_set):
         raise ValueError("shift indices must lie in [1, dimension]")
@@ -191,13 +199,15 @@ def corrected_curve(model: CoefficientModel, n: int, tau: float = 1.5,
                     steps: int = 200) -> CorrectedCurveReport:
     """Shifting stage + descending stage; verdict of the corrected Gram law.
 
-    Both stages march on one solver, so the window is tabulated once. verdict
+    g_n is refined once, for the shift selection and the solver. Both stages
+    march on one solver, so the window is tabulated once. verdict
     "true" means (-1)^n Delta stayed positive along the composite and the
     endpoint (1, ..., 1) was reached; any stage failure yields "undetermined"
     with diagnostics attached, never a silent "false".
     """
-    shift_set = select_shift_indices(model, n, tau=tau)
-    solver = _stage_solver(model, n, shift_set)
+    g0 = gram_point(model, n)
+    shift_set = _shift_indices(model, n, g0, tau, None)
+    solver = _stage_solver(model, n, shift_set, g0)
     shifting = shifting_stage(solver, steps=steps)
     descent = descending_stage(solver, shifting.exit_point, steps=steps,
                                g_start=shifting.exit_g)

@@ -40,6 +40,7 @@ from .gram import gram_point
 KAPPA_H = 4.0
 
 _MIN_STEP = 1e-5       # a march gives up below this step
+_MAX_STEPS = 100_000   # 1 / _MIN_STEP: a finer base step ends at its first rejection
 _NEWTON_BUDGET = 5     # Newton iterations an accepted extremum step may take
 
 
@@ -134,7 +135,8 @@ def march(advance, start, steps: int, crossed=None, probe=None) -> MarchResult:
 
     advance(r_from, r_to, state) returns the state at r_to (states carry the
     extremum as .g) or a short reason string that rejects the step. The base
-    step is 1 / steps (steps >= 50); while r < 1 - 1e-12 the march tries
+    step is 1 / steps (50 <= steps <= 100000, so the base step is not below
+    the smallest one); while r < 1 - 1e-12 the march tries
     r + min(dr, 1 - r). A rejection is logged and halves dr; below
     1e-5 the march stops, CONTINUATION_LOST at the last accepted r unless a
     crossing came first. An accepted step doubles dr back up to the base.
@@ -145,8 +147,8 @@ def march(advance, start, steps: int, crossed=None, probe=None) -> MarchResult:
     tests (a reason string ends the bisection). The status becomes COLLISION
     at the bracket's midpoint, and the march goes on past it.
     """
-    if steps < 50:
-        raise ValueError(f"steps must be >= 50, got {steps}")
+    if not 50 <= steps <= _MAX_STEPS:
+        raise ValueError(f"steps must be in [50, {_MAX_STEPS}], got {steps}")
     samples = [(0.0, start)]
     rejections: list[tuple[float, str]] = []
     status, r_event = TraceStatus.NON_COLLIDING, None

@@ -119,7 +119,7 @@ def section_eval(model: CoefficientModel, t, a, *, orders: tuple[int, ...] = (0,
     t may also be a 1-D array of real points, with n_terms pinned: each order
     then maps to one value per point, and a may also be a (B, N) stack of
     parameter points, which gives a (points, B) array (see _section_points).
-    WindowProxy tabulates a whole window in one call.
+    WindowProxy's direct form tabulates a whole window in one call.
     """
     if isinstance(t, np.ndarray):
         if n_terms is None:
@@ -357,6 +357,70 @@ _CHEB_FIT = np.cos(np.outer(_CHEB_K, _CHEB_ANGLES)) * (2.0 / _CHEB_NODES)
 _CHEB_FIT[0] *= 0.5
 
 
+# B_2k / (2k)! for k = 1..18, the Euler-Maclaurin tail coefficients of
+# _zeta_block_sums; tests/test_zmodel.py regenerates them with mpmath.
+_EM_COEFS = (
+    0.08333333333333333, -0.001388888888888889, 3.306878306878307e-05,
+    -8.267195767195768e-07, 2.08767569878681e-08, -5.284190138687493e-10,
+    1.3382536530684679e-11, -3.3896802963225827e-13, 8.586062056277845e-15,
+    -2.174868698558062e-16, 5.5090028283602295e-18, -1.3954464685812522e-19,
+    3.534707039629467e-21, -8.953517427037546e-23, 2.267952452337683e-24,
+    -5.744790668872202e-26, 1.455172475614865e-27, -3.6859949406653103e-29,
+)
+
+# WindowProxy tabulates the zeta model's windows in the tail form from this
+# many terms on. The tail form is the faster one from about N = 2,000 (2-vCPU
+# VM); the switch sits above every N of the heights n <= 20000 (N <= 9,100),
+# whose traces so keep the direct form's bits.
+_TAIL_MIN_TERMS = 16384
+
+
+def _zeta_block_sums(model: CoefficientModel, t: np.ndarray, n: int) -> np.ndarray:
+    """The zeta model's section sums over k = 1..n and their main-mode
+    t-derivatives, S^(j)(t) = sum_{m=2..M} d^j/dt^j cos(theta - t ln m)/sqrt m
+    (theta' taken as its main term), at the points t: a (3, P) array.
+
+    With s = 1/2 + it and M = n + 1, T_j = sum_{m=2..M} (ln m)^j m^(-s) is
+    (-1)^j P^(j)(s) - [j = 0] for P(s) = sum_{m<=M} m^(-s), and the
+    Euler-Maclaurin formula (Edwards, Riemann's Zeta Function, 6.4) gives
+    P(s) = zeta(s) - M^(-s) R(s) exactly up to its dropped tail, with
+
+        R(s) = M/(s - 1) - 1/2 + sum_{k=1..18} B_2k/(2k)! s(s+1)...(s+2k-2) M^(1-2k).
+
+    While M > t/2pi its k-th term shrinks like (t/2pi M)^(2k), pi^(-2k) at
+    M = t/2; R, R' and R'' are carried as jets in s. zeta, zeta' and zeta''
+    are e^(-i theta) (Z, -i(Z' - i theta' Z), -(Z'' - 2i theta' Z' -
+    i theta'' Z - theta'^2 Z)) from hardy_z, O(sqrt t) terms per point. With
+    E_j = e^(i theta) T_j and theta'_m the main term, S^(0) = Re E_0,
+    S^(1) = -Im(theta'_m E_0 - E_1) and S^(2) = -Re(theta'_m^2 E_0 -
+    2 theta'_m E_1 + E_2).
+    """
+    big_m = float(n + 1)
+    ln_m = math.log(big_m)
+    s = 0.5 + 1j * t
+    u = s - 1.0
+    r0, r1, r2 = big_m / u - 0.5, -big_m / (u * u), 2.0 * big_m / (u * u * u)
+    q0, q1, q2 = s / big_m, 1.0 / big_m, 0.0  # s(s+1)...(s+2k-2) / M^(2k-1), k = 1
+    for k, coef in enumerate(_EM_COEFS, start=1):
+        r0, r1, r2 = r0 + coef * q0, r1 + coef * q1, r2 + coef * q2
+        for c in (2 * k - 1, 2 * k):  # one more factor (s + c) / M
+            lin = (s + c) / big_m
+            q0, q1, q2 = q0 * lin, q1 * lin + q0 / big_m, q2 * lin + 2.0 * q1 / big_m
+    z0, z1, z2 = np.array([[v[0], v[1], v[2]]
+                           for v in (hardy_z(model, x, (0, 1, 2)) for x in t.tolist())]).T
+    th = np.array([model.theta(x) for x in t.tolist()])
+    tp = np.array([model.theta_deriv(x, 1) for x in t.tolist()])
+    tpp = np.array([model.theta_deriv(x, 2) for x in t.tolist()])
+    tpm = np.array([model.theta_main(x) for x in t.tolist()])
+    y = np.exp(1j * (th - t * ln_m)) / math.sqrt(big_m)  # e^(i theta) M^(-s)
+    e0 = z0 - y * r0 - np.exp(1j * th)
+    e1 = 1j * z1 + tp * z0 + y * (r1 - ln_m * r0)
+    e2 = -(z2 - 2j * tp * z1 - 1j * tpp * z0 - tp * tp * z0) \
+        - y * (r2 - 2.0 * ln_m * r1 + ln_m * ln_m * r0)
+    return np.array([e0.real, -(tpm * e0 - e1).imag,
+                     -(tpm * tpm * e0 - 2.0 * tpm * e1 + e2).real])
+
+
 class WindowProxy:
     """Chebyshev proxies of the block sums of a section near one Gram point.
 
@@ -367,17 +431,30 @@ class WindowProxy:
 
     with main-mode derivatives and the m = 1 head evaluated exactly. The proxy
     interpolates every S_B^(j) at the 25 Chebyshev points of a window of
-    half-width one local Gram gap (special.gram_gap at g0), tabulated by one
-    section_eval call per window at all 25 nodes: one cos/sin pass over the
-    N + 1 terms, and past the first 4096 terms Taylor moments in place of
-    the trig passes of the node offsets (see _section_points). Against the
-    direct sums it is within 1.7e-8 relative at g_0, where the window is
-    widest, and 7.4e-9 at g_730119, the rounding floor of the 225,307-term
-    sum itself. The window is first centred on g0 and tabulated when first
-    needed; a point outside it re-tabulates the window centred on that
-    point. Where that window would reach below theta's domain floor
-    (t < 10 + gap, near the lowest Gram points only) it spans [10, t + gap]
-    instead, which is narrower and so no less accurate.
+    half-width one local Gram gap (special.gram_gap at g0), tabulated in one
+    of two forms:
+
+    * direct: one section_eval call at all 25 nodes, one cos/sin pass over
+      the N + 1 terms and past the first 4096 terms Taylor moments in place
+      of the trig passes of the node offsets (see _section_points). Within
+      1.7e-8 relative of the direct sums at g_0, where the window is widest.
+    * tail: for the zeta model from N = _TAIL_MIN_TERMS on, when the blocks
+      partition the indices and g0 <= 3 (N + 1). The sum over all N indices
+      comes from hardy_z and an Euler-Maclaurin tail (_zeta_block_sums),
+      O(sqrt t) work per node in place of O(t); every block but the last is
+      summed directly over the indices up to its last one (the shift block
+      of a corrected curve, k <= max(15, ceil(sqrt N))), and the last block
+      is the total minus those.
+
+    Against an mpmath reference at n = 239558, 730119 and 988941 both forms
+    are within 8e-9 of max(1, |S|), the rounding floor of the phases
+    t ln m in either form.
+
+    The window is first centred on g0 and tabulated when first needed; a
+    point outside it re-tabulates the window centred on that point. Where
+    that window would reach below theta's domain floor (t < 10 + gap, near
+    the lowest Gram points only) it spans [10, t + gap] instead, which is
+    narrower and so no less accurate.
     """
 
     def __init__(self, model: CoefficientModel, n_terms: int, masks, g0: float):
@@ -390,6 +467,13 @@ class WindowProxy:
         self.center = g0
         self._c1 = float(model.coefficients(1)[0])
         self._coef = None
+        self.tail_form = (model.is_zeta and n_terms >= _TAIL_MIN_TERMS
+                          and g0 <= 3.0 * (n_terms + 1)
+                          and (masks is None or bool(np.all(self.weights.sum(axis=0) == 1.0))))
+        # indices summed directly in the tail form: up to the last one that a
+        # block other than the last one holds
+        lead = np.flatnonzero(np.any(self.weights[:-1], axis=0)) if self.blocks > 1 else []
+        self._lead_terms = int(lead[-1]) + 1 if len(lead) else 0
 
     def head(self, t: float) -> tuple[float, float, float]:
         """The m = 1 term of the section and its main-mode t-derivatives."""
@@ -399,12 +483,21 @@ class WindowProxy:
 
     def _tabulate(self) -> np.ndarray:
         nodes = self.center + self.half_width * _CHEB_X
-        vals = section_eval(self.model, nodes, self.weights, orders=(0, 1, 2),
-                            n_terms=self.n_terms)
         heads = np.array([self.head(t) for t in nodes])
-        rows = np.concatenate([vals[j].reshape(_CHEB_NODES, -1) - heads[:, j:j + 1]
-                               for j in range(3)], axis=1)
-        return _CHEB_FIT @ rows
+        if not self.tail_form:
+            vals = section_eval(self.model, nodes, self.weights, orders=(0, 1, 2),
+                                n_terms=self.n_terms)
+            rows = [vals[j].reshape(_CHEB_NODES, -1) - heads[:, j:j + 1] for j in range(3)]
+        else:
+            total = _zeta_block_sums(self.model, nodes, self.n_terms)
+            lead = np.zeros((3, _CHEB_NODES, self.blocks - 1))
+            if self._lead_terms:
+                vals = section_eval(self.model, nodes, self.weights[:-1, :self._lead_terms],
+                                    orders=(0, 1, 2), n_terms=self._lead_terms)
+                lead = np.array([vals[j] - heads[:, j:j + 1] for j in range(3)])
+            rows = [np.concatenate([lead[j], (total[j] - lead[j].sum(axis=1))[:, None]],
+                                   axis=1) for j in range(3)]
+        return _CHEB_FIT @ np.concatenate(rows, axis=1)
 
     def sums(self, t: float) -> np.ndarray:
         """S_B^(j)(t) as a (3, blocks) array, row j = order."""
@@ -564,55 +657,65 @@ _RS_C3 = (
 _RS_REMAINDER = ((0, _RS_C0), (1, _RS_C1), (0, _RS_C2), (1, _RS_C3))
 
 
-def _parity_series(coeffs: tuple[float, ...], odd: int, x: float) -> tuple[float, float]:
-    """Value and x-derivative of x^odd * sum_k coeffs[k] x^(2k)."""
+def _parity_series(coeffs: tuple[float, ...], odd: int,
+                   x: float) -> tuple[float, float, float]:
+    """Value and first two x-derivatives of x^odd * sum_k coeffs[k] x^(2k),
+    by Horner's rule in y = x^2 with accumulators for p(y), p'(y) and
+    p''(y)/2."""
     y = x * x
-    val = der = 0.0
+    val = der = half_der2 = 0.0
     for c in reversed(coeffs):
+        half_der2 = half_der2 * y + der
         der = der * y + val
         val = val * y + c
     if odd:
-        return x * val, val + 2.0 * y * der
-    return val, 2.0 * x * der
+        return x * val, val + 2.0 * y * der, x * (6.0 * der + 8.0 * y * half_der2)
+    return val, 2.0 * x * der, 2.0 * der + 8.0 * y * half_der2
 
 
 def hardy_z(model: CoefficientModel, t: float,
             orders: tuple[int, ...] = (0, 1)) -> dict[int, float]:
-    """Z(t) and Z'(t) by the Riemann-Siegel formula with remainder terms,
+    """Z(t), Z'(t) and Z''(t) by the Riemann-Siegel formula with remainder
+    terms,
 
         Z(t) = 2 sum_{m=1..N} cos(theta(t) - t ln m)/sqrt(m)
                + (-1)^(N-1) tau^(-1/2) sum_{j=0..3} C_j(p) tau^(-j),
 
     with tau = sqrt(t/2pi), N = floor(tau) and p = tau - N. The main sum is
-    twice the section of dimension N - 1 at a = 1 (full-mode derivative); the
-    remainder is differentiated analytically. Against mpmath.siegelz the
-    error in Z is below 1e-4 on [10, 30], 1e-5 on [30, 100], 1e-6 on
-    [100, 1e3] and 1e-8 on [1e3, 1e4]; hardy_z_error(t) is the allowance
-    that point_values grants it at any height. Only the zeta model has this
+    twice the section of dimension N - 1 at a = 1 (full-mode derivatives);
+    the remainder is differentiated analytically, twice in tau for Z''.
+    Against mpmath.siegelz the error in Z is below 1e-4 on [10, 30], 1e-5 on
+    [30, 100], 1e-6 on [100, 1e3] and 1e-8 on [1e3, 1e4], and in Z'' below
+    2e-5, 3e-7, 4e-9 and 2e-10 there; hardy_z_error(t) is the allowance that
+    point_values grants Z at any height. Only the zeta model has this
     remainder.
     """
     if not model.is_zeta:
         raise ValueError(f"hardy_z needs the zeta model, got {model.name!r}")
-    if not set(orders) <= {0, 1}:
-        raise ValueError(f"hardy_z evaluates orders 0 and 1, got {orders}")
+    if not set(orders) <= {0, 1, 2}:
+        raise ValueError(f"hardy_z evaluates orders 0, 1 and 2, got {orders}")
     if not t >= 10.0:
         raise DomainError(f"hardy_z requires t >= 10, got {t}")
     tau = math.sqrt(t / TWO_PI)
     n = int(tau)
     main = section_eval(model, t, 1.0, orders=orders, deriv_mode="full", n_terms=n - 1)
     x = tau - n - 0.5
-    rem = drem = 0.0
+    rem = drem = d2rem = 0.0
     for j, (odd, coeffs) in enumerate(_RS_REMAINDER):
-        c, dc = _parity_series(coeffs, odd, x)
+        c, dc, d2c = _parity_series(coeffs, odd, x)
         weight = tau ** (-0.5 - j)
         rem += c * weight
         drem += (dc - (0.5 + j) * c / tau) * weight
+        d2rem += (d2c - (1.0 + 2.0 * j) * dc / tau
+                  + (0.5 + j) * (1.5 + j) * c / (tau * tau)) * weight
     sign = 1.0 if n % 2 else -1.0  # (-1)^(N-1)
     out: dict[int, float] = {}
     if 0 in orders:
         out[0] = 2.0 * main[0] + sign * rem
     if 1 in orders:
         out[1] = 2.0 * main[1] + sign * drem / (4.0 * math.pi * tau)  # dtau/dt
+    if 2 in orders:  # d2tau/dt2 = -(dtau/dt) / tau
+        out[2] = 2.0 * main[2] + sign * (d2rem - drem / tau) / (16.0 * math.pi ** 2 * tau * tau)
     return out
 
 

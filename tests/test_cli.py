@@ -132,6 +132,24 @@ def test_discriminant_refines_its_gram_point_once(tmp_path, gram_point_calls):
     assert gram_point_calls == [126]
 
 
+@pytest.mark.parametrize("argv", [["discriminant", "--n", "90"],
+                                  ["curve", "corrected", "--n", "90"],
+                                  ["dh", "violation"]])
+@pytest.mark.parametrize("steps", ["100001", str(10 ** 17)])
+def test_step_counts_a_march_cannot_finish_are_refused(tmp_path, capsys, argv, steps):
+    code = main([*argv, "--steps", steps, "--cache-dir", str(tmp_path),
+                 "--out", str(tmp_path / "x.out")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: steps must be in [50, 100000], got {steps}\n"
+    assert not (tmp_path / "x.out").exists()
+
+
+def test_corrected_curve_refines_its_gram_point_once(tmp_path, gram_point_calls):
+    assert main(["curve", "corrected", "--n", "126", "--steps", "50",
+                 "--cache-dir", str(tmp_path), "--out", str(tmp_path / "c.csv")]) == 0
+    assert gram_point_calls == [126]
+
+
 def test_discriminant_trace_csv(tmp_path):
     out = tmp_path / "trace.csv"
     code = main(["discriminant", "--n", "126", "--steps", "60",

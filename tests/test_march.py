@@ -20,8 +20,25 @@ def _state(r, root=2.0):
 
 def test_march_refuses_fewer_than_50_steps():
     for steps in (0, -3, 10, 49):
-        with pytest.raises(ValueError, match="steps must be >= 50"):
+        with pytest.raises(ValueError, match=r"steps must be in \[50, 100000\]"):
             march(lambda r0, r1, s: _state(r1), _state(0.0), steps)
+
+
+def test_march_refuses_more_steps_than_it_can_finish():
+    # a base step below 1e-5 would end the march at its first rejection, and
+    # below half an ulp of r the march appends samples without advancing
+    calls = []
+
+    def advance(r_from, r_to, state):
+        calls.append(r_to)
+        return _state(r_to)
+
+    for steps in (100_001, 10 ** 18):
+        with pytest.raises(ValueError, match=rf"steps must be in \[50, 100000\], got {steps}"):
+            march(advance, _state(0.0), steps)
+    assert calls == []
+    run = march(advance, _state(0.0), 100_000)  # the finest base step still finishes
+    assert run.samples[-1][0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_march_halves_on_rejection_and_doubles_back():

@@ -204,25 +204,41 @@ def test_classical_afe_rejects_non_gram_points(riemann):
         classical_afe(riemann, 100.37)
 
 
-# (interval, grid points, bound on |Z - siegelz|, bound on |Z' - siegelz'|)
-# for hardy_z; the bounds hold with a factor 1.2 or more to spare on grids of
-# 200 to 4000 points per interval (mpmath is too slow at large t for those)
-_HARDY_Z_BOUNDS = [((10.0, 30.0), 41, 1.2e-4, 5e-5), ((30.0, 100.0), 41, 1e-5, 5e-6),
-                   ((100.0, 1e3), 21, 1e-6, 1e-7), ((1e3, 1e4), 13, 1e-8, 1e-9)]
+# (interval, grid points, bound on |Z - siegelz|, on |Z' - siegelz'|, on
+# |Z'' - siegelz''|) for hardy_z; the bounds hold with a factor 1.2 or more to
+# spare on grids of 200 to 4000 points per interval (mpmath is too slow at
+# large t for those)
+_HARDY_Z_BOUNDS = [((10.0, 30.0), 41, 1.2e-4, 5e-5, 2e-5),
+                   ((30.0, 100.0), 41, 1e-5, 5e-6, 3e-7),
+                   ((100.0, 1e3), 21, 1e-6, 1e-7, 5e-9),
+                   ((1e3, 1e4), 13, 1e-8, 1e-9, 2.5e-10)]
 
 
 def test_hardy_z_against_mpmath(riemann):
     mp = pytest.importorskip("mpmath")
     with mp.workdps(30):
-        for (lo, hi), points, z_bound, zp_bound in _HARDY_Z_BOUNDS:
+        for (lo, hi), points, *bounds in _HARDY_Z_BOUNDS:
             for t in np.linspace(lo, hi, points):
-                vals = hardy_z(riemann, float(t))
-                err = abs(vals[0] - float(mp.siegelz(t)))
-                assert err <= min(z_bound, hardy_z_error(float(t))), t
-                assert abs(vals[1] - float(mp.siegelz(t, derivative=1))) <= zp_bound, t
+                vals = hardy_z(riemann, float(t), (0, 1, 2))
+                errs = [abs(vals[j] - float(mp.siegelz(t, derivative=j))) for j in range(3)]
+                assert errs[0] <= min(bounds[0], hardy_z_error(float(t))), t
+                assert errs[1] <= bounds[1] and errs[2] <= bounds[2], t
+        # seen: 2.9e-9, 1.9e-8 and 4.0e-8
         t = 4.9e6
-        err = abs(hardy_z(riemann, t, (0,))[0] - float(mp.siegelz(t)))
-        assert err <= min(1e-8, hardy_z_error(t))
+        vals = hardy_z(riemann, t, (0, 1, 2))
+        errs = [abs(vals[j] - float(mp.siegelz(t, derivative=j))) for j in range(3)]
+        assert errs[0] <= min(1e-8, hardy_z_error(t))
+        assert errs[1] <= 4e-8 and errs[2] <= 8e-8
+
+
+def test_hardy_z_orders_are_bit_identical_across_order_sets(riemann):
+    # Gram records and cache shards hold Z and Z' from the default (0, 1)
+    for t in (22.5, 7005.06, 450613.8, 4.9e6):
+        both = hardy_z(riemann, t)
+        for orders in [(0,), (1,), (0, 1, 2), (2, 0)]:
+            vals = hardy_z(riemann, t, orders)
+            assert sorted(vals) == sorted(orders)
+            assert all(vals[j] == both[j] for j in orders if j < 2)
 
 
 def test_hardy_z_viscosity_anchors(riemann):
@@ -299,7 +315,7 @@ def test_hardy_z_validation(riemann, davenport):
     with pytest.raises(ValueError):
         hardy_z(davenport, 100.0)
     with pytest.raises(ValueError):
-        hardy_z(riemann, 100.0, (0, 2))
+        hardy_z(riemann, 100.0, (0, 3))
     with pytest.raises(DomainError):
         hardy_z(riemann, 9.0)
 
@@ -585,3 +601,110 @@ def test_section_points_against_exact_phases(riemann):
         bound = _point_bound(float(t[node]), j)
         assert abs(scalar[j] - exact[j]) <= bound, j
         assert abs(points[j][node] - exact[j]) <= bound, j
+
+
+def test_em_coefficients_regenerate():
+    mp = pytest.importorskip("mpmath")
+    from gramdelta.zmodel import _EM_COEFS
+    with mp.workdps(40):
+        expect = [float(mp.bernoulli(2 * k) / mp.factorial(2 * k))
+                  for k in range(1, len(_EM_COEFS) + 1)]
+    assert list(_EM_COEFS) == expect
+
+
+def test_window_proxy_selects_the_tail_form(riemann, davenport):
+    from gramdelta.zmodel import _TAIL_MIN_TERMS
+    g0 = gram_point(riemann, 100000)
+    dim = riemann.robust_cutoff(g0)
+    mask = np.arange(1, dim + 1) <= 20
+    assert WindowProxy(riemann, dim, None, g0).tail_form
+    assert WindowProxy(riemann, dim, (mask, ~mask), g0).tail_form
+    assert not WindowProxy(riemann, dim, (mask, mask), g0).tail_form  # no partition
+    assert not WindowProxy(riemann, dim, None, 4.0 * dim).tail_form  # M far below t/2
+    # the Davenport-Heilbronn model and smaller N take the direct form
+    assert not WindowProxy(davenport, dim, None, g0).tail_form
+    assert _TAIL_MIN_TERMS > riemann.robust_cutoff(gram_point(riemann, 20000))
+    for n in (6708, 20000):
+        g = gram_point(riemann, n)
+        assert not WindowProxy(riemann, riemann.robust_cutoff(g), None, g).tail_form
+    g = 2.0 * _TAIL_MIN_TERMS + 1.0
+    assert WindowProxy(riemann, _TAIL_MIN_TERMS, None, g).tail_form
+    assert not WindowProxy(riemann, _TAIL_MIN_TERMS - 1, None, g - 2.0).tail_form
+
+
+def _shift_masks(model, n):
+    from gramdelta.curves import select_shift_indices
+    g0 = gram_point(model, n)
+    dim = model.robust_cutoff(g0)
+    mask = np.isin(np.arange(1, dim + 1), list(select_shift_indices(model, n)))
+    return g0, dim, (mask, ~mask)
+
+
+@pytest.mark.parametrize("n,blocks", [(100000, 1), (730119, 1), (730119, 2)])
+def test_tail_form_rows_match_the_direct_rows(riemann, n, blocks):
+    # the window's node values in both forms, every order and block, within
+    # 2e-8 of max(1, |S|); at 730119 the shift block {1, 2, 4, 6, 12} is summed
+    # directly over k <= 12 and the descend block is the total minus it
+    g0, dim, masks = _shift_masks(riemann, n)
+    tail = WindowProxy(riemann, dim, masks if blocks == 2 else None, g0)
+    direct = WindowProxy(riemann, dim, masks if blocks == 2 else None, g0)
+    direct.tail_form = False
+    assert tail.tail_form and tail.blocks == blocks
+    for x in _CHEB_X:
+        t = g0 + tail.half_width * x
+        got, want = tail.sums(t), direct.sums(t)
+        assert np.all(np.abs(got - want) <= 2e-8 * np.maximum(1.0, np.abs(want))), x
+    if blocks == 2:
+        assert tail._lead_terms == 12
+
+
+def _mp_block_sums(mp, t: float, n: int) -> list[float]:
+    """S^(j)(t), j = 0, 1, 2, of the zeta model's section over k = 1..n in
+    mpmath: zeta and its s-derivatives at 30 digits minus the Euler-Maclaurin
+    tail at M = n + 1, rotated by the model's theta."""
+    with mp.workdps(30):
+        x = mp.mpf(t)
+        s = mp.mpc(0.5, x)
+        big_m = mp.mpf(n + 1)
+
+        def tail(s):  # P(s) = zeta(s) - tail(s), P the partial sum to M
+            out = big_m ** (1 - s) / (s - 1) - big_m ** (-s) / 2
+            poly = s
+            for k in range(1, 25):
+                out += mp.bernoulli(2 * k) / mp.factorial(2 * k) * poly \
+                    * big_m ** (1 - s - 2 * k)
+                poly *= (s + 2 * k - 1) * (s + 2 * k)
+            return out
+
+        th = x / 2 * mp.log(x / (2 * mp.pi)) - x / 2 - mp.pi / 8 \
+            + 1 / (48 * x) + 7 / (5760 * x ** 3)
+        rot = mp.expj(th)
+        e = [rot * (mp.zeta(s) - tail(s) - 1),
+             -rot * (mp.zeta(s, derivative=1) - mp.diff(tail, s, 1)),
+             rot * (mp.zeta(s, derivative=2) - mp.diff(tail, s, 2))]
+        tpm = mp.log(x / (2 * mp.pi)) / 2
+        return [float(mp.re(e[0])), float(-mp.im(tpm * e[0] - e[1])),
+                float(-mp.re(tpm * tpm * e[0] - 2 * tpm * e[1] + e[2]))]
+
+
+@pytest.mark.parametrize("n", [239558, 730119, 988941])
+def test_both_window_forms_against_mpmath(riemann, n):
+    # at two nodes of the window, each form within 2e-8 of max(1, |S|) of the
+    # mpmath sums; seen over every third node at these heights: orders 0 and 1
+    # at most 4.8e-9 (tail) and 3.3e-9 (direct), order 2 at most 7.6e-9 (tail)
+    # and 5.2e-9 (direct)
+    mp = pytest.importorskip("mpmath")
+    from gramdelta.zmodel import _zeta_block_sums
+    g0 = gram_point(riemann, n)
+    dim = riemann.robust_cutoff(g0)
+    proxy = WindowProxy(riemann, dim, None, g0)
+    for x in (_CHEB_X[3], 0.0):
+        t = g0 + proxy.half_width * x
+        ref = _mp_block_sums(mp, t, dim)
+        tail = _zeta_block_sums(riemann, np.array([t]), dim)[:, 0]
+        head = proxy.head(t)
+        direct = section_eval(riemann, t, 1.0, orders=(0, 1, 2), n_terms=dim)
+        for j in range(3):
+            bound = 2e-8 * max(1.0, abs(ref[j]))
+            assert abs(tail[j] - ref[j]) <= bound, (x, j)
+            assert abs(direct[j] - head[j] - ref[j]) <= bound, (x, j)
