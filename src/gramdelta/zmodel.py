@@ -179,33 +179,7 @@ def _weighted(terms: np.ndarray, w):
     return _csum_any(weighted)
 
 
-_CHUNK_TERMS = 4096
-_TAYLOR_TOL = 2.0 ** -56
-
-
-def _taylor_terms(x: float) -> int:
-    """Number of terms J of the series e^(iy) = sum_j (iy)^j / j! that
-    brings its remainder bound x^J / J! on |y| <= x below 2^-56; 0 when
-    x > 1, where the terms grow before they shrink and cancel in the sum."""
-    if not x <= 1.0:
-        return 0
-    terms, bound = 0, 1.0
-    while bound >= _TAYLOR_TOL:
-        terms += 1
-        bound *= x / terms
-    return terms
-
-
-_TAYLOR_MAX_TERMS = _taylor_terms(1.0)
-
-
-def _taylor_coefs(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Real and imaginary parts of (i d)^j / j! for d in dist and
-    j < _TAYLOR_MAX_TERMS, one row per d."""
-    j = np.arange(_TAYLOR_MAX_TERMS)
-    coef = dist[:, None] ** j / np.cumprod(np.maximum(j, 1))
-    return (coef * np.array([1.0, 0.0, -1.0, 0.0])[j % 4],
-            coef * np.array([0.0, 1.0, 0.0, -1.0])[j % 4])
+_CHUNK_TERMS = 4096  # terms per trig-row chunk: bounds the rows' memory
 
 
 def _section_points(model: CoefficientModel, t: np.ndarray, w, orders: tuple[int, ...],
@@ -218,26 +192,17 @@ def _section_points(model: CoefficientModel, t: np.ndarray, w, orders: tuple[int
     Chebyshev nodes of a WindowProxy window (d = 0 and 12 pairs +-d) need
     the sums for 13 distinct |d|, not 25.
 
-    The terms run in chunks of 4096. Per chunk the columns v = w q f^k
+    The terms run in chunks of _CHUNK_TERMS. Per chunk the columns v = w q f^k
     (k < 1 + max order, f = ln m - theta'(c)) are multiplied by cos and sin
-    of c ln m, one trig pass for all points, and the sums of v cos(|d| ln m)
-    and v sin(|d| ln m) are formed one of two ways:
-
-    * moments: with u = ln m - mid the offset from the chunk's middle log,
-      sum v e^(i d ln m) = e^(i d mid) sum_j (i d)^j / j! sum v u^j. The J
-      moments sum v u^j are one matrix product for all points; J is the
-      fewest terms whose remainder bound (max|d| r/2)^J / J! is below 2^-56,
-      r the chunk's ln m span. Taken when max|d| r/2 <= 1 (_taylor_terms),
-      which holds for every chunk past the first at the spacing of a window.
-    * trig rows: otherwise (the first chunk, m <= 4096, spans 8.3 in ln m;
-      points far apart) one cos/sin pass of |d| ln m per distinct |d|.
+    of c ln m, one trig pass for all points. The sums of v cos(|d| ln m) and
+    v sin(|d| ln m) follow from one cos/sin pass of |d| ln m per distinct |d|
+    (the trig rows), one matrix product with the columns.
 
     numerics.csum adds the chunk partials in chunk order. Per point the sums
     of v cos(t_p ln m) and v sin(t_p ln m) follow by the angle sum rules and
     are rotated by theta(t_p); orders 1 and 2 take the factor theta'(t_p) -
     ln m as (theta'(t_p) - theta'(c)) - f. Against the scalar path the
-    values agree to the rounding floor of the phases t ln m; the two chunk
-    forms agree to about 1e-15 of the largest value.
+    values agree to the rounding floor of the phases t ln m.
     """
     if t.ndim != 1 or np.iscomplexobj(t):
         raise DimensionError(f"points must be a 1-D real array, got {t.dtype} {t.shape}")
@@ -259,7 +224,6 @@ def _section_points(model: CoefficientModel, t: np.ndarray, w, orders: tuple[int
     else:
         tp = np.array([model.theta_deriv(x, 1) for x in t])
     partials = []
-    re = im = None  # Taylor coefficients, built at the first chunk that uses them
     for lo in range(0, n + 1, _CHUNK_TERMS):
         hi = min(lo + _CHUNK_TERMS, n + 1)
         lnm = ln_m[lo:hi]
@@ -273,27 +237,11 @@ def _section_points(model: CoefficientModel, t: np.ndarray, w, orders: tuple[int
         cols = (wts[:, None, :] * np.array(powers)).reshape(blocks * ncols, hi - lo)
         arg = c * lnm
         cols = np.concatenate([cols * np.cos(arg), cols * np.sin(arg)])
-        mid = 0.5 * (lnm[0] + lnm[-1])
-        terms = _taylor_terms(dist[-1] * (mid - lnm[0]))
-        if terms:
-            u = lnm - mid
-            u_pow = np.empty((terms, hi - lo))  # row j holds u^j
-            u_pow[0] = 1.0
-            for j in range(1, terms):
-                np.multiply(u_pow[j - 1], u, out=u_pow[j])
-            if re is None:
-                re, im = _taylor_coefs(dist)
-            # sum v e^(i d ln m) = e^(i d mid) sum_j (i d)^j / j! sum v u^j
-            cos_mid, sin_mid = np.cos(dist * mid)[:, None], np.sin(dist * mid)[:, None]
-            rows = np.concatenate([cos_mid * re[:, :terms] - sin_mid * im[:, :terms],
-                                   sin_mid * re[:, :terms] + cos_mid * im[:, :terms]])
-            partials.append(rows @ (u_pow @ cols.T))
-        else:
-            trig = np.zeros((2, len(dist), hi - lo))
-            trig[0, :zero] = 1.0
-            arg = np.outer(dist[zero:], lnm)
-            trig[0, zero:], trig[1, zero:] = np.cos(arg), np.sin(arg)
-            partials.append(trig.reshape(2 * len(dist), hi - lo) @ cols.T)
+        trig = np.zeros((2, len(dist), hi - lo))
+        trig[0, :zero] = 1.0
+        arg = np.outer(dist[zero:], lnm)
+        trig[0, zero:], trig[1, zero:] = np.cos(arg), np.sin(arg)
+        partials.append(trig.reshape(2 * len(dist), hi - lo) @ cols.T)
     flat = np.array(partials).reshape(len(partials), -1)
     total = np.array([csum(col) for col in flat.T]).reshape(2, len(dist), 2, -1)
     # row k of total[0] holds sum v cos(c ln m) cos(|d_k| ln m) and sum v sin(c ln m)
@@ -368,12 +316,6 @@ _EM_COEFS = (
     -5.744790668872202e-26, 1.455172475614865e-27, -3.6859949406653103e-29,
 )
 
-# WindowProxy tabulates the zeta model's windows in the tail form from this
-# many terms on. The tail form is the faster one from about N = 2,000 (2-vCPU
-# VM); the switch sits above every N of the heights n <= 20000 (N <= 9,100),
-# whose traces so keep the direct form's bits.
-_TAIL_MIN_TERMS = 16384
-
 
 def _zeta_block_sums(model: CoefficientModel, t: np.ndarray, n: int) -> np.ndarray:
     """The zeta model's section sums over k = 1..n and their main-mode
@@ -435,10 +377,11 @@ class WindowProxy:
     of two forms:
 
     * direct: one section_eval call at all 25 nodes, one cos/sin pass over
-      the N + 1 terms and past the first 4096 terms Taylor moments in place
-      of the trig passes of the node offsets (see _section_points). Within
-      1.7e-8 relative of the direct sums at g_0, where the window is widest.
-    * tail: for the zeta model from N = _TAIL_MIN_TERMS on, when the blocks
+      the N + 1 terms and one per distinct node offset (see _section_points).
+      Within 1.7e-8 relative of the direct sums at g_0, where the window is
+      widest. Taken by the Davenport-Heilbronn model at every N and by the
+      zeta model below one chunk of terms (N < _CHUNK_TERMS, n <= 8048).
+    * tail: for the zeta model from N = _CHUNK_TERMS on, when the blocks
       partition the indices and g0 <= 3 (N + 1). The sum over all N indices
       comes from hardy_z and an Euler-Maclaurin tail (_zeta_block_sums),
       O(sqrt t) work per node in place of O(t); every block but the last is
@@ -467,7 +410,9 @@ class WindowProxy:
         self.center = g0
         self._c1 = float(model.coefficients(1)[0])
         self._coef = None
-        self.tail_form = (model.is_zeta and n_terms >= _TAIL_MIN_TERMS
+        # the tail form is the faster one from about N = 4,000 (2-vCPU VM), so
+        # the zeta model's direct form never runs past one chunk of terms
+        self.tail_form = (model.is_zeta and n_terms >= _CHUNK_TERMS
                           and g0 <= 3.0 * (n_terms + 1)
                           and (masks is None or bool(np.all(self.weights.sum(axis=0) == 1.0))))
         # indices summed directly in the tail form: up to the last one that a
@@ -694,8 +639,8 @@ def hardy_z(model: CoefficientModel, t: float,
         raise ValueError(f"hardy_z needs the zeta model, got {model.name!r}")
     if not set(orders) <= {0, 1, 2}:
         raise ValueError(f"hardy_z evaluates orders 0, 1 and 2, got {orders}")
-    if not t >= 10.0:
-        raise DomainError(f"hardy_z requires t >= 10, got {t}")
+    if not 10.0 <= t < math.inf:
+        raise DomainError(f"hardy_z requires finite t >= 10, got {t}")
     tau = math.sqrt(t / TWO_PI)
     n = int(tau)
     main = section_eval(model, t, 1.0, orders=orders, deriv_mode="full", n_terms=n - 1)
@@ -765,8 +710,8 @@ def find_zero_newton(model: CoefficientModel, t0: float) -> NewtonResult:
     fixed point). Raises FlatPointError if |Z'| falls below 1e-12 and
     NonConvergenceError after 50 steps; both carry the iterate list.
     """
-    if not t0 >= 10.0:
-        raise DomainError(f"find_zero_newton requires t0 >= 10, got {t0}")
+    if not 10.0 <= t0 < math.inf:
+        raise DomainError(f"find_zero_newton requires finite t0 >= 10, got {t0}")
     t = float(t0)
     iterates = [t]
     step_floor = 1e-13 * max(1.0, abs(t0))

@@ -316,6 +316,11 @@ def test_usage_and_domain_errors(tmp_path, capsys):
     assert code == 1  # below the domain floor
     code, _ = run(capsys, "newton", "--cache-dir", str(tmp_path))
     assert code == 1  # neither --index nor --t0
+    for t0 in ("inf", "nan"):  # refused before int(tau) could overflow
+        code = main(["newton", "--t0", t0, "--cache-dir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
     # one steps rule for every march, and no NaN shift threshold selecting nothing
     for bad in (["--steps", "0"], ["--steps", "-3"], ["--steps", "10"], ["--tau", "nan"]):
         code = main(["curve", "corrected", "--n", "90", *bad, "--cache-dir", str(tmp_path),

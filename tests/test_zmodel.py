@@ -193,9 +193,11 @@ def test_dh_newton_ends_on_a_point_value_zero(davenport):
     assert abs(point_values(davenport, res.t, (0,))[0][0]) < 1e-10
 
 
-def test_newton_domain_error(riemann):
-    with pytest.raises(DomainError):
-        find_zero_newton(riemann, 5.0)
+def test_newton_domain_error(riemann, davenport):
+    for model, t0 in [(riemann, 5.0), (riemann, math.inf), (davenport, math.inf),
+                      (riemann, math.nan)]:
+        with pytest.raises(DomainError):
+            find_zero_newton(model, t0)
 
 
 def test_classical_afe_rejects_non_gram_points(riemann):
@@ -214,14 +216,29 @@ _HARDY_Z_BOUNDS = [((10.0, 30.0), 41, 1.2e-4, 5e-5, 2e-5),
                    ((1e3, 1e4), 13, 1e-8, 1e-9, 2.5e-10)]
 
 
+def _siegelz_orders(mp, t: float) -> list[float]:
+    """Z, Z' and Z'' at t from one zeta and siegeltheta family, combined as
+    mp.siegelz combines them below t = 500 prec (with 21 extra bits), where
+    it would evaluate zeta and its lower derivatives again for each order."""
+    with mp.extraprec(21):
+        s = mp.mpc(0.5, t)
+        z, z1, z2 = (mp.zeta(s, derivative=j) for j in range(3))
+        th1, th2 = (mp.siegeltheta(t, derivative=j) for j in (1, 2))
+        e1 = mp.expj(mp.siegeltheta(t))
+        vals = [e1 * z, mp.j * e1 * (z1 + z * th1),
+                -e1 * mp.fsum([2 * z1 * th1, z2, z * (th1 ** 2 - mp.j * th2)])]
+    return [float(mp.re(v)) for v in vals]
+
+
 def test_hardy_z_against_mpmath(riemann):
     mp = pytest.importorskip("mpmath")
     with mp.workdps(30):
         for (lo, hi), points, *bounds in _HARDY_Z_BOUNDS:
-            for t in np.linspace(lo, hi, points):
-                vals = hardy_z(riemann, float(t), (0, 1, 2))
-                errs = [abs(vals[j] - float(mp.siegelz(t, derivative=j))) for j in range(3)]
-                assert errs[0] <= min(bounds[0], hardy_z_error(float(t))), t
+            assert hi < 500 * mp.mp.prec  # where siegelz takes zeta, not rs_z
+            for t in np.linspace(lo, hi, points).tolist():
+                vals = hardy_z(riemann, t, (0, 1, 2))
+                errs = [abs(vals[j] - ref) for j, ref in enumerate(_siegelz_orders(mp, t))]
+                assert errs[0] <= min(bounds[0], hardy_z_error(t)), t
                 assert errs[1] <= bounds[1] and errs[2] <= bounds[2], t
         # seen: 2.9e-9, 1.9e-8 and 4.0e-8
         t = 4.9e6
@@ -316,8 +333,9 @@ def test_hardy_z_validation(riemann, davenport):
         hardy_z(davenport, 100.0)
     with pytest.raises(ValueError):
         hardy_z(riemann, 100.0, (0, 3))
-    with pytest.raises(DomainError):
-        hardy_z(riemann, 9.0)
+    for t in (9.0, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            hardy_z(riemann, t)
 
 
 @pytest.mark.parametrize("mode", ["main", "full"])
@@ -451,58 +469,6 @@ def test_section_points_unpaired_offsets(riemann, davenport):
                                                 range(len(pts)))
 
 
-def test_section_points_far_apart_mix_trig_rows_and_moments(riemann, monkeypatch):
-    # points up to 50 apart at n = 730119 (N = 225,307): a chunk takes the
-    # Taylor moments only where 50 times half its ln m span is at most 1,
-    # past m ~ 1e5; every chunk below keeps the trig rows
-    import gramdelta.zmodel as zmodel
-    taylor, chosen = zmodel._taylor_terms, []
-    monkeypatch.setattr(zmodel, "_taylor_terms",
-                        lambda x: chosen.append(taylor(x)) or chosen[-1])
-    g0 = gram_point(riemann, 730119)
-    dim = riemann.robust_cutoff(g0)
-    t = g0 + np.array([-50.0, -25.0, 0.0, 50.0])
-    vec = np.linspace(-0.5, 1.5, dim)
-    for a in (1.0, vec, np.stack([vec, 1.0 - vec])):
-        for mode in ("main", "full"):
-            _assert_points_match_scalar(riemann, t, a, dim, mode, range(len(t)))
-    assert 0 in chosen and any(chosen)
-
-
-def test_moment_chunks_match_trig_rows(riemann, monkeypatch):
-    # the window call at n = 730119 against the same call with every chunk
-    # on trig rows; seen up to 9e-16 of each order's largest value
-    import gramdelta.zmodel as zmodel
-    _, dim, t = _window_nodes(riemann, 730119)
-    vec = np.linspace(-0.5, 1.5, dim)
-    for a in (1.0, np.stack([vec, 1.0 - vec])):
-        for mode in ("main", "full"):
-            moments = section_eval(riemann, t, a, orders=(0, 1, 2), deriv_mode=mode,
-                                   n_terms=dim)
-            with monkeypatch.context() as patch:
-                patch.setattr(zmodel, "_taylor_terms", lambda x: 0)
-                trig = section_eval(riemann, t, a, orders=(0, 1, 2), deriv_mode=mode,
-                                    n_terms=dim)
-            for j in range(3):
-                scale = np.max(np.abs(trig[j]))
-                assert np.max(np.abs(moments[j] - trig[j])) <= 1e-14 * scale, (mode, j)
-
-
-def test_taylor_terms_meet_the_remainder_bound():
-    from gramdelta.zmodel import _TAYLOR_TOL, _taylor_terms
-
-    def bound(x, terms):
-        return x ** terms / math.factorial(terms)
-
-    for x in (1e-9, 0.01, 0.193, 0.5, 1.0):
-        terms = _taylor_terms(x)
-        assert bound(x, terms) < _TAYLOR_TOL <= bound(x, terms - 1), x
-    assert _taylor_terms(0.0) == 1
-    assert _taylor_terms(0.193) == 12  # the second chunk of a g_730119 window
-    for x in (1.0 + 1e-12, 2.3, 50.0, math.inf, math.nan):
-        assert _taylor_terms(x) == 0  # trig rows
-
-
 def test_section_points_validation(riemann):
     t = np.array([100.0, 100.5])
     with pytest.raises(ValueError):
@@ -613,7 +579,7 @@ def test_em_coefficients_regenerate():
 
 
 def test_window_proxy_selects_the_tail_form(riemann, davenport):
-    from gramdelta.zmodel import _TAIL_MIN_TERMS
+    from gramdelta.zmodel import _CHUNK_TERMS
     g0 = gram_point(riemann, 100000)
     dim = riemann.robust_cutoff(g0)
     mask = np.arange(1, dim + 1) <= 20
@@ -621,15 +587,14 @@ def test_window_proxy_selects_the_tail_form(riemann, davenport):
     assert WindowProxy(riemann, dim, (mask, ~mask), g0).tail_form
     assert not WindowProxy(riemann, dim, (mask, mask), g0).tail_form  # no partition
     assert not WindowProxy(riemann, dim, None, 4.0 * dim).tail_form  # M far below t/2
-    # the Davenport-Heilbronn model and smaller N take the direct form
+    # the Davenport-Heilbronn model and N below one chunk take the direct form
     assert not WindowProxy(davenport, dim, None, g0).tail_form
-    assert _TAIL_MIN_TERMS > riemann.robust_cutoff(gram_point(riemann, 20000))
-    for n in (6708, 20000):
+    for n, tail in [(6708, False), (8048, False), (8049, True), (20000, True)]:
         g = gram_point(riemann, n)
-        assert not WindowProxy(riemann, riemann.robust_cutoff(g), None, g).tail_form
-    g = 2.0 * _TAIL_MIN_TERMS + 1.0
-    assert WindowProxy(riemann, _TAIL_MIN_TERMS, None, g).tail_form
-    assert not WindowProxy(riemann, _TAIL_MIN_TERMS - 1, None, g - 2.0).tail_form
+        assert WindowProxy(riemann, riemann.robust_cutoff(g), None, g).tail_form is tail, n
+    g = 2.0 * _CHUNK_TERMS + 1.0
+    assert WindowProxy(riemann, _CHUNK_TERMS, None, g).tail_form
+    assert not WindowProxy(riemann, _CHUNK_TERMS - 1, None, g - 2.0).tail_form
 
 
 def _shift_masks(model, n):
@@ -640,11 +605,13 @@ def _shift_masks(model, n):
     return g0, dim, (mask, ~mask)
 
 
-@pytest.mark.parametrize("n,blocks", [(100000, 1), (730119, 1), (730119, 2)])
+@pytest.mark.parametrize("n,blocks", [(8049, 1), (8049, 2), (20000, 1), (20000, 2),
+                                      (100000, 1), (730119, 1), (730119, 2)])
 def test_tail_form_rows_match_the_direct_rows(riemann, n, blocks):
     # the window's node values in both forms, every order and block, within
-    # 2e-8 of max(1, |S|); at 730119 the shift block {1, 2, 4, 6, 12} is summed
-    # directly over k <= 12 and the descend block is the total minus it
+    # 2e-8 of max(1, |S|); the shift block ({1, 2, 4, 6, 12} at 730119) is
+    # summed directly up to its last index and the descend block is the total
+    # minus it
     g0, dim, masks = _shift_masks(riemann, n)
     tail = WindowProxy(riemann, dim, masks if blocks == 2 else None, g0)
     direct = WindowProxy(riemann, dim, masks if blocks == 2 else None, g0)
@@ -654,7 +621,9 @@ def test_tail_form_rows_match_the_direct_rows(riemann, n, blocks):
         t = g0 + tail.half_width * x
         got, want = tail.sums(t), direct.sums(t)
         assert np.all(np.abs(got - want) <= 2e-8 * np.maximum(1.0, np.abs(want))), x
-    if blocks == 2:
+    if blocks == 2:  # {1} at 8049; empty at 20000, where no index is summed directly
+        assert tail._lead_terms == np.max(np.flatnonzero(masks[0]) + 1, initial=0)
+    if (n, blocks) == (730119, 2):
         assert tail._lead_terms == 12
 
 
@@ -687,7 +656,7 @@ def _mp_block_sums(mp, t: float, n: int) -> list[float]:
                 float(-mp.re(tpm * tpm * e[0] - 2 * tpm * e[1] + e[2]))]
 
 
-@pytest.mark.parametrize("n", [239558, 730119, 988941])
+@pytest.mark.parametrize("n", [8049, 20000, 239558, 730119, 988941])
 def test_both_window_forms_against_mpmath(riemann, n):
     # at two nodes of the window, each form within 2e-8 of max(1, |S|) of the
     # mpmath sums; seen over every third node at these heights: orders 0 and 1
