@@ -119,7 +119,8 @@ def section_eval(model: CoefficientModel, t, a, *, orders: tuple[int, ...] = (0,
     t may also be a 1-D array of real points, with n_terms pinned: each order
     then maps to one value per point, and a may also be a (B, N) stack of
     parameter points, which gives a (points, B) array (see _section_points).
-    WindowProxy's direct form tabulates a whole window in one call.
+    WindowProxy's direct form tabulates a whole window in one call, and
+    hardy_z at an array of points takes its main sums this way.
     """
     if isinstance(t, np.ndarray):
         if n_terms is None:
@@ -332,7 +333,8 @@ def _zeta_block_sums(model: CoefficientModel, t: np.ndarray, n: int) -> np.ndarr
     While M > t/2pi its k-th term shrinks like (t/2pi M)^(2k), pi^(-2k) at
     M = t/2; R, R' and R'' are carried as jets in s. zeta, zeta' and zeta''
     are e^(-i theta) (Z, -i(Z' - i theta' Z), -(Z'' - 2i theta' Z' -
-    i theta'' Z - theta'^2 Z)) from hardy_z, O(sqrt t) terms per point. With
+    i theta'' Z - theta'^2 Z)) from one hardy_z call at all the points,
+    O(sqrt t) terms per point and one main-sum pass per value of N. With
     E_j = e^(i theta) T_j and theta'_m the main term, S^(0) = Re E_0,
     S^(1) = -Im(theta'_m E_0 - E_1) and S^(2) = -Re(theta'_m^2 E_0 -
     2 theta'_m E_1 + E_2).
@@ -348,8 +350,7 @@ def _zeta_block_sums(model: CoefficientModel, t: np.ndarray, n: int) -> np.ndarr
         for c in (2 * k - 1, 2 * k):  # one more factor (s + c) / M
             lin = (s + c) / big_m
             q0, q1, q2 = q0 * lin, q1 * lin + q0 / big_m, q2 * lin + 2.0 * q1 / big_m
-    z0, z1, z2 = np.array([[v[0], v[1], v[2]]
-                           for v in (hardy_z(model, x, (0, 1, 2)) for x in t.tolist())]).T
+    z0, z1, z2 = hardy_z(model, t, (0, 1, 2)).values()
     th = np.array([model.theta(x) for x in t.tolist()])
     tp = np.array([model.theta_deriv(x, 1) for x in t.tolist()])
     tpp = np.array([model.theta_deriv(x, 2) for x in t.tolist()])
@@ -383,15 +384,20 @@ class WindowProxy:
       zeta model below one chunk of terms (N < _CHUNK_TERMS, n <= 8048).
     * tail: for the zeta model from N = _CHUNK_TERMS on, when the blocks
       partition the indices and g0 <= 3 (N + 1). The sum over all N indices
-      comes from hardy_z and an Euler-Maclaurin tail (_zeta_block_sums),
-      O(sqrt t) work per node in place of O(t); every block but the last is
+      comes from one hardy_z call at the 25 nodes and an Euler-Maclaurin
+      tail (_zeta_block_sums), O(sqrt t) work per node in place of O(t) and
+      one main-sum pass per window; every block but the last is
       summed directly over the indices up to its last one (the shift block
       of a corrected curve, k <= max(15, ceil(sqrt N))), and the last block
       is the total minus those.
 
     Against an mpmath reference at n = 239558, 730119 and 988941 both forms
-    are within 8e-9 of max(1, |S|), the rounding floor of the phases
+    are within 8.3e-9 of max(1, |S|), the rounding floor of the phases
     t ln m in either form.
+
+    section folds a weight tuple into the coefficients once and keeps the
+    fold until the weights change or the window is re-tabulated, so a Newton
+    step at fixed weights is one (25,) @ (25, 3) product and the head.
 
     The window is first centred on g0 and tabulated when first needed; a
     point outside it re-tabulates the window centred on that point. Where
@@ -410,6 +416,7 @@ class WindowProxy:
         self.center = g0
         self._c1 = float(model.coefficients(1)[0])
         self._coef = None
+        self._fold = None  # (w, the coefficients folded with w): see section
         # the tail form is the faster one from about N = 4,000 (2-vCPU VM), so
         # the zeta model's direct form never runs past one chunk of terms
         self.tail_form = (model.is_zeta and n_terms >= _CHUNK_TERMS
@@ -444,8 +451,10 @@ class WindowProxy:
                                    axis=1) for j in range(3)]
         return _CHEB_FIT @ np.concatenate(rows, axis=1)
 
-    def sums(self, t: float) -> np.ndarray:
-        """S_B^(j)(t) as a (3, blocks) array, row j = order."""
+    def _locate(self, t: float) -> float:
+        """t's place x in [-1, 1] on the window, which is re-centred on t
+        (dropping its coefficients and fold) when t lies outside it and
+        tabulated when first needed."""
         x = (t - self.center) / self.half_width
         if not abs(x) <= 1.0 + 1e-12:  # a window edge rounds to |x| = 1 + ulp
             if not t >= 10.0:
@@ -455,19 +464,29 @@ class WindowProxy:
             else:  # span [10, t + gap]: no node below theta's domain floor
                 self.center = 0.5 * (10.0 + t + self.gap)
                 self.half_width = 0.5 * (t + self.gap - 10.0)
-            self._coef = None
+            self._coef = self._fold = None
             x = (t - self.center) / self.half_width
         if self._coef is None:
             self._coef = self._tabulate()
-        x = min(max(x, -1.0), 1.0)
+        return min(max(x, -1.0), 1.0)
+
+    def sums(self, t: float) -> np.ndarray:
+        """S_B^(j)(t) as a (3, blocks) array, row j = order."""
+        x = self._locate(t)
         return (np.cos(_CHEB_K * math.acos(x)) @ self._coef).reshape(3, self.blocks)
 
     def section(self, t: float, w: tuple[float, ...]) -> tuple[float, float, float]:
-        """Z_N^(j)(t; w) for j = 0, 1, 2, one weight per block."""
+        """Z_N^(j)(t; w) for j = 0, 1, 2, one weight per block. The weights
+        are folded into the coefficients once per weight tuple, so each
+        further call at the same w is one (25,) @ (25, 3) product."""
         head = self.head(t)
         if not any(w):
             return head
-        s0, s1, s2 = (self.sums(t) @ np.array(w)).tolist()
+        x = self._locate(t)
+        if self._fold is None or self._fold[0] != tuple(w):
+            fold = self._coef.reshape(-1, self.blocks) @ np.array(w, dtype=float)
+            self._fold = tuple(w), fold.reshape(_CHEB_NODES, 3)
+        s0, s1, s2 = (np.cos(_CHEB_K * math.acos(x)) @ self._fold[1]).tolist()
         return head[0] + s0, head[1] + s1, head[2] + s2
 
 
@@ -618,32 +637,11 @@ def _parity_series(coeffs: tuple[float, ...], odd: int,
     return val, 2.0 * x * der, 2.0 * der + 8.0 * y * half_der2
 
 
-def hardy_z(model: CoefficientModel, t: float,
-            orders: tuple[int, ...] = (0, 1)) -> dict[int, float]:
-    """Z(t), Z'(t) and Z''(t) by the Riemann-Siegel formula with remainder
-    terms,
-
-        Z(t) = 2 sum_{m=1..N} cos(theta(t) - t ln m)/sqrt(m)
-               + (-1)^(N-1) tau^(-1/2) sum_{j=0..3} C_j(p) tau^(-j),
-
-    with tau = sqrt(t/2pi), N = floor(tau) and p = tau - N. The main sum is
-    twice the section of dimension N - 1 at a = 1 (full-mode derivatives);
-    the remainder is differentiated analytically, twice in tau for Z''.
-    Against mpmath.siegelz the error in Z is below 1e-4 on [10, 30], 1e-5 on
-    [30, 100], 1e-6 on [100, 1e3] and 1e-8 on [1e3, 1e4], and in Z'' below
-    2e-5, 3e-7, 4e-9 and 2e-10 there; hardy_z_error(t) is the allowance that
-    point_values grants Z at any height. Only the zeta model has this
-    remainder.
-    """
-    if not model.is_zeta:
-        raise ValueError(f"hardy_z needs the zeta model, got {model.name!r}")
-    if not set(orders) <= {0, 1, 2}:
-        raise ValueError(f"hardy_z evaluates orders 0, 1 and 2, got {orders}")
-    if not 10.0 <= t < math.inf:
-        raise DomainError(f"hardy_z requires finite t >= 10, got {t}")
-    tau = math.sqrt(t / TWO_PI)
+def _rs_remainder(tau: float) -> tuple[float, float, float]:
+    """The Riemann-Siegel remainder (-1)^(N-1) tau^(-1/2) sum_{j=0..3}
+    C_j(p) tau^(-j) at tau = sqrt(t/2pi), N = floor(tau), p = tau - N, and
+    its first two t-derivatives (analytic, twice in tau for the second)."""
     n = int(tau)
-    main = section_eval(model, t, 1.0, orders=orders, deriv_mode="full", n_terms=n - 1)
     x = tau - n - 0.5
     rem = drem = d2rem = 0.0
     for j, (odd, coeffs) in enumerate(_RS_REMAINDER):
@@ -654,22 +652,73 @@ def hardy_z(model: CoefficientModel, t: float,
         d2rem += (d2c - (1.0 + 2.0 * j) * dc / tau
                   + (0.5 + j) * (1.5 + j) * c / (tau * tau)) * weight
     sign = 1.0 if n % 2 else -1.0  # (-1)^(N-1)
-    out: dict[int, float] = {}
-    if 0 in orders:
-        out[0] = 2.0 * main[0] + sign * rem
-    if 1 in orders:
-        out[1] = 2.0 * main[1] + sign * drem / (4.0 * math.pi * tau)  # dtau/dt
-    if 2 in orders:  # d2tau/dt2 = -(dtau/dt) / tau
-        out[2] = 2.0 * main[2] + sign * (d2rem - drem / tau) / (16.0 * math.pi ** 2 * tau * tau)
-    return out
+    return (sign * rem, sign * drem / (4.0 * math.pi * tau),  # dtau/dt
+            sign * (d2rem - drem / tau) / (16.0 * math.pi ** 2 * tau * tau))  # d2tau/dt2
+
+
+def hardy_z(model: CoefficientModel, t, orders: tuple[int, ...] = (0, 1)) -> dict:
+    """Z(t), Z'(t) and Z''(t) by the Riemann-Siegel formula with remainder
+    terms,
+
+        Z(t) = 2 sum_{m=1..N} cos(theta(t) - t ln m)/sqrt(m)
+               + (-1)^(N-1) tau^(-1/2) sum_{j=0..3} C_j(p) tau^(-j),
+
+    with tau = sqrt(t/2pi), N = floor(tau) and p = tau - N. The main sum is
+    twice the section of dimension N - 1 at a = 1 (full-mode derivatives);
+    the remainder (_rs_remainder) is differentiated analytically, twice in
+    tau for Z''. Against mpmath.siegelz the error in Z is below 1e-4 on
+    [10, 30], 1e-5 on [30, 100], 1e-6 on [100, 1e3] and 1e-8 on [1e3, 1e4],
+    and in Z'' below 2e-5, 3e-7, 4e-9 and 2e-10 there; hardy_z_error(t) is
+    the allowance that point_values grants Z at any height. Only the zeta
+    model has this remainder.
+
+    t may also be a 1-D array of nearby points: each order then maps to one
+    value per point. The main sums of the points that share N come from one
+    section_eval call at those points (its point path), the remainder from
+    _rs_remainder per point, so the values agree with the scalar calls to
+    the rounding floor of the phases t ln m.
+    """
+    if not model.is_zeta:
+        raise ValueError(f"hardy_z needs the zeta model, got {model.name!r}")
+    if not set(orders) <= {0, 1, 2}:
+        raise ValueError(f"hardy_z evaluates orders 0, 1 and 2, got {orders}")
+    points = isinstance(t, np.ndarray)
+    if points and (t.ndim != 1 or np.iscomplexobj(t)):
+        raise DimensionError(f"points must be a 1-D real array, got {t.dtype} {t.shape}")
+    taus = []
+    for x in t.tolist() if points else [t]:
+        if not 10.0 <= x < math.inf:
+            raise DomainError(f"hardy_z requires finite t >= 10, got {x}")
+        taus.append(math.sqrt(x / TWO_PI))
+    if not points:
+        main = section_eval(model, t, 1.0, orders=orders, deriv_mode="full",
+                            n_terms=int(taus[0]) - 1)
+        rem = _rs_remainder(taus[0])
+    else:
+        sizes = np.array([int(tau) for tau in taus])  # N per point
+        main = {j: np.empty(len(t)) for j in orders}
+        for n in sorted(set(sizes.tolist())):  # np.unique loads 1.7 MB more RSS
+            group = sizes == n
+            vals = section_eval(model, t[group], 1.0, orders=orders, deriv_mode="full",
+                                n_terms=n - 1)
+            for j in orders:
+                main[j][group] = vals[j]
+        rem = np.array([_rs_remainder(tau) for tau in taus]).T
+    return {j: 2.0 * main[j] + rem[j] for j in sorted(set(orders))}
 
 
 def hardy_z_error(t: float) -> float:
     """Error allowance for hardy_z(t)[0]: the first dropped term, O(tau^(-9/2)),
     plus rounding in the phases theta(t) - t ln m, which grows like t ln t.
 
-    Both constants hold about twice the largest error seen against mpmath
-    (4.5e-4 tau^(-9/2) on [10, 1e4]; 3e-9 at t = 4.9e6).
+    The first constant holds about twice the largest error seen against
+    mpmath on [10, 1e4] (4.5e-4 tau^(-9/2)); at t = 4.9e6 the error seen is
+    3e-9, 1/25 of the allowance. The second has no such margin near
+    t = 4.5e5, where Z carries the rounding of theta (about 2.3e6) times
+    dZ/dtheta: within 1 of g_730119 the error reaches 5.86e-9 against an
+    allowance of 5.86e-9, and within 50 of it 9.0e-9, 1.53 times the
+    allowance (3 of 150 random points exceed it). It is kept as it is: it
+    sets classify's indeterminate threshold, and so the Gram records.
     """
     return 1e-3 * (t / TWO_PI) ** -2.25 + 1e-15 * t * math.log(t)
 
