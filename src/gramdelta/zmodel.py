@@ -119,8 +119,10 @@ def section_eval(model: CoefficientModel, t, a, *, orders: tuple[int, ...] = (0,
     t may also be a 1-D array of real points, with n_terms pinned: each order
     then maps to one value per point, and a may also be a (B, N) stack of
     parameter points, which gives a (points, B) array (see _section_points).
-    WindowProxy's direct form tabulates a whole window in one call, and
-    hardy_z at an array of points takes its main sums this way.
+    The point path forms each point's terms as this scalar path does and
+    differs from it only in how it sums them. WindowProxy's direct form
+    tabulates a whole window in one call, and hardy_z at an array of points
+    takes its main sums this way.
     """
     if isinstance(t, np.ndarray):
         if n_terms is None:
@@ -180,94 +182,66 @@ def _weighted(terms: np.ndarray, w):
     return _csum_any(weighted)
 
 
-_CHUNK_TERMS = 4096  # terms per trig-row chunk: bounds the rows' memory
+_CHUNK_TERMS = 4096  # terms per point-path chunk: bounds its (P, chunk) arrays
 
 
 def _section_points(model: CoefficientModel, t: np.ndarray, w, orders: tuple[int, ...],
                     deriv_mode: str, n: int) -> dict:
-    """section_eval at P real points that lie close together.
+    """section_eval at P real points: the scalar path's terms, P points at a time.
 
-    With c the point nearest the middle of the set and d_p = t_p - c, each
-    term factors as e^(-i t_p ln m) = e^(-i c ln m) e^(-i d_p ln m), and a
-    point at -d_p reuses the sums of d_p, conjugated. So the 25 mirrored
-    Chebyshev nodes of a WindowProxy window (d = 0 and 12 pairs +-d) need
-    the sums for 13 distinct |d|, not 25.
-
-    The terms run in chunks of _CHUNK_TERMS. Per chunk the columns v = w q f^k
-    (k < 1 + max order, f = ln m - theta'(c)) are multiplied by cos and sin
-    of c ln m, one trig pass for all points. The sums of v cos(|d| ln m) and
-    v sin(|d| ln m) follow from one cos/sin pass of |d| ln m per distinct |d|
-    (the trig rows), one matrix product with the columns.
-
-    numerics.csum adds the chunk partials in chunk order. Per point the sums
-    of v cos(t_p ln m) and v sin(t_p ln m) follow by the angle sum rules and
-    are rotated by theta(t_p); orders 1 and 2 take the factor theta'(t_p) -
-    ln m as (theta'(t_p) - theta'(c)) - f. Against the scalar path the
-    values agree to the rounding floor of the phases t ln m.
+    The terms run in chunks of _CHUNK_TERMS. Per chunk the phases
+    theta(t_p) - t_p ln m form a (P, chunk) array by the scalar path's own
+    operations; their cos and sin (each only where an order needs it) and
+    the factors theta'(t_p) - ln m (and theta''(t_p) for full order 2) give
+    each order's terms, summed with one matrix product against the weighted
+    columns w c_m/sqrt(m) of the stack. numerics.csum adds the chunk
+    partials in chunk order, so against the scalar path the values differ
+    only by the rounding of the two summations.
     """
     if t.ndim != 1 or np.iscomplexobj(t):
         raise DimensionError(f"points must be a 1-D real array, got {t.dtype} {t.shape}")
     if deriv_mode not in ("main", "full"):
         raise ValueError(f"unknown deriv_mode {deriv_mode!r}")
     ln_m, q = _basis(model, n + 1)
-    centre = int(np.argmin(np.abs(t - 0.5 * (t.min() + t.max()))))
-    c = t[centre]
-    offset = t - c
-    dist, slot = np.unique(np.abs(offset), return_inverse=True)
-    zero = int(dist[0] == 0.0)  # the centre itself needs no trig pass
+    pts = t.tolist()
+    th = np.array([model.theta(x) for x in pts])[:, None]
+    if 1 in orders or 2 in orders:
+        tp = np.array([model.theta_main(x) if deriv_mode == "main"
+                       else model.theta_deriv(x, 1) for x in pts])[:, None]
+    full_sin = 2 in orders and deriv_mode == "full"
+    if full_sin:
+        tpp = np.array([model.theta_deriv(x, 2) for x in pts])[:, None]
     stack = np.atleast_2d(w)
-    blocks = len(stack)
-    ncols = 1 + max(orders)
-    if ncols == 1:
-        tp = np.zeros(len(t))
-    elif deriv_mode == "main":
-        tp = np.array([model.theta_main(x) for x in t])
-    else:
-        tp = np.array([model.theta_deriv(x, 1) for x in t])
-    partials = []
+    partials = {j: [] for j in orders}
     for lo in range(0, n + 1, _CHUNK_TERMS):
         hi = min(lo + _CHUNK_TERMS, n + 1)
         lnm = ln_m[lo:hi]
         # term i (0-based, m = i + 1) has weight w[i - 1]; the head i = 0 has 1
         wts = stack[:, max(lo - 1, 0):hi - 1]
         if lo == 0:
-            wts = np.concatenate([np.ones((blocks, 1)), wts], axis=1)
-        powers = [q[lo:hi]]
-        for _ in range(1, ncols):
-            powers.append(powers[-1] * (lnm - tp[centre]))
-        cols = (wts[:, None, :] * np.array(powers)).reshape(blocks * ncols, hi - lo)
-        arg = c * lnm
-        cols = np.concatenate([cols * np.cos(arg), cols * np.sin(arg)])
-        trig = np.zeros((2, len(dist), hi - lo))
-        trig[0, :zero] = 1.0
-        arg = np.outer(dist[zero:], lnm)
-        trig[0, zero:], trig[1, zero:] = np.cos(arg), np.sin(arg)
-        partials.append(trig.reshape(2 * len(dist), hi - lo) @ cols.T)
-    flat = np.array(partials).reshape(len(partials), -1)
-    total = np.array([csum(col) for col in flat.T]).reshape(2, len(dist), 2, -1)
-    # row k of total[0] holds sum v cos(c ln m) cos(|d_k| ln m) and sum v sin(c ln m)
-    # cos(|d_k| ln m); total[1] the same with sin(|d_k| ln m)
-    xc, xs = total[0, slot, 0], total[0, slot, 1]
-    yc, ys = total[1, slot, 0], total[1, slot, 1]
-    s = np.sign(offset)[:, None]
-    sum_cos, sum_sin = xc - s * ys, xs + s * yc  # sum v cos(t_p ln m), v sin(t_p ln m)
-    th = np.array([model.theta(x) for x in t])[:, None]
-    rot_cos = np.cos(th) * sum_cos + np.sin(th) * sum_sin  # sum v cos(theta - t ln m)
-    rot_sin = np.sin(th) * sum_cos - np.cos(th) * sum_sin  # sum v sin(theta - t ln m)
-    rot_cos = rot_cos.reshape(len(t), blocks, ncols)
-    rot_sin = rot_sin.reshape(len(t), blocks, ncols)
-    delta = (tp - tp[centre])[:, None]
+            wts = np.concatenate([np.ones((len(stack), 1)), wts], axis=1)
+        cols = (wts * q[lo:hi]).T
+        phases = th - t[:, None] * lnm
+        cos_p = np.cos(phases) if 0 in orders or 2 in orders else None
+        sin_p = np.sin(phases) if 1 in orders or full_sin else None
+        del phases
+        if 0 in orders:
+            partials[0].append(cos_p @ cols)
+        if 1 in orders or 2 in orders:
+            factors = tp - lnm
+        if 1 in orders:
+            partials[1].append(-((sin_p * factors) @ cols))
+        if 2 in orders:
+            terms = cos_p * factors
+            terms *= factors
+            if full_sin:
+                terms += sin_p * tpp
+            partials[2].append(-(terms @ cols))
     out: dict = {}
-    if 0 in orders:
-        out[0] = rot_cos[..., 0]
-    if 1 in orders:
-        out[1] = -delta * rot_sin[..., 0] + rot_sin[..., 1]
-    if 2 in orders:
-        out[2] = -(delta * delta * rot_cos[..., 0] - 2.0 * delta * rot_cos[..., 1]
-                   + rot_cos[..., 2])
-        if deriv_mode == "full":
-            tpp = np.array([model.theta_deriv(x, 2) for x in t])[:, None]
-            out[2] = out[2] - tpp * rot_sin[..., 0]
+    for j in orders:
+        chunks = np.array(partials[j])
+        out[j] = np.array([csum(col) for col in chunks.reshape(len(chunks), -1).T]
+                          ).reshape(chunks.shape[1:])
     if w.ndim == 1:
         out = {j: v[:, 0] for j, v in out.items()}
     return out
@@ -294,14 +268,11 @@ def z_section_deriv(model: CoefficientModel, t: float, a, order: int = 1,
 # DCT-II matrix that maps values at them to the coefficients c_k of the
 # interpolant sum_k c_k T_k(x). On the windows below they interpolate better
 # than the 25 extrema (1.7e-8 against 3.2e-8 in S'' at g_0, where the window
-# is widest). The 12 positive points are mirrored exactly, x_(24-j) = -x_j,
-# and the middle one is 0.0, so the nodes c +- h x_j pair up in
-# section_eval's point path.
+# is widest).
 _CHEB_NODES = 25
 _CHEB_K = np.arange(_CHEB_NODES, dtype=float)
 _CHEB_ANGLES = math.pi * (_CHEB_K + 0.5) / _CHEB_NODES
-_CHEB_X = np.cos(_CHEB_ANGLES[:_CHEB_NODES // 2])
-_CHEB_X = np.concatenate([_CHEB_X, [0.0], -_CHEB_X[::-1]])
+_CHEB_X = np.cos(_CHEB_ANGLES)
 _CHEB_FIT = np.cos(np.outer(_CHEB_K, _CHEB_ANGLES)) * (2.0 / _CHEB_NODES)
 _CHEB_FIT[0] *= 0.5
 
@@ -378,7 +349,7 @@ class WindowProxy:
     of two forms:
 
     * direct: one section_eval call at all 25 nodes, one cos/sin pass over
-      the N + 1 terms and one per distinct node offset (see _section_points).
+      the N + 1 terms per node (see _section_points).
       Within 1.7e-8 relative of the direct sums at g_0, where the window is
       widest. Taken by the Davenport-Heilbronn model at every N and by the
       zeta model below one chunk of terms (N < _CHUNK_TERMS, n <= 8048).
@@ -392,7 +363,7 @@ class WindowProxy:
       is the total minus those.
 
     Against an mpmath reference at n = 239558, 730119 and 988941 both forms
-    are within 8.3e-9 of max(1, |S|), the rounding floor of the phases
+    are within 7.7e-9 of max(1, |S|), the rounding floor of the phases
     t ln m in either form.
 
     section folds a weight tuple into the coefficients once and keeps the
@@ -417,8 +388,8 @@ class WindowProxy:
         self._c1 = float(model.coefficients(1)[0])
         self._coef = None
         self._fold = None  # (w, the coefficients folded with w): see section
-        # the tail form is the faster one from about N = 4,000 (2-vCPU VM), so
-        # the zeta model's direct form never runs past one chunk of terms
+        # the zeta model's direct form never runs past one chunk of terms; the
+        # tail form is already the faster one at N = 1,258 (n = 2000, 2-vCPU VM)
         self.tail_form = (model.is_zeta and n_terms >= _CHUNK_TERMS
                           and g0 <= 3.0 * (n_terms + 1)
                           and (masks is None or bool(np.all(self.weights.sum(axis=0) == 1.0))))
@@ -672,11 +643,11 @@ def hardy_z(model: CoefficientModel, t, orders: tuple[int, ...] = (0, 1)) -> dic
     the allowance that point_values grants Z at any height. Only the zeta
     model has this remainder.
 
-    t may also be a 1-D array of nearby points: each order then maps to one
+    t may also be a 1-D array of points: each order then maps to one
     value per point. The main sums of the points that share N come from one
     section_eval call at those points (its point path), the remainder from
-    _rs_remainder per point, so the values agree with the scalar calls to
-    the rounding floor of the phases t ln m.
+    _rs_remainder per point. Both paths form the same phases, so the values
+    agree with the scalar calls to the rounding of summing the terms.
     """
     if not model.is_zeta:
         raise ValueError(f"hardy_z needs the zeta model, got {model.name!r}")

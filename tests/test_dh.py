@@ -5,13 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from gramdelta import (KAPPA, TraceStatus, core_zero, dh_model,
-                       dh_violation_experiment, gram_point, riemann_contrast,
-                       z_section)
+from gramdelta import (KAPPA, GramKind, TraceStatus, classify, core_zero,
+                       dh_model, dh_violation_experiment, gram_point,
+                       riemann_contrast, z_section)
 from gramdelta.errors import DomainError
 from gramdelta.special import ThetaKind, theta
 
-from oracles import bisect
+from oracles import bisect, dh_z_mpmath
 
 
 def test_kappa_against_high_precision_radicals():
@@ -93,3 +93,23 @@ def test_dh_violation_refines_its_gram_point_once(gram_point_calls):
 def test_riemann_contrast_is_clean():
     rep = riemann_contrast(0, 30, steps=50)
     assert rep.clean
+
+
+def test_dh_oracle_is_real_on_the_critical_line(davenport):
+    # the combination of L(s, chi) and L(s, conj chi) that the functional
+    # equation keeps real, at Gram points next to the off-line zeros
+    # 0.80852 + 85.69935i and 0.65083 + 114.16334i and above them
+    pytest.importorskip("mpmath")
+    for n in (44, 64, 90, 300):
+        assert abs(dh_z_mpmath(gram_point(davenport, n)).imag) < 1e-10, n
+
+
+@pytest.mark.xfail(strict=True, reason="classify's DH kinds are wrong here: the "
+                   "classical cutoff sqrt(g/2pi) is too short for the DH phase and "
+                   "the section fallback's 1e-4 allowance is no bound for DH")
+@pytest.mark.parametrize("n", [44, 64, 76, 77, 90])
+def test_dh_gram_kinds_against_the_oracle(davenport, n):
+    pytest.importorskip("mpmath")
+    g = gram_point(davenport, n)
+    good = (-1) ** n * dh_z_mpmath(g).real > 0
+    assert classify(davenport, n).kind is (GramKind.GOOD if good else GramKind.BAD)
