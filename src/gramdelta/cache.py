@@ -25,7 +25,9 @@ from .gram import GramKind, GramRecord
 
 ENV_VAR = "GDL_CACHE_DIR"
 SHARD = 100_000
-_VERSION = "2"  # 2: viscosity and fallback sign from Riemann-Siegel Z
+# 2: viscosity and fallback sign from Riemann-Siegel Z; 3: a one-point section
+# summed as a batch of one (chunked matrix products, not math.fsum)
+_VERSION = "3"
 
 
 def default_cache_dir() -> Path:

@@ -3,7 +3,8 @@ byte-reproducible CSV/JSON output.
 
 Exit codes: 0 on success (a detected DH violation is data, not an error),
 1 on usage, domain or numerical errors (a flat point, Newton non-convergence,
-an indeterminate sign), each reported as one "error: ..." line, and 2 when a
+an indeterminate sign) and on a cache or output path that cannot be written,
+each reported as one "error: ..." line, and 2 when a
 verdict-style experiment comes out negative (corrected curve not established,
 repulsion conjecture violated).
 """
@@ -355,7 +356,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ValueError, TraceError, FlatPointError, NonConvergenceError,
-            IndeterminateSignError) as exc:
+            IndeterminateSignError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -44,7 +44,7 @@ class NonConvergenceError(RuntimeError):
 
 
 class IndeterminateSignError(RuntimeError):
-    """Both the classical and the robust sums are too small to trust a sign."""
+    """Both the classical AFE and zmodel.point_values give |Z| too small to trust a sign."""
 
 
 class TraceError(RuntimeError):

@@ -22,8 +22,10 @@ point_values: for the Riemann model hardy_z, the Riemann-Siegel formula with
 remainder terms, not the section, which at a = 1 drops a tail of size about
 1/sqrt(2t).
 
-All sums run in ascending term order with compensated accumulation
-(numerics.csum), so repeated runs emit bit-identical values.
+Every section is summed one way (section_eval): matrix products over chunks
+of terms, with the chunk partials added by numerics.csum in chunk order. The
+summation order is fixed by the shape of a call, so reruns emit bit-identical
+values; a point's last bits may differ with the batch of points it sits in.
 """
 
 from __future__ import annotations
@@ -91,21 +93,27 @@ def _basis(model: CoefficientModel, m_count: int):
     return ln_m, q
 
 
-def _as_weights(a, n: int, stack: bool = False):
-    """Normalize a parameter point: scalar -> uniform, sequence -> validated array.
-
-    With stack (the point path), a scalar becomes a constant read-only (n,)
-    view, and a 2-D array of shape (B, n) is a stack of B parameter points
-    (block masks, for instance); the point path then returns one sum per row.
-    """
+def _as_weights(a, n: int) -> np.ndarray:
+    """A parameter point as the weights of the N + 1 section terms, the head
+    m = 1 at weight 1: a scalar (None is 0) is uniform, a vector gives one
+    (N + 1,) row, and a 2-D array of shape (B, N) is a stack of B parameter
+    points (block masks, for instance), whose (B, N + 1) weights give one
+    section sum per row."""
     if a is None:
         a = 0.0
     if isinstance(a, (int, float)):
-        return np.broadcast_to(float(a), (n,)) if stack else float(a)
-    arr = np.asarray(a, dtype=float)
-    if arr.ndim not in ((1, 2) if stack else (1,)) or arr.shape[-1] != n:
-        raise DimensionError(f"parameter point has dimension {arr.shape}, expected ({n},)")
-    return arr
+        wts = np.full(n + 1, float(a))
+    else:
+        arr = np.asarray(a, dtype=float)
+        if arr.ndim not in (1, 2) or arr.shape[-1] != n:
+            raise DimensionError(f"parameter point has dimension {arr.shape}, expected ({n},)")
+        wts = np.empty(arr.shape[:-1] + (n + 1,))
+        wts[..., 1:] = arr
+    wts[..., 0] = 1.0
+    return wts
+
+
+_CHUNK_TERMS = 4096  # terms per chunk of a section sum: bounds its (P, chunk) arrays
 
 
 def section_eval(model: CoefficientModel, t, a, *, orders: tuple[int, ...] = (0,),
@@ -114,96 +122,41 @@ def section_eval(model: CoefficientModel, t, a, *, orders: tuple[int, ...] = (0,
 
     n_terms pins the section dimension N (defaults to the robust cutoff at t);
     continuation code passes it explicitly so the dimension never jumps while
-    t slides across an even integer. Each order maps to one float.
+    t slides across an even integer. At a real or complex scalar t each order
+    maps to one float (or complex). t may also be a 1-D array of P real
+    points, with n_terms pinned: each order then maps to one value per point,
+    and a may also be a (B, N) stack of parameter points, which gives a
+    (P, B) array. WindowProxy's direct form tabulates a whole window in one
+    call, and hardy_z at an array of points takes its main sums this way.
 
-    t may also be a 1-D array of real points, with n_terms pinned: each order
-    then maps to one value per point, and a may also be a (B, N) stack of
-    parameter points, which gives a (points, B) array (see _section_points).
-    The point path forms each point's terms as this scalar path does and
-    differs from it only in how it sums them. WindowProxy's direct form
-    tabulates a whole window in one call, and hardy_z at an array of points
-    takes its main sums this way.
+    A scalar t is a batch of one point, and every call sums the same way.
+    The terms run in chunks of _CHUNK_TERMS. Per chunk the phases
+    theta(t_p) - t_p ln m form a (P, chunk) array; their cos and sin (each
+    only where an order needs it) and the factors theta'(t_p) - ln m (and
+    theta''(t_p) for full order 2) give each order's terms, summed with one
+    matrix product against the weight columns w c_m/sqrt(m), the head m = 1
+    at weight 1. numerics.csum adds the chunk partials in chunk order (real
+    and imaginary parts apart at a complex t). The summation order is fixed
+    by the shape of the call, so reruns are bit-identical; a point's last
+    bits may differ with the batch it sits in.
     """
-    if isinstance(t, np.ndarray):
+    points = isinstance(t, np.ndarray)
+    if points:
         if n_terms is None:
             raise ValueError("section_eval at an array of points needs n_terms")
-        return _section_points(model, t, _as_weights(a, n_terms, stack=True), orders,
-                               deriv_mode, n_terms)
+        if t.ndim != 1 or np.iscomplexobj(t):
+            raise DimensionError(f"points must be a 1-D real array, got {t.dtype} {t.shape}")
     n = model.robust_cutoff(t.real if isinstance(t, complex) else t) \
         if n_terms is None else n_terms
-    w = _as_weights(a, n)
-    ln_m, q = _basis(model, n + 1)
-    th = model.theta(t)
-    phases = th - t * ln_m
-
-    if 1 in orders or 2 in orders:
-        if deriv_mode == "main":
-            tp = model.theta_main(t)
-        elif deriv_mode == "full":
-            tp = model.theta_deriv(t, 1)
-        else:
-            raise ValueError(f"unknown deriv_mode {deriv_mode!r}")
-        factors = tp - ln_m
-    full_sin = 2 in orders and deriv_mode == "full"
-    cos_p = np.cos(phases) if 0 in orders or 2 in orders else None
-    sin_p = np.sin(phases) if 1 in orders or full_sin else None
-    del phases  # holds N + 1 floats; the trig arrays replace it
-
-    out: dict = {}
-    if 0 in orders:
-        terms = q * cos_p
-        out[0] = _weighted(terms, w)
-    if 1 in orders:
-        terms = -q * sin_p * factors
-        out[1] = _weighted(terms, w)
-    if 2 in orders:
-        terms = -q * cos_p * factors * factors
-        if full_sin:
-            terms = terms - q * sin_p * model.theta_deriv(t, 2)
-        out[2] = _weighted(terms, w)
-    return out
-
-
-def _csum_any(terms: np.ndarray):
-    if np.iscomplexobj(terms):
-        return complex(csum(terms.real), csum(terms.imag))
-    return csum(terms)
-
-
-def _weighted(terms: np.ndarray, w):
-    """Weighted sum of the terms; the head (m = 1) always has weight 1."""
-    if isinstance(w, float):
-        head = terms[0] if np.iscomplexobj(terms) else float(terms[0])
-        if w == 0.0:
-            return head
-        return head + w * _csum_any(terms[1:])
-    weighted = terms.copy()
-    weighted[1:] *= w
-    return _csum_any(weighted)
-
-
-_CHUNK_TERMS = 4096  # terms per point-path chunk: bounds its (P, chunk) arrays
-
-
-def _section_points(model: CoefficientModel, t: np.ndarray, w, orders: tuple[int, ...],
-                    deriv_mode: str, n: int) -> dict:
-    """section_eval at P real points: the scalar path's terms, P points at a time.
-
-    The terms run in chunks of _CHUNK_TERMS. Per chunk the phases
-    theta(t_p) - t_p ln m form a (P, chunk) array by the scalar path's own
-    operations; their cos and sin (each only where an order needs it) and
-    the factors theta'(t_p) - ln m (and theta''(t_p) for full order 2) give
-    each order's terms, summed with one matrix product against the weighted
-    columns w c_m/sqrt(m) of the stack. numerics.csum adds the chunk
-    partials in chunk order, so against the scalar path the values differ
-    only by the rounding of the two summations.
-    """
-    if t.ndim != 1 or np.iscomplexobj(t):
-        raise DimensionError(f"points must be a 1-D real array, got {t.dtype} {t.shape}")
+    wts = _as_weights(a, n)
+    if wts.ndim == 2 and not points:
+        raise DimensionError(f"parameter point has dimension {np.shape(a)}, expected ({n},) "
+                             "at a scalar t")
     if deriv_mode not in ("main", "full"):
         raise ValueError(f"unknown deriv_mode {deriv_mode!r}")
+    pts = t.tolist() if points else [t]
+    tv = np.array(pts)[:, None]
     ln_m, q = _basis(model, n + 1)
-    pts = t.tolist()
     th = np.array([model.theta(x) for x in pts])[:, None]
     if 1 in orders or 2 in orders:
         tp = np.array([model.theta_main(x) if deriv_mode == "main"
@@ -211,17 +164,13 @@ def _section_points(model: CoefficientModel, t: np.ndarray, w, orders: tuple[int
     full_sin = 2 in orders and deriv_mode == "full"
     if full_sin:
         tpp = np.array([model.theta_deriv(x, 2) for x in pts])[:, None]
-    stack = np.atleast_2d(w)
+    stack = wts.reshape(-1, n + 1)
     partials = {j: [] for j in orders}
     for lo in range(0, n + 1, _CHUNK_TERMS):
         hi = min(lo + _CHUNK_TERMS, n + 1)
         lnm = ln_m[lo:hi]
-        # term i (0-based, m = i + 1) has weight w[i - 1]; the head i = 0 has 1
-        wts = stack[:, max(lo - 1, 0):hi - 1]
-        if lo == 0:
-            wts = np.concatenate([np.ones((len(stack), 1)), wts], axis=1)
-        cols = (wts * q[lo:hi]).T
-        phases = th - t[:, None] * lnm
+        cols = (stack[:, lo:hi] * q[lo:hi]).T
+        phases = th - tv * lnm
         cos_p = np.cos(phases) if 0 in orders or 2 in orders else None
         sin_p = np.sin(phases) if 1 in orders or full_sin else None
         del phases
@@ -237,13 +186,14 @@ def _section_points(model: CoefficientModel, t: np.ndarray, w, orders: tuple[int
             if full_sin:
                 terms += sin_p * tpp
             partials[2].append(-(terms @ cols))
+    cplx = np.iscomplexobj(tv)
     out: dict = {}
     for j in orders:
-        chunks = np.array(partials[j])
-        out[j] = np.array([csum(col) for col in chunks.reshape(len(chunks), -1).T]
-                          ).reshape(chunks.shape[1:])
-    if w.ndim == 1:
-        out = {j: v[:, 0] for j, v in out.items()}
+        # one row of chunk partials per (point, weight row)
+        rows = np.array(partials[j]).reshape(len(partials[j]), -1).T
+        sums = [complex(csum(row.real), csum(row.imag)) if cplx else csum(row)
+                for row in rows]
+        out[j] = np.array(sums).reshape((len(pts),) + wts.shape[:-1]) if points else sums[0]
     return out
 
 
@@ -349,7 +299,7 @@ class WindowProxy:
     of two forms:
 
     * direct: one section_eval call at all 25 nodes, one cos/sin pass over
-      the N + 1 terms per node (see _section_points).
+      the N + 1 terms per node (see section_eval).
       Within 1.7e-8 relative of the direct sums at g_0, where the window is
       widest. Taken by the Davenport-Heilbronn model at every N and by the
       zeta model below one chunk of terms (N < _CHUNK_TERMS, n <= 8048).
@@ -645,9 +595,9 @@ def hardy_z(model: CoefficientModel, t, orders: tuple[int, ...] = (0, 1)) -> dic
 
     t may also be a 1-D array of points: each order then maps to one
     value per point. The main sums of the points that share N come from one
-    section_eval call at those points (its point path), the remainder from
-    _rs_remainder per point. Both paths form the same phases, so the values
-    agree with the scalar calls to the rounding of summing the terms.
+    section_eval call at those points, the remainder from _rs_remainder per
+    point. A scalar t is a batch of one point; a point's last bits may
+    differ with the batch it sits in (see section_eval).
     """
     if not model.is_zeta:
         raise ValueError(f"hardy_z needs the zeta model, got {model.name!r}")

@@ -2,14 +2,17 @@
 
 Nothing here touches the library's own summation paths: zeta goes through
 Euler-Maclaurin, roots through bisection, derivatives through central
-differences. Where a published high-precision reference is wanted, tests use
-mpmath directly; dh_z_mpmath wraps the one mpmath reference that needs more
-than a library call.
+differences, and section_fsum sums the section's terms exactly rounded.
+Where a published high-precision reference is wanted, tests use mpmath
+directly; dh_z_mpmath wraps the one mpmath reference that needs more than a
+library call.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 # Bernoulli numbers B_2, B_4, ..., B_12
 _BERNOULLI = (1.0 / 6, -1.0 / 30, 1.0 / 42, -1.0 / 30, 5.0 / 66, -691.0 / 2730)
@@ -76,3 +79,26 @@ def dh_z_mpmath(t: float) -> complex:
         th = mp.im(mp.loggamma(mp.mpf(0.75) + 0.5j * x)) - x / 2 * mp.log(mp.pi / 5)
         return complex(mp.expj(th) * ((1 - 1j * kappa) / 2 * lval
                                       + (1 + 1j * kappa) / 2 * lbar))
+
+
+def section_fsum(model, t: float, a, dim: int, mode: str = "main") -> list[float]:
+    """Z_N(t; a) and its first two t-derivatives at one real point t, each the
+    exactly rounded math.fsum of its weighted terms. The terms are formed by
+    the library's own float operations (the phases theta(t) - t ln m, the
+    factors theta'(t) - ln m, with theta' its main term in mode "main" and the
+    full one, plus theta'' in order 2, in mode "full"); only the summation
+    differs. a is a scalar or a (dim,) vector of weights; the head m = 1 has
+    weight 1."""
+    m = np.arange(1, dim + 2, dtype=float)
+    ln_m = np.log(m)
+    q = model.coefficients(dim + 1) / np.sqrt(m)
+    w = np.concatenate([[1.0], np.broadcast_to(np.asarray(a, dtype=float), (dim,))])
+    phases = model.theta(t) - t * ln_m
+    tp = model.theta_main(t) if mode == "main" else model.theta_deriv(t, 1)
+    factors = tp - ln_m
+    cos_p, sin_p = np.cos(phases), np.sin(phases)
+    order2 = -q * cos_p * factors * factors
+    if mode == "full":
+        order2 = order2 - q * sin_p * model.theta_deriv(t, 2)
+    return [math.fsum((w * terms).tolist())
+            for terms in (q * cos_p, -q * sin_p * factors, order2)]

@@ -12,7 +12,7 @@ import pytest
 import gramdelta
 from gramdelta import cache, cli, gram
 from gramdelta.cli import main
-from gramdelta.errors import FlatPointError, NonConvergenceError
+from gramdelta.errors import FlatPointError, NonConvergenceError, StaleCacheError
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -307,6 +307,46 @@ def test_stale_cache_shard_is_refused(tmp_path, capsys):
     assert code == 0 and json.loads(text)["cleared_files"] == 1
     assert main(["gram", "scan", "--from", "10", "--to", "12",
                  "--cache-dir", str(cache), "--out", str(tmp_path / "x.csv")]) == 0
+
+
+def test_version_2_cache_shard_is_refused(tmp_path, capsys):
+    # version-2 records summed each section exactly rounded at its one point;
+    # today's sums differ in their last bits
+    cache_dir = tmp_path / "cache"
+    assert main(["gram", "scan", "--from", "10", "--to", "12", "--cache-dir", str(cache_dir),
+                 "--out", str(tmp_path / "x.csv")]) == 0
+    shard = cache_dir / "riemann_000000.csv"
+    text = shard.read_text()
+    assert text.startswith(f"#version={cache._VERSION}\n") and cache._VERSION == "3"
+    shard.write_text(text.replace("#version=3\n", "#version=2\n", 1))
+    with pytest.raises(StaleCacheError):
+        cache.RecordStore(cache_dir).get("riemann", 10)
+    code = main(["gram", "scan", "--from", "10", "--to", "12", "--cache-dir", str(cache_dir),
+                 "--out", str(tmp_path / "y.csv")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("error: ") and "'#version=2'" in err and str(shard) in err
+
+
+@pytest.mark.parametrize("where", ["cache-dir", "out"])
+def test_path_under_a_regular_file_exits_one_line(tmp_path, capsys, where):
+    # a --cache-dir that is a regular file, or an --out under one, cannot be
+    # created: one error line and exit 1, not a traceback
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    cache_dir, out = tmp_path / "cache", tmp_path / "x.csv"
+    if where == "cache-dir":
+        cache_dir = blocker
+    else:
+        out = blocker / "x.csv"
+    code = main(["gram", "scan", "--from", "10", "--to", "12", "--cache-dir", str(cache_dir),
+                 "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("error: ") and str(blocker) in err
+    assert blocker.read_text() == ""
 
 
 def test_usage_and_domain_errors(tmp_path, capsys):

@@ -12,10 +12,10 @@ from gramdelta import (GramKind, classical_afe, classify, core_zero,
 from gramdelta.errors import DimensionError, DomainError, IndexRangeError
 from gramdelta.special import ThetaKind, theta
 from gramdelta.zmodel import (_CHEB_X, _RS_REMAINDER, WindowProxy, _parity_series,
-                              classical_partial_sums, hardy_z_error, point_values,
-                              section_eval)
+                              _rs_remainder, classical_partial_sums, hardy_z_error,
+                              point_values, section_eval)
 
-from oracles import bisect, central_difference, zeta_euler_maclaurin
+from oracles import bisect, central_difference, section_fsum, zeta_euler_maclaurin
 
 
 def test_core_is_cosine_of_theta(riemann):
@@ -362,8 +362,8 @@ def test_hardy_z_points_match_scalar_calls(riemann, centre):
     # 25 nodes across t = 2 pi N^2 for N = 2 (the lower group, N = 1, sums
     # the head alone) and N = 100, or the g_730119 window, where all nodes
     # share N: one value per node and order, within twice the section's
-    # summation bound of the scalar call (the main sum is twice the section
-    # of dimension N - 1)
+    # summation bound of the scalar call and of the exactly rounded main sum
+    # (the main sum is twice the section of dimension N - 1)
     if centre:
         t = centre + 2.0 * _CHEB_X
         sizes = {int(math.sqrt(x / (2.0 * math.pi))) for x in t.tolist()}
@@ -374,10 +374,39 @@ def test_hardy_z_points_match_scalar_calls(riemann, centre):
     assert sorted(batch) == [0, 1, 2]
     for i, x in enumerate(t.tolist()):
         single = hardy_z(riemann, x, (0, 1, 2))
-        dim = int(math.sqrt(x / (2.0 * math.pi))) - 1
+        tau = math.sqrt(x / (2.0 * math.pi))
+        dim = int(tau) - 1
+        exact = [2.0 * s + r for s, r in zip(section_fsum(riemann, x, 1.0, dim, "full"),
+                                             _rs_remainder(tau))]
         for j in range(3):
             assert batch[j].shape == t.shape
-            assert abs(batch[j][i] - single[j]) <= 2.0 * _sum_bound(x, dim, j), (i, j)
+            bound = 2.0 * _sum_bound(x, dim, j)
+            assert abs(batch[j][i] - single[j]) <= bound, (i, j)
+            assert abs(batch[j][i] - exact[j]) <= bound, (i, j)
+            assert abs(single[j] - exact[j]) <= bound, (i, j)
+
+
+def test_scalar_call_is_the_one_point_batch(riemann, davenport):
+    # a scalar t is summed as a batch of one point, so it equals the
+    # one-point array call bit for bit, for every weight form, mode and
+    # order set; DH n = 20000 (N = 7,492) runs over two chunks of terms
+    for model, n in [(riemann, 6708), (davenport, 44), (davenport, 20000)]:
+        g0 = gram_point(model, n)
+        dim = model.robust_cutoff(g0)
+        for t in (g0, g0 + 0.3):
+            for a in (0.0, 0.7, np.linspace(-0.5, 1.5, dim)):
+                for mode in ("main", "full"):
+                    for orders in [(0,), (1, 2), (0, 1, 2)]:
+                        single = section_eval(model, t, a, orders=orders, deriv_mode=mode,
+                                              n_terms=dim)
+                        batch = section_eval(model, np.array([t]), a, orders=orders,
+                                             deriv_mode=mode, n_terms=dim)
+                        assert all(type(single[j]) is float for j in orders)
+                        assert single == {j: batch[j][0] for j in orders}, (n, t, mode)
+    for t in (22.5, 7005.06, 450613.8):
+        single = hardy_z(riemann, t, (0, 1, 2))
+        batch = hardy_z(riemann, np.array([t]), (0, 1, 2))
+        assert single == {j: batch[j][0] for j in range(3)}, t
 
 
 @pytest.mark.parametrize("mode", ["main", "full"])
@@ -395,7 +424,7 @@ def test_fused_orders_are_bit_identical(riemann, davenport, mode):
 
 
 def test_scalar_point_refuses_weight_stack(riemann):
-    # a (B, N) stack of parameter points is for the point path only
+    # a (B, N) stack of parameter points needs an array of points
     t = 500.5
     n = riemann.robust_cutoff(t)
     for a in (np.ones((2, n)), np.ones((1, n)), np.ones((2, n + 1))):
@@ -500,18 +529,20 @@ def test_window_proxy_recentres_inside_the_theta_domain(riemann):
 def _point_bound(t: float, order: int) -> float:
     """Rounding floor of the phases theta(t) - t ln m, about eps t ln t,
     times the factor (theta'(t) - ln m)^order of each term, at most about
-    (ln(t)/2)^order: 4 eps t ln(t) (ln(t)/2)^order. Both section paths form
-    the phases by the same float operations, so both carry this rounding;
-    test_section_points_against_exact_phases holds each of them to this
-    bound against exactly rounded phases."""
+    (ln(t)/2)^order: 4 eps t ln(t) (ln(t)/2)^order. Every section sum forms
+    the phases by the same float operations, so each carries this rounding;
+    test_section_points_against_exact_phases holds them to this bound
+    against exactly rounded phases."""
     return 4.0 * np.finfo(float).eps * t * math.log(t) * (0.5 * math.log(t)) ** order
 
 
 def _sum_bound(t: float, dim: int, order: int) -> float:
-    """Allowed gap between the point path and the scalar path of a section
-    of dimension dim: 8 eps sqrt(dim + 1) (ln(t)/2)^order. Both paths form
-    the same terms from the same phases, so they differ only by how they
-    sum them (a matrix product per chunk against csum)."""
+    """Allowed gap between two sums of the same terms of a section of
+    dimension dim: 8 eps sqrt(dim + 1) (ln(t)/2)^order. A call at many points
+    and one at a single point, and the exactly rounded sum of
+    oracles.section_fsum, form the same terms from the same phases, so they
+    differ only by how they sum them (matrix products per chunk in another
+    order, or math.fsum)."""
     return 8.0 * np.finfo(float).eps * math.sqrt(dim + 1) * (0.5 * math.log(t)) ** order
 
 
@@ -523,23 +554,30 @@ def _window_nodes(model, n):
 
 def _assert_points_match_scalar(model, t, a, dim, mode, check):
     """section_eval at the points t against one scalar call per point (and
-    per row of a (B, N) stack), for the order sets (0,), (1, 2) and (0, 1, 2);
+    per row of a (B, N) stack) and against the exactly rounded sums of
+    oracles.section_fsum, for the order sets (0,), (1, 2) and (0, 1, 2);
     check selects the points compared."""
     rows = a if np.ndim(a) == 2 else [a]
-    single = []
+    single, exact = [], []
     for i in check:
-        vals = [section_eval(model, float(t[i]), row, orders=(0, 1, 2), deriv_mode=mode,
+        x = float(t[i])
+        vals = [section_eval(model, x, row, orders=(0, 1, 2), deriv_mode=mode,
                              n_terms=dim) for row in rows]
+        fsums = [section_fsum(model, x, row, dim, mode) for row in rows]
         single.append({j: np.array([v[j] for v in vals]).reshape(np.shape(a)[:-1])
                        for j in range(3)})
+        exact.append({j: np.array([v[j] for v in fsums]).reshape(np.shape(a)[:-1])
+                      for j in range(3)})
     for orders in [(0,), (1, 2), (0, 1, 2)]:
         batch = section_eval(model, t, a, orders=orders, deriv_mode=mode, n_terms=dim)
         assert sorted(batch) == list(orders)
         for j in orders:
             assert batch[j].shape == (len(t),) + np.shape(a)[:-1]
-            for i, ref in zip(check, single):
-                assert np.all(np.abs(batch[j][i] - ref[j])
-                              <= _sum_bound(float(t[i]), dim, j)), (orders, j, i)
+            for i, ref, ex in zip(check, single, exact):
+                bound = _sum_bound(float(t[i]), dim, j)
+                assert np.all(np.abs(batch[j][i] - ref[j]) <= bound), (orders, j, i)
+                assert np.all(np.abs(batch[j][i] - ex[j]) <= bound), (orders, j, i)
+                assert np.all(np.abs(ref[j] - ex[j]) <= bound), (orders, j, i)
 
 
 @pytest.mark.parametrize("name,n", [("riemann", 0), ("riemann", 6708),
@@ -641,11 +679,11 @@ def _exact_section(mp, t: float, dim: int) -> list[float]:
 
 
 def test_section_points_against_exact_phases(riemann):
-    # at one node of the g_730119 window (N = 225,307): the scalar path and
-    # the point path both sit within _point_bound of the exact sums; seen at
-    # nodes 0, 3, 12, 20 for orders 0 / 1 / 2: both paths up to 1.4e-9 /
-    # 4.4e-9 / 2.2e-8 (they round the same phases), bounds 5.2e-9 / 3.4e-8 /
-    # 2.2e-7
+    # at one node of the g_730119 window (N = 225,307): a call at that node
+    # alone and one at all 25 nodes both sit within _point_bound of the exact
+    # sums; seen at nodes 0, 3, 12, 20 for orders 0 / 1 / 2: both up to
+    # 1.4e-9 / 4.4e-9 / 2.2e-8 (they round the same phases), bounds 5.2e-9 /
+    # 3.4e-8 / 2.2e-7
     mp = pytest.importorskip("mpmath")
     _, dim, t = _window_nodes(riemann, 730119)
     node = 3
