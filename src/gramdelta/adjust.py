@@ -285,8 +285,7 @@ def stage_analysis(model: CoefficientModel, n: int) -> StageReport:
     """
     ctx = _context(model, n)
     g = ctx.g
-    zp_part = classical_partial_sums(model, g, "zprime")
-    z_part = classical_partial_sums(model, g, "z")
+    z_part, zp_part = classical_partial_sums(model, g)
     q4 = (g / (2.0 * math.pi)) ** 0.25
     surge_end = min(ctx.n_cut, math.ceil(q4))
     mid_lo = max(1, math.floor(0.5 * q4))

@@ -84,13 +84,22 @@ def riemann_model() -> CoefficientModel:
     return CoefficientModel(name="riemann", theta_kind=ThetaKind.RIEMANN_SIEGEL)
 
 
-@lru_cache(maxsize=32)
-def _basis(model: CoefficientModel, m_count: int):
-    """Per-term arrays for m = 1..m_count: ln m, c_m/sqrt(m)."""
-    m = np.arange(1, m_count + 1, dtype=float)
-    ln_m = np.log(m)
-    q = model.coefficients(m_count) / np.sqrt(m)
-    return ln_m, q
+@lru_cache(maxsize=4)
+def term_arrays(model: CoefficientModel, count: int):
+    """Per-term arrays for m = 1..count: ln m, c_m, sqrt m (read-only).
+
+    The one per-term table, read by the section (which forms c_m/sqrt m per
+    chunk), the classical AFE, the closed forms, the A_k/B_k table and the
+    neighbour adjustments. N(g) = floor(sqrt(g/2pi)), the count of the
+    classical AFE and of hardy_z's main sum at g, holds over runs of about
+    50 consecutive Gram points at n = 100 and 5,000 at n = 5e5, so a scan
+    window needs one or two tables; keeping more only adds to the peak
+    memory of ops that jump between heights."""
+    m = np.arange(1, count + 1, dtype=float)
+    table = np.log(m), model.coefficients(count), np.sqrt(m)
+    for arr in table:
+        arr.flags.writeable = False
+    return table
 
 
 def _as_weights(a, n: int) -> np.ndarray:
@@ -134,11 +143,11 @@ def section_eval(model: CoefficientModel, t, a, *, orders: tuple[int, ...] = (0,
     theta(t_p) - t_p ln m form a (P, chunk) array; their cos and sin (each
     only where an order needs it) and the factors theta'(t_p) - ln m (and
     theta''(t_p) for full order 2) give each order's terms, summed with one
-    matrix product against the weight columns w c_m/sqrt(m), the head m = 1
-    at weight 1. numerics.csum adds the chunk partials in chunk order (real
-    and imaginary parts apart at a complex t). The summation order is fixed
-    by the shape of the call, so reruns are bit-identical; a point's last
-    bits may differ with the batch it sits in.
+    matrix product against the weight columns w c_m/sqrt(m) of term_arrays,
+    the head m = 1 at weight 1. numerics.csum adds the chunk partials in
+    chunk order (real and imaginary parts apart at a complex t). The
+    summation order is fixed by the shape of the call, so reruns are
+    bit-identical; a point's last bits may differ with the batch it sits in.
     """
     points = isinstance(t, np.ndarray)
     if points:
@@ -156,7 +165,7 @@ def section_eval(model: CoefficientModel, t, a, *, orders: tuple[int, ...] = (0,
         raise ValueError(f"unknown deriv_mode {deriv_mode!r}")
     pts = t.tolist() if points else [t]
     tv = np.array(pts)[:, None]
-    ln_m, q = _basis(model, n + 1)
+    ln_m, c, sqrt_m = term_arrays(model, n + 1)
     th = np.array([model.theta(x) for x in pts])[:, None]
     if 1 in orders or 2 in orders:
         tp = np.array([model.theta_main(x) if deriv_mode == "main"
@@ -169,7 +178,7 @@ def section_eval(model: CoefficientModel, t, a, *, orders: tuple[int, ...] = (0,
     for lo in range(0, n + 1, _CHUNK_TERMS):
         hi = min(lo + _CHUNK_TERMS, n + 1)
         lnm = ln_m[lo:hi]
-        cols = (stack[:, lo:hi] * q[lo:hi]).T
+        cols = (stack[:, lo:hi] * (c[lo:hi] / sqrt_m[lo:hi])).T
         phases = th - tv * lnm
         cos_p = np.cos(phases) if 0 in orders or 2 in orders else None
         sin_p = np.sin(phases) if 1 in orders or full_sin else None
@@ -321,10 +330,10 @@ class WindowProxy:
     step at fixed weights is one (25,) @ (25, 3) product and the head.
 
     The window is first centred on g0 and tabulated when first needed; a
-    point outside it re-tabulates the window centred on that point. Where
-    that window would reach below theta's domain floor (t < 10 + gap, near
-    the lowest Gram points only) it spans [10, t + gap] instead, which is
-    narrower and so no less accurate.
+    point outside it re-tabulates the window centred on that point. Where a
+    window, the first one included, would reach below theta's domain floor
+    (t < 10 + gap, near the lowest Gram points only) it spans [10, t + gap]
+    instead, which is narrower and so no less accurate.
     """
 
     def __init__(self, model: CoefficientModel, n_terms: int, masks, g0: float):
@@ -333,8 +342,7 @@ class WindowProxy:
         self.weights = 1.0 if masks is None else np.array(masks, dtype=float)
         self.blocks = 1 if masks is None else len(masks)
         self.gap = gram_gap(model.theta_kind, g0)
-        self.half_width = self.gap
-        self.center = g0
+        self._centre(g0)
         self._c1 = float(model.coefficients(1)[0])
         self._coef = None
         self._fold = None  # (w, the coefficients folded with w): see section
@@ -372,19 +380,24 @@ class WindowProxy:
                                    axis=1) for j in range(3)]
         return _CHEB_FIT @ np.concatenate(rows, axis=1)
 
+    def _centre(self, t: float) -> None:
+        """Centre the window on t with half-width one gap, or span
+        [10, t + gap] where that would put nodes below theta's domain floor."""
+        if not t >= 10.0:
+            raise DomainError(f"WindowProxy requires t >= 10, got {t}")
+        if t - self.gap >= 10.0:
+            self.center, self.half_width = t, self.gap
+        else:
+            self.center = 0.5 * (10.0 + t + self.gap)
+            self.half_width = 0.5 * (t + self.gap - 10.0)
+
     def _locate(self, t: float) -> float:
         """t's place x in [-1, 1] on the window, which is re-centred on t
         (dropping its coefficients and fold) when t lies outside it and
         tabulated when first needed."""
         x = (t - self.center) / self.half_width
         if not abs(x) <= 1.0 + 1e-12:  # a window edge rounds to |x| = 1 + ulp
-            if not t >= 10.0:
-                raise DomainError(f"WindowProxy requires t >= 10, got {t}")
-            if t - self.gap >= 10.0:
-                self.center, self.half_width = t, self.gap
-            else:  # span [10, t + gap]: no node below theta's domain floor
-                self.center = 0.5 * (10.0 + t + self.gap)
-                self.half_width = 0.5 * (t + self.gap - 10.0)
+            self._centre(t)
             self._coef = self._fold = None
             x = (t - self.center) / self.half_width
         if self._coef is None:
@@ -434,68 +447,48 @@ def localized_sum(model: CoefficientModel, g: float, a_lo: int, b_hi: int,
     which = "z":       2 (-1)^n sum c_k cos(ln k g)/sqrt(k)
     which = "zprime":  (-1)^n sum c_k ln(g/(2 pi k^2)) sin(ln k g)/sqrt(k)
 
-    localized_sum(1, N(n)) reproduces classical_afe bit for bit: both build
-    their terms by _classical_terms.
+    localized_sum(1, N(n)) reproduces classical_afe bit for bit: both sum
+    the rows of _classical_terms and scale the sum.
     """
     n_cut = model.classical_cutoff(g)
     if not (1 <= a_lo <= b_hi <= n_cut):
         raise IndexRangeError(f"need 1 <= {a_lo} <= {b_hi} <= {n_cut}")
+    if which not in ("z", "zprime"):
+        raise ValueError(f"which must be 'z' or 'zprime', got {which!r}")
+    sign, z_terms, zp_terms = _classical_terms(model, g)
+    terms, factor = (z_terms, 2.0 * sign) if which == "z" else (zp_terms, sign)
+    return factor * csum(terms[a_lo - 1:b_hi])
+
+
+def _classical_terms(model: CoefficientModel, g: float
+                     ) -> tuple[float, np.ndarray, np.ndarray]:
+    """(-1)^n at the Gram point g = g_n and the unsigned term rows
+    c_k cos(ln k g)/sqrt(k) and c_k ln(g/(2 pi k^2)) sin(ln k g)/sqrt(k),
+    k = 1..N(g), from one cos and sin pass. Callers scale a row's sum by
+    2 (-1)^n (Z) or (-1)^n (Z') after summing: scaled terms can sum to +0.0
+    where the scaled sum is -0.0."""
     sign = -1.0 if gram_index_of(model, g) % 2 else 1.0
-    terms = _classical_terms(model, g, (which,))[0][a_lo - 1:b_hi]
-    factor = 2.0 * sign if which == "z" else sign
-    return factor * csum(terms)
-
-
-@lru_cache(maxsize=4)
-def term_arrays(model: CoefficientModel, count: int):
-    """Per-term arrays for m = 1..count: ln m, c_m, sqrt m (read-only).
-
-    The one source of these arrays for the classical AFE, the closed forms,
-    the A_k/B_k table and the neighbour adjustments; the section keeps its
-    own (ln m, c_m/sqrt m) basis. N(g) holds over runs of about 50
-    consecutive Gram points at n = 100 and 5,000 at n = 5e5, so a scan
-    window needs one or two tables; keeping more only adds to the peak
-    memory of ops that jump between heights."""
-    m = np.arange(1, count + 1, dtype=float)
-    table = np.log(m), model.coefficients(count), np.sqrt(m)
-    for arr in table:
-        arr.flags.writeable = False
-    return table
-
-
-def _classical_terms(model: CoefficientModel, g: float,
-                     which: tuple[str, ...]) -> list[np.ndarray]:
-    """Unsigned classical-AFE term arrays for k = 1..N(g), one per entry of
-    which ("z" or "zprime"), from one pass of cos and sin over ln k g."""
     ln_k, c, sqrt_k = term_arrays(model, model.classical_cutoff(g))
     arg = ln_k * g
-    out = []
-    for kind in which:
-        if kind == "z":
-            out.append(c * np.cos(arg) / sqrt_k)
-        elif kind == "zprime":
-            length = 2.0 * (model.theta_main(g) - ln_k)  # ln(g / (2 pi k^2)) analogue
-            out.append(c * length * np.sin(arg) / sqrt_k)
-        else:
-            raise ValueError(f"which must be 'z' or 'zprime', got {kind!r}")
-    return out
+    length = 2.0 * (model.theta_main(g) - ln_k)  # ln(g / (2 pi k^2)) analogue
+    return sign, c * np.cos(arg) / sqrt_k, c * length * np.sin(arg) / sqrt_k
 
 
 def classical_afe(model: CoefficientModel, g: float) -> ClassicalValues:
     """Z(g_n) and Z'(g_n) from the classical AFE (error term not added)."""
     if not g >= 10.0:
         raise DomainError(f"classical_afe requires g >= 10, got {g}")
-    sign = -1.0 if gram_index_of(model, g) % 2 else 1.0
-    z_terms, zp_terms = _classical_terms(model, g, ("z", "zprime"))
+    sign, z_terms, zp_terms = _classical_terms(model, g)
     return ClassicalValues(z=2.0 * sign * csum(z_terms), zprime=sign * csum(zp_terms))
 
 
-def classical_partial_sums(model: CoefficientModel, g: float, which: str) -> np.ndarray:
-    """Running partial sums S(k) of the classical AFE, k = 1..N(g), signed."""
-    n = gram_index_of(model, g)
-    sign = -1.0 if n % 2 else 1.0
-    factor = 2.0 * sign if which == "z" else sign
-    return factor * running_csum(_classical_terms(model, g, (which,))[0])
+def classical_partial_sums(model: CoefficientModel, g: float
+                           ) -> tuple[np.ndarray, np.ndarray]:
+    """Running partial sums S(k), k = 1..N(g), of the classical AFE's Z and
+    Z' rows, in that order: the running sums of the unsigned terms, scaled
+    after summing by 2 (-1)^n and (-1)^n (see _classical_terms)."""
+    sign, z_terms, zp_terms = _classical_terms(model, g)
+    return 2.0 * sign * running_csum(z_terms), sign * running_csum(zp_terms)
 
 
 # Riemann-Siegel remainder coefficients C_0..C_3 (Edwards, Riemann's Zeta

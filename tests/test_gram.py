@@ -225,11 +225,11 @@ def test_classical_sums_are_bit_identical_to_the_reference(riemann, davenport, n
     g = gram_point(model, n)
     sign = -1.0 if n % 2 else 1.0
     n_cut = model.classical_cutoff(g)
-    for which, factor in (("z", 2.0 * sign), ("zprime", sign)):
+    partials = classical_partial_sums(model, g)
+    for which, factor, part in zip(("z", "zprime"), (2.0 * sign, sign), partials):
         terms = _reference_terms(model, g, which)
         for lo, hi in ((1, n_cut), (1, 1), (2, n_cut), (n_cut // 2 + 1, n_cut)):
             assert localized_sum(model, g, lo, hi, which).hex() == \
                 (factor * csum(terms[lo - 1:hi])).hex()
         # the running sums are Neumaier prefix sums, not exactly rounded ones
-        assert np.array_equal(classical_partial_sums(model, g, which),
-                              factor * running_csum(terms))
+        assert np.array_equal(part, factor * running_csum(terms))

@@ -129,7 +129,7 @@ def test_classical_values_track_truth_within_error_term(riemann):
 
 def test_initial_surge_at_730119(riemann):
     g = gram_point(riemann, 730119)
-    partials = classical_partial_sums(riemann, g, "zprime")
+    _, partials = classical_partial_sums(riemann, g)
     surge_end = math.ceil((g / (2 * math.pi)) ** 0.25)
     surge = abs(partials[surge_end - 1])
     remaining = abs(partials[-1] - partials[surge_end - 1])
@@ -260,6 +260,21 @@ def test_hardy_z_error_bounds_z_near_g_730119(riemann, offset):
     t = gram_point(riemann, 730119) + offset
     with mp.workdps(30):
         assert abs(hardy_z(riemann, t, (0,))[0] - float(mp.siegelz(t))) <= hardy_z_error(t)
+
+
+@pytest.mark.parametrize("n", [100_000, 300_000, 1_000_000])
+def test_hardy_z_error_bounds_z_near_scan_heights(riemann, n):
+    # classify trusts a sign once |Z| reaches hardy_z_error; across the
+    # range of the high scans (g_n = 7.5e4 to 6.0e5) Z at eight seeded
+    # points within 50 of g_n stays within it (seen: 0.32, 0.20 and 0.32 of
+    # the allowance at the worst point)
+    mp = pytest.importorskip("mpmath")
+    g = gram_point(riemann, n)
+    offsets = np.random.default_rng(19).uniform(-50.0, 50.0, 8)
+    with mp.workdps(30):
+        for t in (g + offsets).tolist():
+            err = abs(hardy_z(riemann, t, (0,))[0] - float(mp.siegelz(t)))
+            assert err <= hardy_z_error(t), t
 
 
 def test_hardy_z_orders_are_bit_identical_across_order_sets(riemann):
@@ -507,23 +522,26 @@ def test_window_proxy_fold_follows_the_window_and_the_weights(riemann):
     assert len(centres) == 3  # two re-tabulations
 
 
-def test_window_proxy_recentres_inside_the_theta_domain(riemann):
+def test_window_proxy_recentres_inside_the_theta_domain(riemann, davenport):
     # at g_0 the window is widest (half-width 6.02): a window centred on a point
-    # just below it would put nodes under t = 10, so it spans [10, t + gap]
-    g0 = gram_point(riemann, 0)
-    dim = riemann.robust_cutoff(g0)
-    proxy = WindowProxy(riemann, dim, None, g0)
-    t = g0 - 1.01 * proxy.half_width
-    sums = proxy.sums(t)[:, 0]
-    assert proxy.center - proxy.half_width == pytest.approx(10.0, abs=1e-12)
-    assert proxy.center + proxy.half_width == pytest.approx(t + proxy.gap, abs=1e-12)
-    direct = section_eval(riemann, t, 1.0, orders=(0, 1, 2), n_terms=dim)
-    head = proxy.head(t)
-    for j in range(3):
-        s_direct = direct[j] - head[j]
-        assert abs(sums[j] - s_direct) <= 2e-8 * max(1.0, abs(s_direct))
-    with pytest.raises(DomainError):
-        proxy.sums(9.5)
+    # just below it would put nodes under t = 10, so it spans [10, t + gap];
+    # the first window keeps the same rule, and DH's g_2 = 10.49 lies within
+    # one gap (2.96) of the floor
+    for model, n, below in ((riemann, 0, 1.01), (davenport, 2, 0.0)):
+        g = gram_point(model, n)
+        dim = model.robust_cutoff(g)
+        proxy = WindowProxy(model, dim, None, g)
+        t = g - below * proxy.gap
+        sums = proxy.sums(t)[:, 0]
+        assert proxy.center - proxy.half_width == pytest.approx(10.0, abs=1e-12)
+        assert proxy.center + proxy.half_width == pytest.approx(t + proxy.gap, abs=1e-12)
+        direct = section_eval(model, t, 1.0, orders=(0, 1, 2), n_terms=dim)
+        head = proxy.head(t)
+        for j in range(3):
+            s_direct = direct[j] - head[j]
+            assert abs(sums[j] - s_direct) <= 2e-8 * max(1.0, abs(s_direct))
+        with pytest.raises(DomainError):
+            proxy.sums(9.5)
 
 
 def _point_bound(t: float, order: int) -> float:
