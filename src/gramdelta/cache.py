@@ -26,8 +26,11 @@ from .gram import GramKind, GramRecord
 ENV_VAR = "GDL_CACHE_DIR"
 SHARD = 100_000
 # 2: viscosity and fallback sign from Riemann-Siegel Z; 3: a one-point section
-# summed as a batch of one (chunked matrix products, not math.fsum)
-_VERSION = "3"
+# summed as a batch of one (chunked matrix products, not math.fsum); 4: each
+# point's section terms reduced on their own (np.einsum per point and weight
+# row), so a record no longer depends on the batch it was classified in, and
+# the last bits of viscosity moved
+_VERSION = "4"
 
 
 def default_cache_dir() -> Path:

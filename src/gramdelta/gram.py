@@ -17,6 +17,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
+
+import numpy as np
 
 from .errors import DomainError, IndeterminateSignError
 from .numerics import newton_scalar
@@ -109,9 +112,42 @@ def core_zero(model: CoefficientModel, n: int) -> float:
 
 _SMALL = 1e-4
 _CLASSICAL_ERROR_SCALE = 3.0  # multiplies g^(-1/4), the dropped AFE error term
+# Gram points evaluated in one batch: bounds the batch's arrays (at n = 1e6
+# a point's main sums take about 300 terms, and a DH point's section up to
+# one 4096-term chunk, so a slice holds a few MB)
+_SLICE = 64
 
 
-def classify(model: CoefficientModel, n: int) -> GramRecord:
+class GramValues(NamedTuple):
+    """What classify decides from at the Gram point t = g_n: the classical
+    AFE pair and the point pair (Z, Z') of zmodel.point_values with the |Z|
+    below which its sign is not trusted."""
+    t: float
+    z: float
+    zprime: float
+    point_z: float
+    point_zprime: float
+    allowance: float
+
+
+def gram_values(model: CoefficientModel, indices: list[int]) -> list[GramValues]:
+    """GramValues at the Gram points of the indices, as one batch.
+
+    The Gram points are found per index; the classical pairs come from one
+    classical_afe call and the point pairs from one point_values call at all
+    of them, so the points that share a term count share a trig pass. Each
+    point's sums depend on that point alone, so its values are the same in
+    any batch, the batch of one included."""
+    g = np.array([gram_point(model, n) for n in indices])
+    classical = classical_afe(model, g)
+    point, allowance = point_values(model, g)
+    return [GramValues(*row) for row in zip(
+        g.tolist(), classical.z.tolist(), classical.zprime.tolist(),
+        point[0].tolist(), point[1].tolist(), allowance.tolist())]
+
+
+def classify(model: CoefficientModel, n: int,
+             values: GramValues | None = None) -> GramRecord:
     """GramRecord for index n; good means (-1)^n Z(g_n) > 0.
 
     The first look is the classical AFE, whose dropped error term is
@@ -124,20 +160,24 @@ def classify(model: CoefficientModel, n: int) -> GramRecord:
     Viscosity |Z'/Z| is taken from the same point pair, so for the zeta model
     it is the true logarithmic derivative; z_value/zprime_value keep the
     classical pair that the adjustment identities are built on.
+
+    values are n's GramValues from a gram_values batch; without them n is
+    evaluated as a batch of one, which gives the same values.
     """
-    g = gram_point(model, n)
-    vals = classical_afe(model, g)
-    point, allowance = point_values(model, g)
+    if values is None:
+        (values,) = gram_values(model, [n])
+    g = values.t
     sign = -1.0 if n % 2 else 1.0
-    if abs(vals.z) < max(_SMALL, _CLASSICAL_ERROR_SCALE * g ** -0.25):
-        if abs(point[0]) < allowance:
+    if abs(values.z) < max(_SMALL, _CLASSICAL_ERROR_SCALE * g ** -0.25):
+        if abs(values.point_z) < values.allowance:
             kind = GramKind.INDETERMINATE
         else:
-            kind = GramKind.GOOD if sign * point[0] > 0 else GramKind.BAD
+            kind = GramKind.GOOD if sign * values.point_z > 0 else GramKind.BAD
     else:
-        kind = GramKind.GOOD if sign * vals.z > 0 else GramKind.BAD
-    viscosity = math.inf if point[0] == 0.0 else abs(point[1] / point[0])
-    return GramRecord(n=n, t=g, z_value=vals.z, zprime_value=vals.zprime,
+        kind = GramKind.GOOD if sign * values.z > 0 else GramKind.BAD
+    viscosity = (math.inf if values.point_z == 0.0
+                 else abs(values.point_zprime / values.point_z))
+    return GramRecord(n=n, t=g, z_value=values.z, zprime_value=values.zprime,
                       kind=kind, viscosity=viscosity)
 
 
@@ -154,11 +194,12 @@ class RecordSource:
 
     def range(self, n_from: int, n_to: int) -> list[GramRecord]:
         """Records n_from..n_to. The ones neither memoized nor cached are
-        classified in index order on the calling thread, then stored with one
-        put. There is no worker pool, so `gdl --threads` changes nothing:
-        classification holds the GIL, and a thread pool was measured slower
-        than this loop at every window size. A reversed window is refused: it
-        would hold no record."""
+        evaluated in batches of up to _SLICE indices (gram_values), classified,
+        and stored with one put once all of them are. A record is the same
+        whichever batch it was evaluated in, so a window gives the same
+        records scanned whole or in pieces, cold or over a warm cache. Scans
+        run on the calling thread, so `gdl --threads` changes nothing. A
+        reversed window is refused: it would hold no record."""
         if n_from > n_to:
             raise ValueError(f"need n_from <= n_to, got [{n_from}, {n_to}]")
         indices = range(n_from, n_to + 1)
@@ -171,7 +212,11 @@ class RecordSource:
                 missing.append(n)
             else:
                 self._memo[n] = rec
-        computed = [classify(self.model, n) for n in missing]
+        computed = []
+        for lo in range(0, len(missing), _SLICE):
+            part = missing[lo:lo + _SLICE]
+            computed += [classify(self.model, n, values)
+                         for n, values in zip(part, gram_values(self.model, part))]
         if computed and self.store is not None:
             self.store.put(self.model.name, *computed)
         for rec in computed:

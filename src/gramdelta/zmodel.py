@@ -22,10 +22,11 @@ point_values: for the Riemann model hardy_z, the Riemann-Siegel formula with
 remainder terms, not the section, which at a = 1 drops a tail of size about
 1/sqrt(2t).
 
-Every section is summed one way (section_eval): matrix products over chunks
-of terms, with the chunk partials added by numerics.csum in chunk order. The
-summation order is fixed by the shape of a call, so reruns emit bit-identical
-values; a point's last bits may differ with the batch of points it sits in.
+Every section is summed one way (section_eval): per chunk of terms, one
+reduction over the terms of each point and weight row, with the chunk
+partials added by numerics.csum in chunk order. A point's sums depend on that
+point alone, so its values are the same alone, in any batch of points and on
+every rerun.
 """
 
 from __future__ import annotations
@@ -125,6 +126,32 @@ def _as_weights(a, n: int) -> np.ndarray:
 _CHUNK_TERMS = 4096  # terms per chunk of a section sum: bounds its (P, chunk) arrays
 
 
+def _as_points(t) -> tuple[np.ndarray, bool]:
+    """t as a 1-D real array of points, and whether t was such an array: a
+    scalar is a batch of one point."""
+    if not isinstance(t, np.ndarray):
+        return np.array([t], dtype=float), False
+    if t.ndim != 1 or np.iscomplexobj(t):
+        raise DimensionError(f"points must be a 1-D real array, got {t.dtype} {t.shape}")
+    return t, True
+
+
+def _by_size(t: np.ndarray, sizes: list[int], evaluate) -> dict:
+    """evaluate(points, size), a dict of one array per key, called once per
+    distinct size among the points t in ascending order, with the values put
+    back in the order of t."""
+    distinct = sorted(set(sizes))  # np.unique loads 1.7 MB more RSS
+    if len(distinct) == 1:  # one group, as in most windows: no masks to apply
+        return evaluate(t, distinct[0])
+    sizes = np.array(sizes)
+    out: dict = {}
+    for size in distinct:
+        group = sizes == size
+        for key, vals in evaluate(t[group], size).items():
+            out.setdefault(key, np.empty(len(t)))[group] = vals
+    return out
+
+
 def section_eval(model: CoefficientModel, t, a, *, orders: tuple[int, ...] = (0,),
                  deriv_mode: str = "main", n_terms: int | None = None) -> dict:
     """Evaluate Z_N(t; a) and its requested t-derivatives in one trig pass.
@@ -142,12 +169,14 @@ def section_eval(model: CoefficientModel, t, a, *, orders: tuple[int, ...] = (0,
     The terms run in chunks of _CHUNK_TERMS. Per chunk the phases
     theta(t_p) - t_p ln m form a (P, chunk) array; their cos and sin (each
     only where an order needs it) and the factors theta'(t_p) - ln m (and
-    theta''(t_p) for full order 2) give each order's terms, summed with one
-    matrix product against the weight columns w c_m/sqrt(m) of term_arrays,
-    the head m = 1 at weight 1. numerics.csum adds the chunk partials in
-    chunk order (real and imaginary parts apart at a complex t). The
-    summation order is fixed by the shape of the call, so reruns are
-    bit-identical; a point's last bits may differ with the batch it sits in.
+    theta''(t_p) for full order 2) give each order's terms. Each point's
+    terms are reduced against each weight row w c_m/sqrt(m) of term_arrays
+    (the head m = 1 at weight 1) by np.einsum over C-contiguous (B, chunk)
+    rows, one sum per (point, row) in an order fixed by the chunk alone; a
+    matrix product would pick its kernel, and so its summation order, by the
+    number of points. numerics.csum adds the chunk partials in chunk order
+    (real and imaginary parts apart at a complex t). So a point's values are
+    bit-identical alone, in any batch and on every rerun.
     """
     points = isinstance(t, np.ndarray)
     if points:
@@ -178,23 +207,23 @@ def section_eval(model: CoefficientModel, t, a, *, orders: tuple[int, ...] = (0,
     for lo in range(0, n + 1, _CHUNK_TERMS):
         hi = min(lo + _CHUNK_TERMS, n + 1)
         lnm = ln_m[lo:hi]
-        cols = (stack[:, lo:hi] * (c[lo:hi] / sqrt_m[lo:hi])).T
+        rows = stack[:, lo:hi] * (c[lo:hi] / sqrt_m[lo:hi])  # (B, chunk), C order
         phases = th - tv * lnm
         cos_p = np.cos(phases) if 0 in orders or 2 in orders else None
         sin_p = np.sin(phases) if 1 in orders or full_sin else None
         del phases
         if 0 in orders:
-            partials[0].append(cos_p @ cols)
+            partials[0].append(np.einsum("pk,bk->pb", cos_p, rows))
         if 1 in orders or 2 in orders:
             factors = tp - lnm
         if 1 in orders:
-            partials[1].append(-((sin_p * factors) @ cols))
+            partials[1].append(-np.einsum("pk,bk->pb", sin_p * factors, rows))
         if 2 in orders:
             terms = cos_p * factors
             terms *= factors
             if full_sin:
                 terms += sin_p * tpp
-            partials[2].append(-(terms @ cols))
+            partials[2].append(-np.einsum("pk,bk->pb", terms, rows))
     cplx = np.iscomplexobj(tv)
     out: dict = {}
     for j in orders:
@@ -426,7 +455,8 @@ class WindowProxy:
 
 @dataclass(frozen=True)
 class ClassicalValues:
-    """Classical-AFE value pair at a Gram point."""
+    """Classical-AFE value pair at a Gram point (or arrays of them, one value
+    per point, from classical_afe at an array of Gram points)."""
     z: float
     zprime: float
 
@@ -455,31 +485,49 @@ def localized_sum(model: CoefficientModel, g: float, a_lo: int, b_hi: int,
         raise IndexRangeError(f"need 1 <= {a_lo} <= {b_hi} <= {n_cut}")
     if which not in ("z", "zprime"):
         raise ValueError(f"which must be 'z' or 'zprime', got {which!r}")
-    sign, z_terms, zp_terms = _classical_terms(model, g)
-    terms, factor = (z_terms, 2.0 * sign) if which == "z" else (zp_terms, sign)
-    return factor * csum(terms[a_lo - 1:b_hi])
+    signs, z_terms, zp_terms = _classical_terms(model, np.array([g]), n_cut)
+    terms, factor = (z_terms, 2.0 * signs[0]) if which == "z" else (zp_terms, signs[0])
+    return factor * csum(terms[0, a_lo - 1:b_hi])
 
 
-def _classical_terms(model: CoefficientModel, g: float
-                     ) -> tuple[float, np.ndarray, np.ndarray]:
-    """(-1)^n at the Gram point g = g_n and the unsigned term rows
-    c_k cos(ln k g)/sqrt(k) and c_k ln(g/(2 pi k^2)) sin(ln k g)/sqrt(k),
-    k = 1..N(g), from one cos and sin pass. Callers scale a row's sum by
-    2 (-1)^n (Z) or (-1)^n (Z') after summing: scaled terms can sum to +0.0
-    where the scaled sum is -0.0."""
-    sign = -1.0 if gram_index_of(model, g) % 2 else 1.0
-    ln_k, c, sqrt_k = term_arrays(model, model.classical_cutoff(g))
-    arg = ln_k * g
-    length = 2.0 * (model.theta_main(g) - ln_k)  # ln(g / (2 pi k^2)) analogue
-    return sign, c * np.cos(arg) / sqrt_k, c * length * np.sin(arg) / sqrt_k
+def _classical_terms(model: CoefficientModel, g: np.ndarray, n_cut: int
+                     ) -> tuple[list[float], np.ndarray, np.ndarray]:
+    """(-1)^n at the Gram points g = g_n, which share N(g) = n_cut, and the
+    unsigned term rows c_k cos(ln k g)/sqrt(k) and
+    c_k ln(g/(2 pi k^2)) sin(ln k g)/sqrt(k), k = 1..N, one (P, N) array each
+    from one cos and sin pass. Callers scale a row's sum by 2 (-1)^n (Z) or
+    (-1)^n (Z') after summing: scaled terms can sum to +0.0 where the scaled
+    sum is -0.0."""
+    signs = [-1.0 if gram_index_of(model, x) % 2 else 1.0 for x in g.tolist()]
+    ln_k, c, sqrt_k = term_arrays(model, n_cut)
+    arg = g[:, None] * ln_k
+    # ln(g / (2 pi k^2)) analogue
+    length = 2.0 * (np.array([model.theta_main(x) for x in g.tolist()])[:, None] - ln_k)
+    return signs, c * np.cos(arg) / sqrt_k, c * length * np.sin(arg) / sqrt_k
 
 
-def classical_afe(model: CoefficientModel, g: float) -> ClassicalValues:
-    """Z(g_n) and Z'(g_n) from the classical AFE (error term not added)."""
-    if not g >= 10.0:
-        raise DomainError(f"classical_afe requires g >= 10, got {g}")
-    sign, z_terms, zp_terms = _classical_terms(model, g)
-    return ClassicalValues(z=2.0 * sign * csum(z_terms), zprime=sign * csum(zp_terms))
+def _classical_sums(model: CoefficientModel, g: np.ndarray, n_cut: int) -> dict:
+    signs, z_terms, zp_terms = _classical_terms(model, g, n_cut)
+    return {"z": np.array([2.0 * s * csum(row) for s, row in zip(signs, z_terms)]),
+            "zprime": np.array([s * csum(row) for s, row in zip(signs, zp_terms)])}
+
+
+def classical_afe(model: CoefficientModel, g) -> ClassicalValues:
+    """Z(g_n) and Z'(g_n) from the classical AFE (error term not added).
+
+    g may also be a 1-D array of Gram points: z and zprime then hold one
+    value per point. The points that share N(g) take their terms from one
+    cos and sin pass, and each point's rows are summed by csum on their own,
+    so a point's values equal its one-point call bit for bit."""
+    pts, points = _as_points(g)
+    for x in pts.tolist():
+        if not x >= 10.0:
+            raise DomainError(f"classical_afe requires g >= 10, got {x}")
+    sums = _by_size(pts, [model.classical_cutoff(x) for x in pts.tolist()],
+                    lambda group, n_cut: _classical_sums(model, group, n_cut))
+    if points:
+        return ClassicalValues(z=sums["z"], zprime=sums["zprime"])
+    return ClassicalValues(z=float(sums["z"][0]), zprime=float(sums["zprime"][0]))
 
 
 def classical_partial_sums(model: CoefficientModel, g: float
@@ -487,8 +535,9 @@ def classical_partial_sums(model: CoefficientModel, g: float
     """Running partial sums S(k), k = 1..N(g), of the classical AFE's Z and
     Z' rows, in that order: the running sums of the unsigned terms, scaled
     after summing by 2 (-1)^n and (-1)^n (see _classical_terms)."""
-    sign, z_terms, zp_terms = _classical_terms(model, g)
-    return 2.0 * sign * running_csum(z_terms), sign * running_csum(zp_terms)
+    signs, z_terms, zp_terms = _classical_terms(model, np.array([g]),
+                                                model.classical_cutoff(g))
+    return 2.0 * signs[0] * running_csum(z_terms[0]), signs[0] * running_csum(zp_terms[0])
 
 
 # Riemann-Siegel remainder coefficients C_0..C_3 (Edwards, Riemann's Zeta
@@ -589,36 +638,25 @@ def hardy_z(model: CoefficientModel, t, orders: tuple[int, ...] = (0, 1)) -> dic
     t may also be a 1-D array of points: each order then maps to one
     value per point. The main sums of the points that share N come from one
     section_eval call at those points, the remainder from _rs_remainder per
-    point. A scalar t is a batch of one point; a point's last bits may
-    differ with the batch it sits in (see section_eval).
+    point. A scalar t is a batch of one point, and a point's values are the
+    same in any batch (see section_eval).
     """
     if not model.is_zeta:
         raise ValueError(f"hardy_z needs the zeta model, got {model.name!r}")
     if not set(orders) <= {0, 1, 2}:
         raise ValueError(f"hardy_z evaluates orders 0, 1 and 2, got {orders}")
-    points = isinstance(t, np.ndarray)
-    if points and (t.ndim != 1 or np.iscomplexobj(t)):
-        raise DimensionError(f"points must be a 1-D real array, got {t.dtype} {t.shape}")
+    pts, points = _as_points(t)
     taus = []
-    for x in t.tolist() if points else [t]:
+    for x in pts.tolist():
         if not 10.0 <= x < math.inf:
             raise DomainError(f"hardy_z requires finite t >= 10, got {x}")
         taus.append(math.sqrt(x / TWO_PI))
-    if not points:
-        main = section_eval(model, t, 1.0, orders=orders, deriv_mode="full",
-                            n_terms=int(taus[0]) - 1)
-        rem = _rs_remainder(taus[0])
-    else:
-        sizes = np.array([int(tau) for tau in taus])  # N per point
-        main = {j: np.empty(len(t)) for j in orders}
-        for n in sorted(set(sizes.tolist())):  # np.unique loads 1.7 MB more RSS
-            group = sizes == n
-            vals = section_eval(model, t[group], 1.0, orders=orders, deriv_mode="full",
-                                n_terms=n - 1)
-            for j in orders:
-                main[j][group] = vals[j]
-        rem = np.array([_rs_remainder(tau) for tau in taus]).T
-    return {j: 2.0 * main[j] + rem[j] for j in sorted(set(orders))}
+    main = _by_size(pts, [int(tau) for tau in taus],
+                    lambda group, n: section_eval(model, group, 1.0, orders=orders,
+                                                  deriv_mode="full", n_terms=n - 1))
+    rem = np.array([_rs_remainder(tau) for tau in taus]).T
+    out = {j: 2.0 * main[j] + rem[j] for j in sorted(set(orders))}
+    return out if points else {j: float(v[0]) for j, v in out.items()}
 
 
 def hardy_z_error(t: float) -> float:
@@ -648,19 +686,31 @@ class NewtonResult:
 _SECTION_SIGN_FLOOR = 1e-4  # |Z| below which a section value's sign is not trusted
 
 
-def point_values(model: CoefficientModel, t: float, orders: tuple[int, ...] = (0, 1)
-                 ) -> tuple[dict[int, float], float]:
+def point_values(model: CoefficientModel, t, orders: tuple[int, ...] = (0, 1)
+                 ) -> tuple[dict, float]:
     """Z(t) and Z'(t) for point work (Gram-point signs and viscosity, Newton
     zeros) and the |Z| below which the sign of Z is not trusted.
 
     The zeta model takes hardy_z, with allowance hardy_z_error(t); any other
     model its section at a = 1 with the full-mode derivative, whose dropped
-    tail is O(t^(-1/2)), with allowance 1e-4.
+    tail is O(t^(-1/2)), with allowance 1e-4. t may also be a 1-D array of
+    points: each order and the allowance then hold one value per point, the
+    points that share N (hardy_z's, or the robust cutoff of the section)
+    summed in one section_eval call, and each point's values equal its
+    one-point call bit for bit.
     """
+    pts, points = _as_points(t)
     if model.is_zeta:
-        return hardy_z(model, t, orders), hardy_z_error(t)
-    return (section_eval(model, t, 1.0, orders=orders, deriv_mode="full"),
-            _SECTION_SIGN_FLOOR)
+        vals = hardy_z(model, pts, orders)
+        allowance = [hardy_z_error(x) for x in pts.tolist()]
+    else:
+        vals = _by_size(pts, [model.robust_cutoff(x) for x in pts.tolist()],
+                        lambda group, n: section_eval(model, group, 1.0, orders=orders,
+                                                      deriv_mode="full", n_terms=n))
+        allowance = [_SECTION_SIGN_FLOOR] * len(pts)
+    if points:
+        return vals, np.array(allowance)
+    return {j: float(v[0]) for j, v in vals.items()}, allowance[0]
 
 
 def find_zero_newton(model: CoefficientModel, t0: float) -> NewtonResult:

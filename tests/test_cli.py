@@ -310,15 +310,16 @@ def test_stale_cache_shard_is_refused(tmp_path, capsys):
 
 
 def test_version_2_cache_shard_is_refused(tmp_path, capsys):
-    # version-2 records summed each section exactly rounded at its one point;
-    # today's sums differ in their last bits
+    # the shard of the previous version: version-3 records summed each section
+    # by matrix products, whose last bits followed the batch of points; today's
+    # per-point reductions differ in the last bits of viscosity
     cache_dir = tmp_path / "cache"
     assert main(["gram", "scan", "--from", "10", "--to", "12", "--cache-dir", str(cache_dir),
                  "--out", str(tmp_path / "x.csv")]) == 0
     shard = cache_dir / "riemann_000000.csv"
     text = shard.read_text()
-    assert text.startswith(f"#version={cache._VERSION}\n") and cache._VERSION == "3"
-    shard.write_text(text.replace("#version=3\n", "#version=2\n", 1))
+    assert text.startswith(f"#version={cache._VERSION}\n") and cache._VERSION == "4"
+    shard.write_text(text.replace("#version=4\n", "#version=3\n", 1))
     with pytest.raises(StaleCacheError):
         cache.RecordStore(cache_dir).get("riemann", 10)
     code = main(["gram", "scan", "--from", "10", "--to", "12", "--cache-dir", str(cache_dir),
@@ -326,7 +327,7 @@ def test_version_2_cache_shard_is_refused(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert len(err.strip().splitlines()) == 1
-    assert err.startswith("error: ") and "'#version=2'" in err and str(shard) in err
+    assert err.startswith("error: ") and "'#version=3'" in err and str(shard) in err
 
 
 @pytest.mark.parametrize("where", ["cache-dir", "out"])
@@ -389,16 +390,14 @@ def test_newton_failures_exit_one_line(tmp_path, capsys, monkeypatch, exc):
 
 
 def test_indeterminate_sign_exits_one_line(tmp_path, capsys, monkeypatch):
-    real = gram.classify
+    real = gram.gram_values
 
-    def indeterminate_at_126(model, n):
-        rec = real(model, n)
-        if n != 126:
-            return rec
-        return gram.GramRecord(rec.n, rec.t, rec.z_value, rec.zprime_value,
-                               gram.GramKind.INDETERMINATE, rec.viscosity)
+    def indeterminate_at_126(model, indices):
+        # Z = 0 in both looks leaves the sign of Z(g_126) undecided
+        return [values._replace(z=0.0, point_z=0.0) if n == 126 else values
+                for n, values in zip(indices, real(model, indices))]
 
-    monkeypatch.setattr(gram, "classify", indeterminate_at_126)
+    monkeypatch.setattr(gram, "gram_values", indeterminate_at_126)
     code = main(["gram", "blocks", "--from", "120", "--to", "130",
                  "--cache-dir", str(tmp_path)])
     err = capsys.readouterr().err
@@ -520,6 +519,26 @@ def test_scan_and_shard_bytes_identical_across_threads(tmp_path):
     assert len(outputs) == 1
 
 
+def test_window_scanned_in_pieces_matches_the_whole(tmp_path):
+    # a 40-index window at 1e5 scanned whole, and scanned as a lone index, a
+    # cold head, a tail whose first half is warm, then whole again over the
+    # warm cache: each batch holds other points, and each record is the same
+    def scan(cache_dir, lo, hi, out):
+        assert main(["gram", "scan", "--from", str(lo), "--to", str(hi),
+                     "--cache-dir", str(cache_dir), "--out", str(out)]) == 0
+
+    scan(tmp_path / "whole", 100_000, 100_039, tmp_path / "whole.csv")
+    scan(tmp_path / "pieces", 100_005, 100_005, tmp_path / "one.csv")
+    scan(tmp_path / "pieces", 100_000, 100_019, tmp_path / "head.csv")
+    scan(tmp_path / "pieces", 100_010, 100_039, tmp_path / "tail.csv")
+    scan(tmp_path / "pieces", 100_000, 100_039, tmp_path / "pieces.csv")
+    assert (tmp_path / "whole.csv").read_bytes() == (tmp_path / "pieces.csv").read_bytes()
+    whole = cache.RecordStore(tmp_path / "whole")
+    pieces = cache.RecordStore(tmp_path / "pieces")
+    assert all(whole.get("riemann", n) == pieces.get("riemann", n) is not None
+               for n in range(100_000, 100_040))
+
+
 def _count_puts(monkeypatch) -> list[int]:
     """Record the number of records of every RecordStore.put call."""
     counts: list[int] = []
@@ -549,7 +568,8 @@ def test_window_scans_store_the_window_in_one_put(tmp_path, monkeypatch, argv, p
     assert cold.read_bytes() == warm.read_bytes()
 
 
-# each window of a continuation is tabulated with BLAS matrix products
+# each window of a continuation is fitted to its Chebyshev coefficients
+# and folded with its weights by BLAS matrix products
 _CONTINUATION_OPS = [("discriminant", "--n", "730119", "--steps", "50"),
                      ("curve", "corrected", "--n", "730119", "--steps", "50")]
 _RUN_GDL = "import sys; from gramdelta.cli import main; sys.exit(main(sys.argv[1:]))"

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -208,10 +210,14 @@ def _bits(rec: GramRecord) -> tuple:
 
 
 @pytest.mark.parametrize("name,n_from,n_to", [
-    ("riemann", 0, 300), ("riemann", 17000, 17060), ("riemann", 730100, 730130),
-    ("riemann", 5_000_000, 5_000_020), ("dh", 2, 200)])  # DH g_1 < 10, theta's floor
+    ("riemann", 0, 300), ("riemann", 17000, 17060), ("riemann", 100_000, 100_070),
+    ("riemann", 730100, 730130), ("riemann", 5_000_000, 5_000_020),
+    ("dh", 2, 200)])  # DH g_1 < 10, theta's floor
 def test_classify_is_bit_identical_to_the_reference(riemann, davenport, name,
                                                    n_from, n_to):
+    # one index at a time and the window as batches of up to gram._SLICE
+    # indices (0..300, 100000..100070 and DH 2..200 take more than one)
+    # give the reference's records bit for bit
     model = riemann if name == "riemann" else davenport
     expected = [_bits(_reference_classify(model, n)) for n in range(n_from, n_to + 1)]
     assert [_bits(classify(model, n)) for n in range(n_from, n_to + 1)] == expected
@@ -233,3 +239,35 @@ def test_classical_sums_are_bit_identical_to_the_reference(riemann, davenport, n
                 (factor * csum(terms[lo - 1:hi])).hex()
         # the running sums are Neumaier prefix sums, not exactly rounded ones
         assert np.array_equal(part, factor * running_csum(terms))
+
+
+@pytest.mark.parametrize("name,n_from,message", [
+    ("riemann", -2, "Riemann Gram index must be >= 0, got -2"),
+    ("dh", 0, "DH Gram index must be >= 1, got 0"),
+    ("dh", 1, "theta requires t >= 10.0, got 7.27")])
+def test_window_below_the_domain_stores_nothing(riemann, davenport, tmp_path,
+                                                name, n_from, message):
+    # the first index out of the domain raises its own error, as one index
+    # at a time did, and no record of the window is stored or memoized
+    model = riemann if name == "riemann" else davenport
+    src = RecordSource(model, RecordStore(tmp_path))
+    with pytest.raises(DomainError, match=re.escape(message)):
+        src.range(n_from, n_from + 100)
+    assert list(tmp_path.iterdir()) == []
+    assert src._memo == {}
+
+
+def test_long_window_is_classified_in_bounded_slices(riemann):
+    # 5,000 indices near 1e6 are evaluated _SLICE at a time: the traced peak
+    # stays near the records themselves (2.3 MB measured, 54 MB for the whole
+    # window as one batch)
+    src = RecordSource(riemann)
+    src.range(995_000, 995_001)  # term tables and imports outside the trace
+    tracemalloc.start()
+    try:
+        records = src.range(995_000, 999_999)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(records) == 5000
+    assert peak < 8e6, peak

@@ -376,9 +376,9 @@ def test_hardy_z_validation(riemann, davenport):
 def test_hardy_z_points_match_scalar_calls(riemann, centre):
     # 25 nodes across t = 2 pi N^2 for N = 2 (the lower group, N = 1, sums
     # the head alone) and N = 100, or the g_730119 window, where all nodes
-    # share N: one value per node and order, within twice the section's
-    # summation bound of the scalar call and of the exactly rounded main sum
-    # (the main sum is twice the section of dimension N - 1)
+    # share N: one value per node and order, equal to the scalar call bit for
+    # bit and within twice the section's summation bound of the exactly
+    # rounded main sum (the main sum is twice the section of dimension N - 1)
     if centre:
         t = centre + 2.0 * _CHEB_X
         sizes = {int(math.sqrt(x / (2.0 * math.pi))) for x in t.tolist()}
@@ -396,9 +396,8 @@ def test_hardy_z_points_match_scalar_calls(riemann, centre):
         for j in range(3):
             assert batch[j].shape == t.shape
             bound = 2.0 * _sum_bound(x, dim, j)
-            assert abs(batch[j][i] - single[j]) <= bound, (i, j)
+            assert batch[j][i] == single[j], (i, j)
             assert abs(batch[j][i] - exact[j]) <= bound, (i, j)
-            assert abs(single[j] - exact[j]) <= bound, (i, j)
 
 
 def test_scalar_call_is_the_one_point_batch(riemann, davenport):
@@ -556,11 +555,10 @@ def _point_bound(t: float, order: int) -> float:
 
 def _sum_bound(t: float, dim: int, order: int) -> float:
     """Allowed gap between two sums of the same terms of a section of
-    dimension dim: 8 eps sqrt(dim + 1) (ln(t)/2)^order. A call at many points
-    and one at a single point, and the exactly rounded sum of
-    oracles.section_fsum, form the same terms from the same phases, so they
-    differ only by how they sum them (matrix products per chunk in another
-    order, or math.fsum)."""
+    dimension dim: 8 eps sqrt(dim + 1) (ln(t)/2)^order. section_eval and the
+    exactly rounded sum of oracles.section_fsum form the same terms from the
+    same phases, so they differ only by how they sum them (a reduction per
+    chunk, or math.fsum)."""
     return 8.0 * np.finfo(float).eps * math.sqrt(dim + 1) * (0.5 * math.log(t)) ** order
 
 
@@ -572,9 +570,9 @@ def _window_nodes(model, n):
 
 def _assert_points_match_scalar(model, t, a, dim, mode, check):
     """section_eval at the points t against one scalar call per point (and
-    per row of a (B, N) stack) and against the exactly rounded sums of
-    oracles.section_fsum, for the order sets (0,), (1, 2) and (0, 1, 2);
-    check selects the points compared."""
+    per row of a (B, N) stack), bit for bit, and against the exactly rounded
+    sums of oracles.section_fsum within _sum_bound, for the order sets (0,),
+    (1, 2) and (0, 1, 2); check selects the points compared."""
     rows = a if np.ndim(a) == 2 else [a]
     single, exact = [], []
     for i in check:
@@ -593,9 +591,8 @@ def _assert_points_match_scalar(model, t, a, dim, mode, check):
             assert batch[j].shape == (len(t),) + np.shape(a)[:-1]
             for i, ref, ex in zip(check, single, exact):
                 bound = _sum_bound(float(t[i]), dim, j)
-                assert np.all(np.abs(batch[j][i] - ref[j]) <= bound), (orders, j, i)
+                assert np.array_equal(batch[j][i], ref[j]), (orders, j, i)
                 assert np.all(np.abs(batch[j][i] - ex[j]) <= bound), (orders, j, i)
-                assert np.all(np.abs(ref[j] - ex[j]) <= bound), (orders, j, i)
 
 
 @pytest.mark.parametrize("name,n", [("riemann", 0), ("riemann", 6708),
@@ -627,6 +624,48 @@ def test_section_points_unpaired_offsets(riemann, davenport):
                 for mode in ("main", "full"):
                     _assert_points_match_scalar(model, pts, a, dim, mode,
                                                 range(len(pts)))
+
+
+def _assert_batch_independent(evaluate, t):
+    """evaluate(points) -> {order: values}: each point's values in the batch t
+    equal its one-point call and its values in three sub-batches (the first
+    half, all but the ends, the last two thirds), bit for bit."""
+    whole = evaluate(t)
+    size = len(t)
+    for lo, hi in [(i, i + 1) for i in range(size)] + [
+            (0, size // 2), (1, size - 1), (size // 3, size)]:
+        part = evaluate(t[lo:hi])
+        for j, vals in whole.items():
+            assert np.array_equal(part[j], vals[lo:hi]), (j, lo, hi)
+
+
+@pytest.mark.parametrize("name,n", [("riemann", 1000), ("riemann", 100_000),
+                                    ("riemann", 730119), ("dh", 20000)])
+def test_point_values_do_not_depend_on_the_batch(riemann, davenport, name, n):
+    # seven points around g_n, out of order and with a repeat. section_eval at
+    # the robust cutoff N (Riemann n = 1e5: ten chunks of terms; DH n =
+    # 20000: two), except at n = 730119, where the section is summed at the
+    # dimensions that hardy_z and the tail form's lead blocks use (the
+    # robust cutoff there, 225,307 terms, is left to the tail form); then
+    # hardy_z, or the DH model's point values
+    model = riemann if name == "riemann" else davenport
+    g0 = gram_point(model, n)
+    t = g0 + np.array([0.31, -0.42, 0.05, 0.44, -0.17, 0.05, -0.29])
+    dims = ([int(math.sqrt(g0 / (2.0 * math.pi))) - 1, 480] if n == 730119
+            else [model.robust_cutoff(g0)])
+    for dim in dims:
+        vec = np.linspace(-0.5, 1.5, dim)
+        for a in (1.0, vec, np.stack([vec, 1.0 - vec])):
+            for mode in ("main", "full"):
+                _assert_batch_independent(
+                    lambda pts: section_eval(model, pts, a, orders=(0, 1, 2),
+                                             deriv_mode=mode, n_terms=dim), t)
+    if model.is_zeta:
+        _assert_batch_independent(lambda pts: hardy_z(model, pts, (0, 1, 2)), t)
+        batch = hardy_z(model, t, (0, 1, 2))
+        for i, x in enumerate(t.tolist()):
+            assert hardy_z(model, x, (0, 1, 2)) == {j: v[i] for j, v in batch.items()}
+    _assert_batch_independent(lambda pts: point_values(model, pts)[0], t)
 
 
 def test_section_points_validation(riemann):
