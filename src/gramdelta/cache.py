@@ -29,8 +29,10 @@ SHARD = 100_000
 # summed as a batch of one (chunked matrix products, not math.fsum); 4: each
 # point's section terms reduced on their own (np.einsum per point and weight
 # row), so a record no longer depends on the batch it was classified in, and
-# the last bits of viscosity moved
-_VERSION = "4"
+# the last bits of viscosity moved; 5: one look per Gram point, and the DH
+# point pair from its Dirichlet series with an Euler-Maclaurin tail, so DH
+# kinds and viscosities moved (zeta records did not)
+_VERSION = "5"
 
 
 def default_cache_dir() -> Path:

@@ -44,7 +44,8 @@ class NonConvergenceError(RuntimeError):
 
 
 class IndeterminateSignError(RuntimeError):
-    """Both the classical AFE and zmodel.point_values give |Z| too small to trust a sign."""
+    """zmodel.point_values gives |Z| at a Gram point below its allowance, too small
+    to trust a sign."""
 
 
 class TraceError(RuntimeError):

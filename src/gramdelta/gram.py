@@ -110,18 +110,18 @@ def core_zero(model: CoefficientModel, n: int) -> float:
     return _refine_theta(model, seed, math.pi * (n - 0.5))
 
 
-_SMALL = 1e-4
-_CLASSICAL_ERROR_SCALE = 3.0  # multiplies g^(-1/4), the dropped AFE error term
 # Gram points evaluated in one batch: bounds the batch's arrays (at n = 1e6
-# a point's main sums take about 300 terms, and a DH point's section up to
-# one 4096-term chunk, so a slice holds a few MB)
+# a point's main sums take about 300 terms; a DH point's head takes about 2t,
+# which spans several 4096-term chunks from t of about 2,000 on, and a chunk's
+# arrays hold a few MB for a slice)
 _SLICE = 64
 
 
 class GramValues(NamedTuple):
-    """What classify decides from at the Gram point t = g_n: the classical
-    AFE pair and the point pair (Z, Z') of zmodel.point_values with the |Z|
-    below which its sign is not trusted."""
+    """The values at the Gram point t = g_n: the point pair (Z, Z') of
+    zmodel.point_values, which classify decides from, with the |Z| below
+    which its sign is not trusted, and the classical AFE pair (z, zprime),
+    which only fills the record's z columns."""
     t: float
     z: float
     zprime: float
@@ -150,34 +150,30 @@ def classify(model: CoefficientModel, n: int,
              values: GramValues | None = None) -> GramRecord:
     """GramRecord for index n; good means (-1)^n Z(g_n) > 0.
 
-    The first look is the classical AFE, whose dropped error term is
-    O(g^(-1/4)); whenever |Z| is within a few multiples of that, the verdict
-    is re-derived from the point pair (Z, Z') at g, zmodel.point_values, and
-    trusted where |Z| reaches its allowance (hardy_z_error(g) for the zeta
-    model: below 1e-4 from t = 10, 1e-8 near t = 1e4). Below that the record
-    is flagged indeterminate rather than silently classified.
+    The sign is read from one look, the point pair (Z, Z') at g of
+    zmodel.point_values, the model's real Z-function, and trusted where |Z|
+    reaches its allowance (hardy_z_error(g) for the zeta model: below 1e-4
+    from t = 10, 1e-8 near t = 1e4; the first dropped Euler-Maclaurin term
+    plus rounding for any other). Below that the record is flagged
+    indeterminate rather than silently classified.
 
-    Viscosity |Z'/Z| is taken from the same point pair, so for the zeta model
-    it is the true logarithmic derivative; z_value/zprime_value keep the
-    classical pair that the adjustment identities are built on.
+    Viscosity |Z'/Z| is taken from the same point pair, so it is the true
+    logarithmic derivative; z_value/zprime_value keep the classical pair that
+    the adjustment identities are built on.
 
     values are n's GramValues from a gram_values batch; without them n is
     evaluated as a batch of one, which gives the same values.
     """
     if values is None:
         (values,) = gram_values(model, [n])
-    g = values.t
     sign = -1.0 if n % 2 else 1.0
-    if abs(values.z) < max(_SMALL, _CLASSICAL_ERROR_SCALE * g ** -0.25):
-        if abs(values.point_z) < values.allowance:
-            kind = GramKind.INDETERMINATE
-        else:
-            kind = GramKind.GOOD if sign * values.point_z > 0 else GramKind.BAD
+    if abs(values.point_z) < values.allowance:
+        kind = GramKind.INDETERMINATE
     else:
-        kind = GramKind.GOOD if sign * values.z > 0 else GramKind.BAD
+        kind = GramKind.GOOD if sign * values.point_z > 0 else GramKind.BAD
     viscosity = (math.inf if values.point_z == 0.0
                  else abs(values.point_zprime / values.point_z))
-    return GramRecord(n=n, t=g, z_value=values.z, zprime_value=values.zprime,
+    return GramRecord(n=n, t=values.t, z_value=values.z, zprime_value=values.zprime,
                       kind=kind, viscosity=viscosity)
 
 

@@ -18,9 +18,11 @@ theta' by its main term (1/2) ln(t/2pi) — the convention every closed form
 downstream is stated in — and "full" keeps the correction series.
 
 Point values (Gram-point signs and viscosity, Newton zeros) come from
-point_values: for the Riemann model hardy_z, the Riemann-Siegel formula with
-remainder terms, not the section, which at a = 1 drops a tail of size about
-1/sqrt(2t).
+point_values, a real Z-function for each model, not the section, which at
+a = 1 drops a tail of size about 1/sqrt(2t): for the Riemann model hardy_z,
+the Riemann-Siegel formula with remainder terms; for any other the Dirichlet
+series summed directly over about 2t terms and by Euler-Maclaurin beyond
+them, one residue class of the coefficient period at a time.
 
 Every section is summed one way (section_eval): per chunk of terms, one
 reduction over the terms of each point and weight row, with the chunk
@@ -31,6 +33,7 @@ every rerun.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -266,7 +269,7 @@ _CHEB_FIT[0] *= 0.5
 
 
 # B_2k / (2k)! for k = 1..18, the Euler-Maclaurin tail coefficients of
-# _zeta_block_sums; tests/test_zmodel.py regenerates them with mpmath.
+# _em_tail; tests/test_zmodel.py regenerates them with mpmath.
 _EM_COEFS = (
     0.08333333333333333, -0.001388888888888889, 3.306878306878307e-05,
     -8.267195767195768e-07, 2.08767569878681e-08, -5.284190138687493e-10,
@@ -275,6 +278,33 @@ _EM_COEFS = (
     3.534707039629467e-21, -8.953517427037546e-23, 2.267952452337683e-24,
     -5.744790668872202e-26, 1.455172475614865e-27, -3.6859949406653103e-29,
 )
+# |B_38| / 38! = 2 zeta(38) / (2 pi)^38, with zeta(38) < 1 + 2^-37: the
+# coefficient of the first dropped term
+_EM_DROPPED = 2.0000000001 / TWO_PI ** 38
+
+
+def _em_tail(s, h):
+    """The Euler-Maclaurin tail of a Dirichlet series' residue class
+    (Edwards, Riemann's Zeta Function, 6.4): with y = p h the class's last
+    summed term and p its step,
+
+        sum_{j>=1} (y + p j)^(-s) = y^(-s) R(s),
+        R(s) = h/(s - 1) - 1/2 + sum_{k=1..18} B_2k/(2k)! s(s+1)...(s+2k-2) h^(1-2k),
+
+    up to the dropped tail. While h > t/2pi (s = 1/2 + it) the k-th term
+    shrinks like (t/2pi h)^(2k). Returns the jets (R, R', R'') in s and the
+    first dropped factor s(s+1)...(s+36) h^(-37), which _EM_DROPPED scales
+    to the first dropped term. s may be a complex scalar or array; the zeta
+    tail is the one-class, step-1 case h = y."""
+    u = s - 1.0
+    r0, r1, r2 = h / u - 0.5, -h / (u * u), 2.0 * h / (u * u * u)
+    q0, q1, q2 = s / h, 1.0 / h, 0.0  # s(s+1)...(s+2k-2) / h^(2k-1), k = 1
+    for k, coef in enumerate(_EM_COEFS, start=1):
+        r0, r1, r2 = r0 + coef * q0, r1 + coef * q1, r2 + coef * q2
+        for c in (2 * k - 1, 2 * k):  # one more factor (s + c) / h
+            lin = (s + c) / h
+            q0, q1, q2 = q0 * lin, q1 * lin + q0 / h, q2 * lin + 2.0 * q1 / h
+    return (r0, r1, r2), q0
 
 
 def _zeta_block_sums(model: CoefficientModel, t: np.ndarray, n: int) -> np.ndarray:
@@ -283,14 +313,9 @@ def _zeta_block_sums(model: CoefficientModel, t: np.ndarray, n: int) -> np.ndarr
     (theta' taken as its main term), at the points t: a (3, P) array.
 
     With s = 1/2 + it and M = n + 1, T_j = sum_{m=2..M} (ln m)^j m^(-s) is
-    (-1)^j P^(j)(s) - [j = 0] for P(s) = sum_{m<=M} m^(-s), and the
-    Euler-Maclaurin formula (Edwards, Riemann's Zeta Function, 6.4) gives
-    P(s) = zeta(s) - M^(-s) R(s) exactly up to its dropped tail, with
-
-        R(s) = M/(s - 1) - 1/2 + sum_{k=1..18} B_2k/(2k)! s(s+1)...(s+2k-2) M^(1-2k).
-
-    While M > t/2pi its k-th term shrinks like (t/2pi M)^(2k), pi^(-2k) at
-    M = t/2; R, R' and R'' are carried as jets in s. zeta, zeta' and zeta''
+    (-1)^j P^(j)(s) - [j = 0] for P(s) = sum_{m<=M} m^(-s), and
+    P(s) = zeta(s) - M^(-s) R(s) with R from _em_tail at h = M, whose k-th
+    term is pi^(-2k) at M = t/2. zeta, zeta' and zeta''
     are e^(-i theta) (Z, -i(Z' - i theta' Z), -(Z'' - 2i theta' Z' -
     i theta'' Z - theta'^2 Z)) from one hardy_z call at all the points,
     O(sqrt t) terms per point and one main-sum pass per value of N. With
@@ -300,15 +325,7 @@ def _zeta_block_sums(model: CoefficientModel, t: np.ndarray, n: int) -> np.ndarr
     """
     big_m = float(n + 1)
     ln_m = math.log(big_m)
-    s = 0.5 + 1j * t
-    u = s - 1.0
-    r0, r1, r2 = big_m / u - 0.5, -big_m / (u * u), 2.0 * big_m / (u * u * u)
-    q0, q1, q2 = s / big_m, 1.0 / big_m, 0.0  # s(s+1)...(s+2k-2) / M^(2k-1), k = 1
-    for k, coef in enumerate(_EM_COEFS, start=1):
-        r0, r1, r2 = r0 + coef * q0, r1 + coef * q1, r2 + coef * q2
-        for c in (2 * k - 1, 2 * k):  # one more factor (s + c) / M
-            lin = (s + c) / big_m
-            q0, q1, q2 = q0 * lin, q1 * lin + q0 / big_m, q2 * lin + 2.0 * q1 / big_m
+    (r0, r1, r2), _ = _em_tail(0.5 + 1j * t, big_m)
     z0, z1, z2 = hardy_z(model, t, (0, 1, 2)).values()
     th = np.array([model.theta(x) for x in t.tolist()])
     tp = np.array([model.theta_deriv(x, 1) for x in t.tolist()])
@@ -672,7 +689,13 @@ def hardy_z_error(t: float) -> float:
     allowance (3 of 150 random points exceed it). It is kept as it is: it
     sets classify's indeterminate threshold, and so the Gram records.
     """
-    return 1e-3 * (t / TWO_PI) ** -2.25 + 1e-15 * t * math.log(t)
+    return 1e-3 * (t / TWO_PI) ** -2.25 + _rounding_allowance(t)
+
+
+def _rounding_allowance(t: float) -> float:
+    """Rounding in a point value at t: the phases theta(t) - t ln m carry
+    errors that grow like t ln t."""
+    return 1e-15 * t * math.log(t)
 
 
 @dataclass
@@ -683,31 +706,87 @@ class NewtonResult:
     final_value: float
 
 
-_SECTION_SIGN_FLOOR = 1e-4  # |Z| below which a section value's sign is not trusted
+_HEAD_GRID = 64  # _series_z's head term counts are multiples of this
+
+
+def _series_z(model: CoefficientModel, t: np.ndarray, orders: tuple[int, ...]
+              ) -> tuple[dict, list[float]]:
+    """Z(t) = Re e^(i theta(t)) sum_m c_m m^(-s), s = 1/2 + it, and its
+    t-derivatives for a model other than the zeta one, with the allowance of
+    each point's Z.
+
+    The head m = 1..M is the section of dimension M - 1 at a = 1 with
+    full-mode derivatives. M is p t/(0.8 pi) (about 2t for the period-5
+    model), so that the tail's k-th Euler-Maclaurin term shrinks like
+    0.4^(2k), rounded up to a multiple of _HEAD_GRID (at least 64 from
+    t = 10): a function of t alone, so a point's values do not depend on its
+    batch, and nearby points share one section_eval call.
+
+    The tail sums each residue class a of the coefficient period p apart:
+    c_a sum_{j>=1} (y_a + p j)^(-s), y_a the class's last head term, is
+    c_a y_a^(-s) R_a(s) with R_a, R_a' and R_a'' from _em_tail, summed per
+    point in complex scalars. With E_j = e^(i theta) T^(j)(s), T the
+    tail, Z gains Re E_0, Z' gains -Im(theta' E_0 + E_1) and Z'' gains
+    Re((i theta'' - theta'^2) E_0 - 2 theta' E_1 - E_2). The allowance is
+    the first dropped Euler-Maclaurin term of the classes, times
+    |s + 37|/(1/2 + 37) (Edwards 6.4), plus _rounding_allowance(t).
+    Against mpmath at the 498 Davenport-Heilbronn Gram points g_n, n in
+    [2, 300), [1000, 1100) and [1900, 2000), the error in Z is at most 0.31
+    of the allowance; at g_5000 it is 1.6e-12, 0.04 of it.
+    """
+    period = model.coeff_period or (1.0,)
+    p = len(period)
+    big_ms = [_HEAD_GRID * math.ceil(p * x / (0.4 * TWO_PI * _HEAD_GRID))
+              for x in t.tolist()]
+    out = _by_size(t, big_ms, lambda group, m: section_eval(
+        model, group, 1.0, orders=orders, deriv_mode="full", n_terms=m - 1))
+    allowance = []
+    for i, (x, big_m) in enumerate(zip(t.tolist(), big_ms)):
+        s = complex(0.5, x)
+        th = model.theta(x)
+        e0 = e1 = e2 = 0j
+        dropped = 0.0
+        for a, c in enumerate(period, start=1):
+            if c == 0.0:
+                continue
+            y = big_m - (big_m - a) % p
+            (r0, r1, r2), q = _em_tail(s, y / p)
+            ln_y = math.log(y)
+            rot = c * cmath.exp(1j * (th - x * ln_y)) / math.sqrt(y)  # c_a e^(i theta) y^(-s)
+            e0 += rot * r0
+            e1 += rot * (r1 - ln_y * r0)
+            e2 += rot * (r2 - 2.0 * ln_y * r1 + ln_y * ln_y * r0)
+            dropped += abs(rot * q)
+        allowance.append(_EM_DROPPED * dropped * abs(s + 37.0) / 37.5
+                         + _rounding_allowance(x))
+        tp, tpp = model.theta_deriv(x, 1), model.theta_deriv(x, 2)
+        tail = {0: e0.real, 1: -(tp * e0 + e1).imag,
+                2: ((1j * tpp - tp * tp) * e0 - 2.0 * tp * e1 - e2).real}
+        for j in orders:
+            out[j][i] += tail[j]
+    return out, allowance
 
 
 def point_values(model: CoefficientModel, t, orders: tuple[int, ...] = (0, 1)
                  ) -> tuple[dict, float]:
-    """Z(t) and Z'(t) for point work (Gram-point signs and viscosity, Newton
-    zeros) and the |Z| below which the sign of Z is not trusted.
+    """Z(t) and Z'(t) of the model's real Z-function, for point work
+    (Gram-point signs and viscosity, Newton zeros), and the allowance of Z:
+    the |Z| below which its sign is not trusted.
 
     The zeta model takes hardy_z, with allowance hardy_z_error(t); any other
-    model its section at a = 1 with the full-mode derivative, whose dropped
-    tail is O(t^(-1/2)), with allowance 1e-4. t may also be a 1-D array of
-    points: each order and the allowance then hold one value per point, the
-    points that share N (hardy_z's, or the robust cutoff of the section)
-    summed in one section_eval call, and each point's values equal its
-    one-point call bit for bit.
+    model its Dirichlet series, summed directly over about 2t terms and by
+    Euler-Maclaurin beyond them (_series_z), with the first dropped term plus
+    rounding as the allowance. t may also be a 1-D array of points: each
+    order and the allowance then hold one value per point, the points that
+    share a term count summed in one section_eval call, and each point's
+    values equal its one-point call bit for bit.
     """
     pts, points = _as_points(t)
     if model.is_zeta:
         vals = hardy_z(model, pts, orders)
         allowance = [hardy_z_error(x) for x in pts.tolist()]
     else:
-        vals = _by_size(pts, [model.robust_cutoff(x) for x in pts.tolist()],
-                        lambda group, n: section_eval(model, group, 1.0, orders=orders,
-                                                      deriv_mode="full", n_terms=n))
-        allowance = [_SECTION_SIGN_FLOOR] * len(pts)
+        vals, allowance = _series_z(model, pts, orders)
     if points:
         return vals, np.array(allowance)
     return {j: float(v[0]) for j, v in vals.items()}, allowance[0]
@@ -716,12 +795,13 @@ def point_values(model: CoefficientModel, t, orders: tuple[int, ...] = (0, 1)
 def find_zero_newton(model: CoefficientModel, t0: float) -> NewtonResult:
     """Newton iteration t <- t - Z(t)/Z'(t), with full iterate history.
 
-    Z and Z' come from point_values: hardy_z for the zeta model, the section
-    at a = 1 for any other. Stops when |Z| < 1e-10, or when the
-    step falls below rounding scale (at large heights the rounding noise of
-    the sum sits above 1e-10, so a pure value test could spin forever at the
-    fixed point). Raises FlatPointError if |Z'| falls below 1e-12 and
-    NonConvergenceError after 50 steps; both carry the iterate list.
+    Z and Z' come from point_values: hardy_z for the zeta model, the
+    Dirichlet series with its Euler-Maclaurin tail for any other. Stops
+    when |Z| < 1e-10, or when the step falls below rounding scale (at large
+    heights the rounding noise of the sum sits above 1e-10, so a pure value
+    test could spin forever at the fixed point). Raises FlatPointError if
+    |Z'| falls below 1e-12 and NonConvergenceError after 50 steps; both
+    carry the iterate list.
     """
     if not 10.0 <= t0 < math.inf:
         raise DomainError(f"find_zero_newton requires finite t0 >= 10, got {t0}")

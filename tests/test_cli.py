@@ -310,16 +310,16 @@ def test_stale_cache_shard_is_refused(tmp_path, capsys):
 
 
 def test_version_2_cache_shard_is_refused(tmp_path, capsys):
-    # the shard of the previous version: version-3 records summed each section
-    # by matrix products, whose last bits followed the batch of points; today's
-    # per-point reductions differ in the last bits of viscosity
+    # the shard of the previous version: version-4 records took the DH point
+    # pair from the bare section at a = 1 and their kinds from a classical
+    # first look; today's DH point pair adds the Euler-Maclaurin tail
     cache_dir = tmp_path / "cache"
     assert main(["gram", "scan", "--from", "10", "--to", "12", "--cache-dir", str(cache_dir),
                  "--out", str(tmp_path / "x.csv")]) == 0
     shard = cache_dir / "riemann_000000.csv"
     text = shard.read_text()
-    assert text.startswith(f"#version={cache._VERSION}\n") and cache._VERSION == "4"
-    shard.write_text(text.replace("#version=4\n", "#version=3\n", 1))
+    assert text.startswith(f"#version={cache._VERSION}\n") and cache._VERSION == "5"
+    shard.write_text(text.replace("#version=5\n", "#version=4\n", 1))
     with pytest.raises(StaleCacheError):
         cache.RecordStore(cache_dir).get("riemann", 10)
     code = main(["gram", "scan", "--from", "10", "--to", "12", "--cache-dir", str(cache_dir),
@@ -327,7 +327,7 @@ def test_version_2_cache_shard_is_refused(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert len(err.strip().splitlines()) == 1
-    assert err.startswith("error: ") and "'#version=3'" in err and str(shard) in err
+    assert err.startswith("error: ") and "'#version=4'" in err and str(shard) in err
 
 
 @pytest.mark.parametrize("where", ["cache-dir", "out"])
@@ -393,8 +393,8 @@ def test_indeterminate_sign_exits_one_line(tmp_path, capsys, monkeypatch):
     real = gram.gram_values
 
     def indeterminate_at_126(model, indices):
-        # Z = 0 in both looks leaves the sign of Z(g_126) undecided
-        return [values._replace(z=0.0, point_z=0.0) if n == 126 else values
+        # Z = 0 in the point pair leaves the sign of Z(g_126) undecided
+        return [values._replace(point_z=0.0) if n == 126 else values
                 for n, values in zip(indices, real(model, indices))]
 
     monkeypatch.setattr(gram, "gram_values", indeterminate_at_126)

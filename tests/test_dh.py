@@ -10,6 +10,7 @@ from gramdelta import (KAPPA, GramKind, TraceStatus, classify, core_zero,
                        riemann_contrast, z_section)
 from gramdelta.errors import DomainError
 from gramdelta.special import ThetaKind, theta
+from gramdelta.zmodel import point_values
 
 from oracles import bisect, dh_z_mpmath
 
@@ -104,12 +105,30 @@ def test_dh_oracle_is_real_on_the_critical_line(davenport):
         assert abs(dh_z_mpmath(gram_point(davenport, n)).imag) < 1e-10, n
 
 
-@pytest.mark.xfail(strict=True, reason="classify's DH kinds are wrong here: the "
-                   "classical cutoff sqrt(g/2pi) is too short for the DH phase and "
-                   "the section fallback's 1e-4 allowance is no bound for DH")
-@pytest.mark.parametrize("n", [44, 64, 76, 77, 90])
+@pytest.mark.parametrize("n", [2, 44, 64, 76, 77, 90, 1033, 1996])
 def test_dh_gram_kinds_against_the_oracle(davenport, n):
+    # the kind is the sign of (-1)^n Z(g_n) (44, 64, 76, 77, 90, 1033 and
+    # 1996 came out wrong from the classical AFE and the bare section; at
+    # n = 2 the head is the shortest, 64 terms), and point_values' allowance
+    # bounds its error in Z
     pytest.importorskip("mpmath")
     g = gram_point(davenport, n)
-    good = (-1) ** n * dh_z_mpmath(g).real > 0
+    ref = dh_z_mpmath(g).real
+    vals, allowance = point_values(davenport, g, (0,))
+    assert abs(vals[0] - ref) <= allowance
+    good = (-1) ** n * ref > 0
     assert classify(davenport, n).kind is (GramKind.GOOD if good else GramKind.BAD)
+
+
+@pytest.mark.parametrize("n", [2, 44, 1996])
+def test_dh_point_derivatives_against_the_oracle(davenport, n):
+    # Z' and Z'' of the point values against central differences of the
+    # oracle at step 1e-4, whose own error is O(h^2): seen within 1.2e-8 and
+    # 2.7e-7 here
+    pytest.importorskip("mpmath")
+    g = gram_point(davenport, n)
+    h = 1e-4
+    lo, mid, hi = (dh_z_mpmath(x).real for x in (g - h, g, g + h))
+    vals, _ = point_values(davenport, g, (0, 1, 2))
+    assert abs(vals[1] - (hi - lo) / (2.0 * h)) <= 1e-7
+    assert abs(vals[2] - (hi - 2.0 * mid + lo) / (h * h)) <= 2e-6
