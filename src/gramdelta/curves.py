@@ -21,8 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .discriminant import (TraceSample, TraceStatus, _ExtremumSolver, _term_table,
                            follow_extremum, march)
 from .gram import gram_point
@@ -92,8 +90,7 @@ def _stage_solver(model: CoefficientModel, n: int, shift_set,
     dimension = model.robust_cutoff(g0)
     if any(not 1 <= k <= dimension for k in shift_set):
         raise ValueError("shift indices must lie in [1, dimension]")
-    mask = np.isin(np.arange(1, dimension + 1), list(shift_set))
-    return _ExtremumSolver(model, n, g0, (mask, ~mask))
+    return _ExtremumSolver(model, n, g0, shift_set)
 
 
 def shifting_stage(solver: _ExtremumSolver, steps: int = 200) -> ShiftingResult:
@@ -107,7 +104,7 @@ def shifting_stage(solver: _ExtremumSolver, steps: int = 200) -> ShiftingResult:
     """
     g0 = solver.g0
     start = StagePoint("shift", 0.0, 0.0, g0, solver.value((0.0, 0.0), g0))
-    if not solver.proxy.weights[0].any():
+    if not solver.proxy.shift_weights.size:
         points = [start, StagePoint("shift", 1.0, 0.0, g0, start.delta)]
         return ShiftingResult(points=points, truncated=False, exit_point=(1.0, 0.0),
                               exit_g=g0)

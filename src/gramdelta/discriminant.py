@@ -86,20 +86,21 @@ class MarchResult:
 class _ExtremumSolver:
     """Newton solver for dZ/dt(t; a) = 0 at fixed section dimension.
 
-    A parameter point a is a scalar (uniform weight on every index), a tuple
-    of block weights aligned with masks, or an arbitrary weight vector. The
-    first two go through a WindowProxy of the block sums; only a vector is
-    summed directly, term by term.
+    The window has one block (shift_set None) or a corrected curve's shift
+    and descend blocks (see WindowProxy). A parameter point a is a scalar
+    (uniform weight on every index), a tuple of block weights, or an
+    arbitrary weight vector. The first two go through the WindowProxy of the
+    block sums; only a vector is summed directly, term by term.
     """
 
-    def __init__(self, model: CoefficientModel, n: int, g0: float, masks=None):
+    def __init__(self, model: CoefficientModel, n: int, g0: float, shift_set=None):
         self.model = model
         self.n_terms = model.robust_cutoff(g0)
         self.g0 = g0
         self.sign = -1.0 if n % 2 else 1.0  # (-1)^n
         lnfac = 2.0 * model.theta_main(g0)
         self.ztt_floor = 1e-8 * lnfac * lnfac
-        self.proxy = WindowProxy(model, self.n_terms, masks, g0)
+        self.proxy = WindowProxy(model, self.n_terms, shift_set, g0)
 
     def section(self, a, t: float, orders: tuple[int, ...] = (0, 1, 2)):
         """Z, Z_t, Z_tt at t (main mode), indexable by order; orders limits

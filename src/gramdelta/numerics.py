@@ -49,8 +49,11 @@ def running_csum(values) -> np.ndarray:
     return out
 
 
-def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
-                     tol: float = 1e-9, max_depth: int = 40) -> float:
+_SIMPSON_TOL = 1e-9   # adaptive_simpson's error tolerance, halved at each bisection
+_SIMPSON_DEPTH = 40   # bisections after which a panel is accepted as it is
+
+
+def adaptive_simpson(f: Callable[[float], float], a: float, b: float) -> float:
     """Adaptive Simpson quadrature of f over [a, b]."""
     if a == b:
         return 0.0
@@ -58,7 +61,7 @@ def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
     m = 0.5 * (a + b)
     fm = f(m)
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _simpson_rec(f, a, b, fa, fm, fb, whole, tol, max_depth)
+    return _simpson_rec(f, a, b, fa, fm, fb, whole, _SIMPSON_TOL, _SIMPSON_DEPTH)
 
 
 def _simpson_rec(f, a, b, fa, fm, fb, whole, tol, depth):

@@ -24,11 +24,11 @@ the Riemann-Siegel formula with remainder terms; for any other the Dirichlet
 series summed directly over about 2t terms and by Euler-Maclaurin beyond
 them, one residue class of the coefficient period at a time.
 
-Every section is summed one way (section_eval): per chunk of terms, one
-reduction over the terms of each point and weight row, with the chunk
-partials added by numerics.csum in chunk order. A point's sums depend on that
-point alone, so its values are the same alone, in any batch of points and on
-every rerun.
+Every section is summed one way (section_eval), at one parameter point per
+call: per chunk of terms, one reduction over the terms of each point, with
+the chunk partials added by numerics.csum in chunk order. A point's sums
+depend on that point alone, so its values are the same alone, in any batch
+of points and on every rerun.
 """
 
 from __future__ import annotations
@@ -108,21 +108,17 @@ def term_arrays(model: CoefficientModel, count: int):
 
 def _as_weights(a, n: int) -> np.ndarray:
     """A parameter point as the weights of the N + 1 section terms, the head
-    m = 1 at weight 1: a scalar (None is 0) is uniform, a vector gives one
-    (N + 1,) row, and a 2-D array of shape (B, N) is a stack of B parameter
-    points (block masks, for instance), whose (B, N + 1) weights give one
-    section sum per row."""
-    if a is None:
-        a = 0.0
+    m = 1 at weight 1: a scalar is uniform, a length-N vector gives the
+    weights of k = 1..N."""
     if isinstance(a, (int, float)):
         wts = np.full(n + 1, float(a))
     else:
         arr = np.asarray(a, dtype=float)
-        if arr.ndim not in (1, 2) or arr.shape[-1] != n:
+        if arr.shape != (n,):
             raise DimensionError(f"parameter point has dimension {arr.shape}, expected ({n},)")
-        wts = np.empty(arr.shape[:-1] + (n + 1,))
-        wts[..., 1:] = arr
-    wts[..., 0] = 1.0
+        wts = np.empty(n + 1)
+        wts[1:] = arr
+    wts[0] = 1.0
     return wts
 
 
@@ -161,25 +157,25 @@ def section_eval(model: CoefficientModel, t, a, *, orders: tuple[int, ...] = (0,
 
     n_terms pins the section dimension N (defaults to the robust cutoff at t);
     continuation code passes it explicitly so the dimension never jumps while
-    t slides across an even integer. At a real or complex scalar t each order
-    maps to one float (or complex). t may also be a 1-D array of P real
-    points, with n_terms pinned: each order then maps to one value per point,
-    and a may also be a (B, N) stack of parameter points, which gives a
-    (P, B) array. WindowProxy's direct form tabulates a whole window in one
-    call, and hardy_z at an array of points takes its main sums this way.
+    t slides across an even integer. a is one parameter point: a float
+    (uniform weight) or a length-N vector. At a real or complex scalar t each
+    order maps to one float (or complex). t may also be a 1-D array of P real
+    points, with n_terms pinned: each order then maps to one value per point.
+    WindowProxy's direct form tabulates a whole window in one call, and
+    hardy_z at an array of points takes its main sums this way.
 
     A scalar t is a batch of one point, and every call sums the same way.
     The terms run in chunks of _CHUNK_TERMS. Per chunk the phases
     theta(t_p) - t_p ln m form a (P, chunk) array; their cos and sin (each
     only where an order needs it) and the factors theta'(t_p) - ln m (and
     theta''(t_p) for full order 2) give each order's terms. Each point's
-    terms are reduced against each weight row w c_m/sqrt(m) of term_arrays
-    (the head m = 1 at weight 1) by np.einsum over C-contiguous (B, chunk)
-    rows, one sum per (point, row) in an order fixed by the chunk alone; a
-    matrix product would pick its kernel, and so its summation order, by the
-    number of points. numerics.csum adds the chunk partials in chunk order
-    (real and imaginary parts apart at a complex t). So a point's values are
-    bit-identical alone, in any batch and on every rerun.
+    terms are reduced against the weight row w c_m/sqrt(m) of term_arrays
+    (the head m = 1 at weight 1) by np.einsum over a C-contiguous
+    (1, chunk) row, one sum per point in an order fixed by the chunk alone;
+    a matrix product would pick its kernel, and so its summation order, by
+    the number of points. numerics.csum adds the chunk partials in chunk
+    order (real and imaginary parts apart at a complex t). So a point's
+    values are bit-identical alone, in any batch and on every rerun.
     """
     points = isinstance(t, np.ndarray)
     if points:
@@ -189,10 +185,7 @@ def section_eval(model: CoefficientModel, t, a, *, orders: tuple[int, ...] = (0,
             raise DimensionError(f"points must be a 1-D real array, got {t.dtype} {t.shape}")
     n = model.robust_cutoff(t.real if isinstance(t, complex) else t) \
         if n_terms is None else n_terms
-    wts = _as_weights(a, n)
-    if wts.ndim == 2 and not points:
-        raise DimensionError(f"parameter point has dimension {np.shape(a)}, expected ({n},) "
-                             "at a scalar t")
+    wts = _as_weights(a, n)[None, :]
     if deriv_mode not in ("main", "full"):
         raise ValueError(f"unknown deriv_mode {deriv_mode!r}")
     pts = t.tolist() if points else [t]
@@ -205,36 +198,34 @@ def section_eval(model: CoefficientModel, t, a, *, orders: tuple[int, ...] = (0,
     full_sin = 2 in orders and deriv_mode == "full"
     if full_sin:
         tpp = np.array([model.theta_deriv(x, 2) for x in pts])[:, None]
-    stack = wts.reshape(-1, n + 1)
     partials = {j: [] for j in orders}
     for lo in range(0, n + 1, _CHUNK_TERMS):
         hi = min(lo + _CHUNK_TERMS, n + 1)
         lnm = ln_m[lo:hi]
-        rows = stack[:, lo:hi] * (c[lo:hi] / sqrt_m[lo:hi])  # (B, chunk), C order
+        row = wts[:, lo:hi] * (c[lo:hi] / sqrt_m[lo:hi])  # (1, chunk), C order
         phases = th - tv * lnm
         cos_p = np.cos(phases) if 0 in orders or 2 in orders else None
         sin_p = np.sin(phases) if 1 in orders or full_sin else None
         del phases
         if 0 in orders:
-            partials[0].append(np.einsum("pk,bk->pb", cos_p, rows))
+            partials[0].append(np.einsum("pk,bk->pb", cos_p, row))
         if 1 in orders or 2 in orders:
             factors = tp - lnm
         if 1 in orders:
-            partials[1].append(-np.einsum("pk,bk->pb", sin_p * factors, rows))
+            partials[1].append(-np.einsum("pk,bk->pb", sin_p * factors, row))
         if 2 in orders:
             terms = cos_p * factors
             terms *= factors
             if full_sin:
                 terms += sin_p * tpp
-            partials[2].append(-np.einsum("pk,bk->pb", terms, rows))
+            partials[2].append(-np.einsum("pk,bk->pb", terms, row))
     cplx = np.iscomplexobj(tv)
     out: dict = {}
     for j in orders:
-        # one row of chunk partials per (point, weight row)
+        # one row of chunk partials per point
         rows = np.array(partials[j]).reshape(len(partials[j]), -1).T
-        sums = [complex(csum(row.real), csum(row.imag)) if cplx else csum(row)
-                for row in rows]
-        out[j] = np.array(sums).reshape((len(pts),) + wts.shape[:-1]) if points else sums[0]
+        sums = [complex(csum(r.real), csum(r.imag)) if cplx else csum(r) for r in rows]
+        out[j] = np.array(sums) if points else sums[0]
     return out
 
 
@@ -343,29 +334,30 @@ def _zeta_block_sums(model: CoefficientModel, t: np.ndarray, n: int) -> np.ndarr
 class WindowProxy:
     """Chebyshev proxies of the block sums of a section near one Gram point.
 
-    For blocks B of term indices k = 1..N (boolean masks; None is the single
-    block of all indices) the section splits as
+    A window has one block, every term index k = 1..N (shift_set None: the
+    linear curve), or two, a corrected curve's shift block (the indices in
+    shift_set) and descend block (the rest). The section splits as
 
         Z_N^(j)(t; w) = head^(j)(t) + sum_B w_B S_B^(j)(t),   j = 0, 1, 2,
 
     with main-mode derivatives and the m = 1 head evaluated exactly. The proxy
     interpolates every S_B^(j) at the 25 Chebyshev points of a window of
-    half-width one local Gram gap (special.gram_gap at g0), tabulated in one
-    of two forms:
+    half-width one local Gram gap (special.gram_gap at g0). The sum over all
+    N indices is tabulated in one of two forms:
 
     * direct: one section_eval call at all 25 nodes, one cos/sin pass over
       the N + 1 terms per node (see section_eval).
       Within 1.7e-8 relative of the direct sums at g_0, where the window is
       widest. Taken by the Davenport-Heilbronn model at every N and by the
       zeta model below one chunk of terms (N < _CHUNK_TERMS, n <= 8048).
-    * tail: for the zeta model from N = _CHUNK_TERMS on, when the blocks
-      partition the indices and g0 <= 3 (N + 1). The sum over all N indices
-      comes from one hardy_z call at the 25 nodes and an Euler-Maclaurin
-      tail (_zeta_block_sums), O(sqrt t) work per node in place of O(t) and
-      one main-sum pass per window; every block but the last is
-      summed directly over the indices up to its last one (the shift block
-      of a corrected curve, k <= max(15, ceil(sqrt N))), and the last block
-      is the total minus those.
+    * tail: for the zeta model from N = _CHUNK_TERMS on, when g0 <= 3 (N + 1).
+      One hardy_z call at the 25 nodes and an Euler-Maclaurin tail
+      (_zeta_block_sums), O(sqrt t) work per node in place of O(t) and one
+      main-sum pass per window.
+
+    With two blocks, either form sums the shift block directly over the
+    indices up to its last one (k <= max(15, ceil(sqrt N)) for a corrected
+    curve), and the descend block is the total minus the shift block.
 
     Against an mpmath reference at n = 239558, 730119 and 988941 both forms
     are within 7.7e-9 of max(1, |S|), the rounding floor of the phases
@@ -382,11 +374,14 @@ class WindowProxy:
     instead, which is narrower and so no less accurate.
     """
 
-    def __init__(self, model: CoefficientModel, n_terms: int, masks, g0: float):
+    def __init__(self, model: CoefficientModel, n_terms: int, shift_set, g0: float):
         self.model = model
         self.n_terms = n_terms
-        self.weights = 1.0 if masks is None else np.array(masks, dtype=float)
-        self.blocks = 1 if masks is None else len(masks)
+        self.blocks = 1 if shift_set is None else 2
+        # the shift block's weights over k = 1..K, K its last index (none
+        # when the set is empty or there is one block)
+        self.shift_weights = np.zeros(max(shift_set or (), default=0))
+        self.shift_weights[[k - 1 for k in shift_set or ()]] = 1.0
         self.gap = gram_gap(model.theta_kind, g0)
         self._centre(g0)
         self._c1 = float(model.coefficients(1)[0])
@@ -395,12 +390,7 @@ class WindowProxy:
         # the zeta model's direct form never runs past one chunk of terms; the
         # tail form is already the faster one at N = 1,258 (n = 2000, 2-vCPU VM)
         self.tail_form = (model.is_zeta and n_terms >= _CHUNK_TERMS
-                          and g0 <= 3.0 * (n_terms + 1)
-                          and (masks is None or bool(np.all(self.weights.sum(axis=0) == 1.0))))
-        # indices summed directly in the tail form: up to the last one that a
-        # block other than the last one holds
-        lead = np.flatnonzero(np.any(self.weights[:-1], axis=0)) if self.blocks > 1 else []
-        self._lead_terms = int(lead[-1]) + 1 if len(lead) else 0
+                          and g0 <= 3.0 * (n_terms + 1))
 
     def head(self, t: float) -> tuple[float, float, float]:
         """The m = 1 term of the section and its main-mode t-derivatives."""
@@ -410,21 +400,26 @@ class WindowProxy:
 
     def _tabulate(self) -> np.ndarray:
         nodes = self.center + self.half_width * _CHEB_X
-        heads = np.array([self.head(t) for t in nodes])
-        if not self.tail_form:
-            vals = section_eval(self.model, nodes, self.weights, orders=(0, 1, 2),
-                                n_terms=self.n_terms)
-            rows = [vals[j].reshape(_CHEB_NODES, -1) - heads[:, j:j + 1] for j in range(3)]
-        else:
+        heads = np.array([self.head(t) for t in nodes]).T
+
+        def direct(weights, n_terms):  # (3, 25): the sums less the heads
+            vals = section_eval(self.model, nodes, weights, orders=(0, 1, 2),
+                                n_terms=n_terms)
+            return np.array([vals[j] for j in range(3)]) - heads
+
+        if self.tail_form:
             total = _zeta_block_sums(self.model, nodes, self.n_terms)
-            lead = np.zeros((3, _CHEB_NODES, self.blocks - 1))
-            if self._lead_terms:
-                vals = section_eval(self.model, nodes, self.weights[:-1, :self._lead_terms],
-                                    orders=(0, 1, 2), n_terms=self._lead_terms)
-                lead = np.array([vals[j] - heads[:, j:j + 1] for j in range(3)])
-            rows = [np.concatenate([lead[j], (total[j] - lead[j].sum(axis=1))[:, None]],
-                                   axis=1) for j in range(3)]
-        return _CHEB_FIT @ np.concatenate(rows, axis=1)
+        else:
+            total = direct(1.0, self.n_terms)
+        block_sums = [total]
+        if self.blocks == 2:
+            shift = direct(self.shift_weights, len(self.shift_weights)) \
+                if len(self.shift_weights) else np.zeros_like(total)
+            block_sums = [shift, total - shift]
+        # column j blocks + b holds order j of block b; the fit takes this
+        # C-contiguous (25, 3 blocks) operand, since a transposed or wider one
+        # changes the BLAS kernel and with it the last bits of the traces
+        return _CHEB_FIT @ np.column_stack([s[j] for j in range(3) for s in block_sums])
 
     def _centre(self, t: float) -> None:
         """Centre the window on t with half-width one gap, or span

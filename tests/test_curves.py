@@ -129,6 +129,16 @@ def test_corrected_curve_126_linear_like(riemann):
     assert rep.delta_end > 0
 
 
+def test_corrected_curve_211_shifts_in_the_direct_form(riemann):
+    # the shift set {1} with N = 207: both blocks of the window are tabulated
+    # in the direct form, the shift block summed directly and the descend
+    # block as the total minus it
+    rep = corrected_curve(riemann, 211, steps=100)
+    assert rep.shift_set == {1}
+    assert not rep.shifting.truncated
+    assert rep.verdict == "true"
+
+
 def test_corrected_curve_6708(riemann):
     rep = corrected_curve(riemann, 6708, steps=100)
     assert rep.verdict == "true"

@@ -437,14 +437,16 @@ def test_fused_orders_are_bit_identical(riemann, davenport, mode):
                 assert np.array_equal(fused[j], single)
 
 
-def test_scalar_point_refuses_weight_stack(riemann):
-    # a (B, N) stack of parameter points needs an array of points
+def test_weight_stack_is_refused_at_any_point(riemann):
+    # section_eval sums one parameter point: a 2-D weight array is refused
+    # at a scalar t and at an array of points alike
     t = 500.5
     n = riemann.robust_cutoff(t)
     for a in (np.ones((2, n)), np.ones((1, n)), np.ones((2, n + 1))):
         with pytest.raises(DimensionError):
             section_eval(riemann, t, a, orders=(0, 1))
-    section_eval(riemann, np.array([t]), np.ones((2, n)), n_terms=n)
+        with pytest.raises(DimensionError):
+            section_eval(riemann, np.array([t, t + 0.5]), a, n_terms=n)
 
 
 @pytest.mark.parametrize("name,n", [("riemann", 0), ("riemann", 90), ("riemann", 20000),
@@ -476,16 +478,19 @@ def _term_scale(proxy, t: float, w) -> np.ndarray:
     return np.abs(proxy.head(t)) + terms @ np.abs(np.array(w))
 
 
-@pytest.mark.parametrize("name,n", [("riemann", 126), ("riemann", 6708),
+@pytest.mark.parametrize("name,n", [("riemann", 126), ("riemann", 211), ("riemann", 6708),
                                     ("riemann", 730119), ("dh", 44)])
 def test_window_proxy_section_matches_the_unfolded_sums(riemann, davenport, name, n):
     # section folds w into the coefficients once per weight tuple; it must
     # give head + sums(t) @ w within 1e-15 of the sum of the absolute terms
-    # (seen up to 6.6e-16), for one block and for a shift / descend pair
+    # (seen up to 6.6e-16), for one block and for a shift / descend pair.
+    # The shift set is empty at 126, 6708 and DH 44; at 211 it is {1} in
+    # the direct form (N = 207), at 730119 {1, 2, 4, 6, 12} in the tail form
     model = riemann if name == "riemann" else davenport
-    g0, dim, masks = _shift_masks(model, n)
+    g0, dim, shift_set = _shift_set(model, n)
+    assert bool(shift_set) is (n in (211, 730119))
     for blocks, weights in [(None, [(1.0,), (0.37,), (-0.2,)]),
-                            (masks, [(1.0, 1.0), (0.3, 0.9), (1.7, -0.4)])]:
+                            (shift_set, [(1.0, 1.0), (0.3, 0.9), (1.7, -0.4)])]:
         proxy = WindowProxy(model, dim, blocks, g0)
         for x in np.linspace(-1.0, 1.0, 21):
             t = g0 + proxy.half_width * x
@@ -502,8 +507,8 @@ def test_window_proxy_fold_follows_the_window_and_the_weights(riemann):
     # and alternates two tuples at one point: every value equals a fresh
     # solver's at the same (t, w), whose window is centred where the march's is
     from gramdelta.discriminant import _ExtremumSolver
-    g0, _, masks = _shift_masks(riemann, 730119)
-    march = _ExtremumSolver(riemann, 730119, g0, masks)
+    g0, _, shift_set = _shift_set(riemann, 730119)
+    march = _ExtremumSolver(riemann, 730119, g0, shift_set)
     gap = march.proxy.gap
     steps = [(g0, (0.2, 1.0)), (g0 + 0.6 * gap, (0.2, 1.0)), (g0 + 1.2 * gap, (0.2, 1.0)),
              (g0 + 1.2 * gap, (0.5, 0.8)), (g0 + 1.2 * gap, (0.2, 1.0)),
@@ -513,7 +518,7 @@ def test_window_proxy_fold_follows_the_window_and_the_weights(riemann):
     for t, w in steps:
         got = march.section(w, t)
         centres.add(march.proxy.center)
-        fresh = _ExtremumSolver(riemann, 730119, g0, masks)
+        fresh = _ExtremumSolver(riemann, 730119, g0, shift_set)
         if march.proxy.center != g0:
             fresh.proxy.sums(march.proxy.center)
         assert fresh.proxy.center == march.proxy.center
@@ -569,30 +574,22 @@ def _window_nodes(model, n):
 
 
 def _assert_points_match_scalar(model, t, a, dim, mode, check):
-    """section_eval at the points t against one scalar call per point (and
-    per row of a (B, N) stack), bit for bit, and against the exactly rounded
-    sums of oracles.section_fsum within _sum_bound, for the order sets (0,),
-    (1, 2) and (0, 1, 2); check selects the points compared."""
-    rows = a if np.ndim(a) == 2 else [a]
-    single, exact = [], []
-    for i in check:
-        x = float(t[i])
-        vals = [section_eval(model, x, row, orders=(0, 1, 2), deriv_mode=mode,
-                             n_terms=dim) for row in rows]
-        fsums = [section_fsum(model, x, row, dim, mode) for row in rows]
-        single.append({j: np.array([v[j] for v in vals]).reshape(np.shape(a)[:-1])
-                       for j in range(3)})
-        exact.append({j: np.array([v[j] for v in fsums]).reshape(np.shape(a)[:-1])
-                      for j in range(3)})
+    """section_eval at the points t against one scalar call per point, bit
+    for bit, and against the exactly rounded sums of oracles.section_fsum
+    within _sum_bound, for the order sets (0,), (1, 2) and (0, 1, 2); check
+    selects the points compared."""
+    single = [section_eval(model, float(t[i]), a, orders=(0, 1, 2), deriv_mode=mode,
+                           n_terms=dim) for i in check]
+    exact = [section_fsum(model, float(t[i]), a, dim, mode) for i in check]
     for orders in [(0,), (1, 2), (0, 1, 2)]:
         batch = section_eval(model, t, a, orders=orders, deriv_mode=mode, n_terms=dim)
         assert sorted(batch) == list(orders)
         for j in orders:
-            assert batch[j].shape == (len(t),) + np.shape(a)[:-1]
+            assert batch[j].shape == (len(t),)
             for i, ref, ex in zip(check, single, exact):
                 bound = _sum_bound(float(t[i]), dim, j)
-                assert np.array_equal(batch[j][i], ref[j]), (orders, j, i)
-                assert np.all(np.abs(batch[j][i] - ex[j]) <= bound), (orders, j, i)
+                assert batch[j][i] == ref[j], (orders, j, i)
+                assert abs(batch[j][i] - ex[j]) <= bound, (orders, j, i)
 
 
 @pytest.mark.parametrize("name,n", [("riemann", 0), ("riemann", 6708),
@@ -600,12 +597,12 @@ def _assert_points_match_scalar(model, t, a, dim, mode, check):
 @pytest.mark.parametrize("mode", ["main", "full"])
 def test_section_points_match_scalar_calls(riemann, davenport, name, n, mode):
     # one call at the 25 window nodes against a scalar call per node, for
-    # scalar, vector and (B, N) weights; DH n = 20000 (N = 7,492) runs past
+    # scalar and vector weights; DH n = 20000 (N = 7,492) runs past
     # one chunk of terms, so the chunk partials are summed across two chunks
     model = riemann if name == "riemann" else davenport
     _, dim, t = _window_nodes(model, n)
     vec = np.linspace(-0.5, 1.5, dim)
-    for a in (1.0, vec, np.stack([vec, 1.0 - vec])):
+    for a in (1.0, vec):
         _assert_points_match_scalar(model, t, a, dim, mode, range(len(t)))
 
 
@@ -620,7 +617,7 @@ def test_section_points_unpaired_offsets(riemann, davenport):
         t = np.concatenate([t, t[2:3], [g0 - 0.4, g0 + 0.1]])
         vec = np.linspace(1.5, -0.5, dim)
         for pts in (t, t[:1]):
-            for a in (1.0, vec, np.stack([vec, np.ones(dim)])):
+            for a in (1.0, vec):
                 for mode in ("main", "full"):
                     _assert_points_match_scalar(model, pts, a, dim, mode,
                                                 range(len(pts)))
@@ -655,7 +652,7 @@ def test_point_values_do_not_depend_on_the_batch(riemann, davenport, name, n):
             else [model.robust_cutoff(g0)])
     for dim in dims:
         vec = np.linspace(-0.5, 1.5, dim)
-        for a in (1.0, vec, np.stack([vec, 1.0 - vec])):
+        for a in (1.0, vec):
             for mode in ("main", "full"):
                 _assert_batch_independent(
                     lambda pts: section_eval(model, pts, a, orders=(0, 1, 2),
@@ -766,10 +763,8 @@ def test_window_proxy_selects_the_tail_form(riemann, davenport):
     from gramdelta.zmodel import _CHUNK_TERMS
     g0 = gram_point(riemann, 100000)
     dim = riemann.robust_cutoff(g0)
-    mask = np.arange(1, dim + 1) <= 20
     assert WindowProxy(riemann, dim, None, g0).tail_form
-    assert WindowProxy(riemann, dim, (mask, ~mask), g0).tail_form
-    assert not WindowProxy(riemann, dim, (mask, mask), g0).tail_form  # no partition
+    assert WindowProxy(riemann, dim, set(range(1, 21)), g0).tail_form
     assert not WindowProxy(riemann, dim, None, 4.0 * dim).tail_form  # M far below t/2
     # the Davenport-Heilbronn model and N below one chunk take the direct form
     assert not WindowProxy(davenport, dim, None, g0).tail_form
@@ -781,12 +776,10 @@ def test_window_proxy_selects_the_tail_form(riemann, davenport):
     assert not WindowProxy(riemann, _CHUNK_TERMS - 1, None, g - 2.0).tail_form
 
 
-def _shift_masks(model, n):
+def _shift_set(model, n):
     from gramdelta.curves import select_shift_indices
     g0 = gram_point(model, n)
-    dim = model.robust_cutoff(g0)
-    mask = np.isin(np.arange(1, dim + 1), list(select_shift_indices(model, n)))
-    return g0, dim, (mask, ~mask)
+    return g0, model.robust_cutoff(g0), select_shift_indices(model, n)
 
 
 @pytest.mark.parametrize("n,blocks", [(8049, 1), (8049, 2), (20000, 1), (20000, 2),
@@ -796,9 +789,9 @@ def test_tail_form_rows_match_the_direct_rows(riemann, n, blocks):
     # 2e-8 of max(1, |S|); the shift block ({1, 2, 4, 6, 12} at 730119) is
     # summed directly up to its last index and the descend block is the total
     # minus it
-    g0, dim, masks = _shift_masks(riemann, n)
-    tail = WindowProxy(riemann, dim, masks if blocks == 2 else None, g0)
-    direct = WindowProxy(riemann, dim, masks if blocks == 2 else None, g0)
+    g0, dim, shift_set = _shift_set(riemann, n)
+    tail = WindowProxy(riemann, dim, shift_set if blocks == 2 else None, g0)
+    direct = WindowProxy(riemann, dim, shift_set if blocks == 2 else None, g0)
     direct.tail_form = False
     assert tail.tail_form and tail.blocks == blocks
     for x in _CHEB_X:
@@ -806,9 +799,9 @@ def test_tail_form_rows_match_the_direct_rows(riemann, n, blocks):
         got, want = tail.sums(t), direct.sums(t)
         assert np.all(np.abs(got - want) <= 2e-8 * np.maximum(1.0, np.abs(want))), x
     if blocks == 2:  # {1} at 8049; empty at 20000, where no index is summed directly
-        assert tail._lead_terms == np.max(np.flatnonzero(masks[0]) + 1, initial=0)
+        assert (np.flatnonzero(tail.shift_weights) + 1).tolist() == sorted(shift_set)
     if (n, blocks) == (730119, 2):
-        assert tail._lead_terms == 12
+        assert len(tail.shift_weights) == 12
 
 
 def _mp_block_sums(mp, t: float, n: int) -> list[float]:
