@@ -25,12 +25,11 @@ import numpy as np
 
 from .errors import IndexRangeError
 from .gram import gram_point
-from .numerics import adaptive_simpson, csum, uniform01
+from .numerics import WORK_ELEMENTS, adaptive_simpson, csum, uniform01
 from .special import gram_gap
 from .zmodel import CoefficientModel, classical_partial_sums, term_arrays
 
 _POLE_EPS = 1e-8
-_MC_BLOCK = 1 << 20  # Monte-Carlo draws held at once: trials x N <= 8 MB of floats
 
 
 @dataclass
@@ -366,14 +365,14 @@ def gram_vectors(model: CoefficientModel, n: int, trials: int = 1000,
 
     acc = np.zeros(n_cut)
     trial_sums = np.empty(trials)
-    rows = max(1, _MC_BLOCK // n_cut)
+    rows = max(1, WORK_ELEMENTS // n_cut)  # trials drawn at once
     for first in range(0, trials, rows):
-        streams = np.arange(first, min(first + rows, trials))
-        phases = uniform01(seed, streams, n_cut) * (2.0 * math.pi)
+        last = min(first + rows, trials)
+        phases = uniform01(seed, np.arange(first, last), n_cut) * (2.0 * math.pi)
         draws = np.sort(c * np.cos(phases) * inv_sqrt, axis=1)
-        for trial, draw in zip(streams.tolist(), draws):
+        for draw in draws:
             acc += draw  # row by row, in trial order: the sum is reproducible
-            trial_sums[trial] = csum(draw)
+        trial_sums[first:last] = csum(draws)
     baseline = acc / trials
     essential = sorted_v - baseline
     return GramVectors(n=n, raw=raw, sorted_v=sorted_v, baseline=baseline,

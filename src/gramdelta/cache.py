@@ -8,7 +8,9 @@ version holds values computed another way and is refused, never served, and
 so is a shard with a row that is not a complete record (six fields, hex
 floats, a known kind, a line end), such as a crash mid-append leaves.
 Appends take an exclusive and loads a shared fcntl lock on the shard, so
-processes may share one cache directory.
+processes may share one cache directory. An append formats and writes its
+rows emit.ROW_BLOCK at a time under its one lock, so its working memory does
+not grow with the number of records.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import os
 import threading
 from pathlib import Path
 
+from .emit import ROW_BLOCK
 from .errors import CorruptCacheError, StaleCacheError
 from .gram import GramKind, GramRecord
 
@@ -76,12 +79,12 @@ class RecordStore:
             return self._load(model_name, n // SHARD).get(n)
 
     def put(self, model_name: str, *records: GramRecord) -> None:
-        """Append the records not yet stored, in the order given, with one
-        write per shard under an exclusive lock on it, so that processes
-        sharing the cache directory never interleave their rows. Under the
-        lock the rows another process appended since this store last read
-        the shard are read first, and records among them are not appended
-        again."""
+        """Append the records not yet stored, in the order given, under one
+        exclusive lock per shard, so that processes sharing the cache
+        directory never interleave their rows. Under the lock the rows
+        another process appended since this store last read the shard are
+        read first, and records among them are not appended again; the rest
+        are formatted and written emit.ROW_BLOCK rows at a time."""
         with self._lock:
             by_shard: dict[int, list[GramRecord]] = {}
             for record in records:
@@ -105,27 +108,29 @@ class RecordStore:
             if size > seen:
                 self._ends[key] = _merge_rows(path, os.pread(fd, size - seen, seen),
                                               self._ends[key], stored)
-            rows = []
+            fresh = []
             for record in records:
-                if record.n in stored:
+                if record.n in stored:  # stored before, or given twice
                     continue
                 stored[record.n] = record
-                rows.append([record.n, record.t.hex(), record.z_value.hex(),
-                             record.zprime_value.hex(), record.kind.value,
-                             record.viscosity.hex()])
-            if not rows:
+                fresh.append(record)
+            if not fresh:
                 return
-            buf = io.StringIO()
-            if size == 0:
-                buf.write(f"#version={_VERSION}\n#model={model_name}\n")
-                rows.insert(0, ["n", "t_hex", "z_hex", "zprime_hex", "kind",
-                                "viscosity_hex"])
-            csv.writer(buf).writerows(rows)
-            data = buf.getvalue().encode()
-            self._ends[key] = (size + len(data),
-                               self._ends[key][1] + buf.getvalue().count("\n"))
-            while data:
-                data = data[os.write(fd, data):]
+            end, lines = size, self._ends[key][1]
+            for lo in range(0, len(fresh), ROW_BLOCK):
+                buf = io.StringIO()
+                if end == 0:
+                    buf.write(f"#version={_VERSION}\n#model={model_name}\n")
+                    csv.writer(buf).writerow(["n", "t_hex", "z_hex", "zprime_hex",
+                                              "kind", "viscosity_hex"])
+                csv.writer(buf).writerows(
+                    [r.n, r.t.hex(), r.z_value.hex(), r.zprime_value.hex(),
+                     r.kind.value, r.viscosity.hex()] for r in fresh[lo:lo + ROW_BLOCK])
+                data = buf.getvalue().encode()
+                end, lines = end + len(data), lines + data.count(b"\n")
+                while data:
+                    data = data[os.write(fd, data):]
+                self._ends[key] = (end, lines)
         finally:
             os.close(fd)  # releases the lock
 

@@ -4,11 +4,15 @@ CSV files carry '#'-prefixed metadata lines (#version, #model, ...),
 an RFC-4180 body, and for every float column a hex-float twin column, so a
 reader can recover the exact bits while the decimal column stays
 plot-friendly. No timestamps: identical configuration must give identical
-bytes.
+bytes. The columns are checked before the target is opened, so a table
+that does not fit its header creates no file and writes nothing; the body
+is then formatted and written ROW_BLOCK rows at a time, so the cells held
+at once do not grow with the row count.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import sys
 from pathlib import Path
@@ -16,6 +20,8 @@ from pathlib import Path
 import numpy as np
 
 CSV_VERSION = "1"
+# rows formatted and written at a time, by write_csv and by cache appends
+ROW_BLOCK = 1024
 
 
 def _fmt(value) -> str:
@@ -25,13 +31,16 @@ def _fmt(value) -> str:
 
 
 def _cells(column) -> list[str]:
-    """Decimal cells of one column. Numeric arrays are formatted in bulk; they
-    cannot hold ',', '"' or a newline, so only other columns are quoted."""
+    """Decimal cells of one column. Numeric arrays and lists of exact floats
+    are formatted in bulk; they cannot hold ',', '"' or a newline, so only
+    other columns are quoted."""
     if isinstance(column, np.ndarray):
         if column.dtype.kind == "f":
             return list(map(repr, column.tolist()))
         if column.dtype.kind in "iub":
             return list(map(str, column.tolist()))
+    elif all(type(v) is float for v in column):
+        return list(map(repr, column))
     return [_quote(_fmt(v)) for v in column]
 
 
@@ -43,16 +52,24 @@ def _hex_cells(column) -> list[str]:
 
 def write_csv(out, metadata: dict, header: list[str], columns,
               float_cols: list[str] | None = None) -> None:
-    """Write one column (sequence) per header entry plus hex twins for float_cols."""
+    """Write one column (sequence) per header entry plus hex twins for
+    float_cols. Raises ValueError, before the target is opened, if the
+    columns differ in length."""
     assert len(columns) == len(header), (len(columns), len(header))
+    lengths = sorted({len(col) for col in columns})
+    if len(lengths) > 1:
+        raise ValueError(f"columns differ in length: {lengths}")
     float_cols = float_cols or []
-    cells = [_cells(col) for col in columns]
-    cells += [_hex_cells(columns[header.index(c)]) for c in float_cols]
+    twins = [columns[header.index(c)] for c in float_cols]
     lines = [f"#version={CSV_VERSION}"]
     lines += [f"#{key}={val}" for key, val in metadata.items()]
     lines.append(",".join(header + [f"{c}_hex" for c in float_cols]))
-    lines += map(",".join, zip(*cells, strict=True))
-    _write_text(out, "\n".join(lines) + "\n")
+    with _open(out) as fh:
+        fh.write("\n".join(lines) + "\n")
+        for lo in range(0, lengths[0] if lengths else 0, ROW_BLOCK):
+            cells = [_cells(col[lo:lo + ROW_BLOCK]) for col in columns]
+            cells += [_hex_cells(col[lo:lo + ROW_BLOCK]) for col in twins]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def _quote(cell: str) -> str:
@@ -65,9 +82,19 @@ def write_json(out, payload: dict) -> None:
     _write_text(out, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _write_text(out, text: str) -> None:
+@contextlib.contextmanager
+def _open(out):
+    """The text stream of an output: stdout for None or "-", else the file,
+    its directories made first."""
     if out is None or out == "-":
-        sys.stdout.write(text)
-    else:
-        Path(out).parent.mkdir(parents=True, exist_ok=True)
-        Path(out).write_text(text)
+        yield sys.stdout
+        return
+    path = Path(out)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w") as fh:
+        yield fh
+
+
+def _write_text(out, text: str) -> None:
+    with _open(out) as fh:
+        fh.write(text)

@@ -110,10 +110,11 @@ def core_zero(model: CoefficientModel, n: int) -> float:
     return _refine_theta(model, seed, math.pi * (n - 0.5))
 
 
-# Gram points evaluated in one batch: bounds the batch's arrays (at n = 1e6
-# a point's main sums take about 300 terms; a DH point's head takes about 2t,
-# which spans several 4096-term chunks from t of about 2,000 on, and a chunk's
-# arrays hold a few MB for a slice)
+# Gram points evaluated in one batch (gram_values). The batch's term arrays
+# do not grow with it: section_eval and classical_afe take a chunk's points in
+# groups of at most numerics.WORK_ELEMENTS elements. A slice bounds the
+# per-point arrays and lists of one batch; a window's records are kept
+# until its one put.
 _SLICE = 64
 
 

@@ -14,21 +14,34 @@ from typing import Callable
 import numpy as np
 
 _CHUNK = 4096
+# elements a (points x terms) or (trials x terms) work array may hold: 512 KB
+# of floats. Section sums, classical AFE rows and Monte-Carlo draws split
+# their points or trials into groups of this many elements at most.
+WORK_ELEMENTS = 1 << 16
 
 
-def csum(values) -> float:
+def csum(values):
     """Compensated sum in ascending index order.
 
     Up to _CHUNK terms this is math.fsum (exactly rounded). Longer arrays are
     reduced in fixed 4096-element chunks whose partial sums are fsum-combined,
     keeping the evaluation order independent of array length or platform.
+    A 2-D array gives an array of one such sum per row.
     """
     arr = np.asarray(values, dtype=float)
-    n = arr.shape[0]
-    if n == 0:
+    if arr.ndim == 2:  # row by row: one row at a time as Python floats
+        if arr.shape[1] <= _CHUNK:
+            return np.array([math.fsum(row.tolist()) for row in arr])
+        return np.array([_chunked_sum(row) for row in arr])
+    if arr.shape[0] == 0:
         return 0.0
-    if n <= _CHUNK:
+    if arr.shape[0] <= _CHUNK:
         return math.fsum(arr.tolist())
+    return _chunked_sum(arr)
+
+
+def _chunked_sum(arr: np.ndarray) -> float:
+    n = arr.shape[0]
     return math.fsum(float(np.sum(arr[i:i + _CHUNK])) for i in range(0, n, _CHUNK))
 
 

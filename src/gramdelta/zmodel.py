@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import (DimensionError, DomainError, FlatPointError,
                      IndexRangeError, NonConvergenceError, NotAGramPointError)
-from .numerics import csum, running_csum
+from .numerics import WORK_ELEMENTS, csum, running_csum
 from .special import ThetaKind, gram_gap, theta, theta_deriv, theta_main_deriv
 
 TWO_PI = 2.0 * math.pi
@@ -122,7 +122,10 @@ def _as_weights(a, n: int) -> np.ndarray:
     return wts
 
 
-_CHUNK_TERMS = 4096  # terms per chunk of a section sum: bounds its (P, chunk) arrays
+# terms per chunk of a section sum; with the points taken in groups of
+# WORK_ELEMENTS // chunk, its (points, chunk) work arrays stay within
+# WORK_ELEMENTS at any number of points
+_CHUNK_TERMS = 4096
 
 
 def _as_points(t) -> tuple[np.ndarray, bool]:
@@ -165,17 +168,20 @@ def section_eval(model: CoefficientModel, t, a, *, orders: tuple[int, ...] = (0,
     hardy_z at an array of points takes its main sums this way.
 
     A scalar t is a batch of one point, and every call sums the same way.
-    The terms run in chunks of _CHUNK_TERMS. Per chunk the phases
-    theta(t_p) - t_p ln m form a (P, chunk) array; their cos and sin (each
-    only where an order needs it) and the factors theta'(t_p) - ln m (and
-    theta''(t_p) for full order 2) give each order's terms. Each point's
-    terms are reduced against the weight row w c_m/sqrt(m) of term_arrays
-    (the head m = 1 at weight 1) by np.einsum over a C-contiguous
-    (1, chunk) row, one sum per point in an order fixed by the chunk alone;
-    a matrix product would pick its kernel, and so its summation order, by
-    the number of points. numerics.csum adds the chunk partials in chunk
-    order (real and imaginary parts apart at a complex t). So a point's
-    values are bit-identical alone, in any batch and on every rerun.
+    The terms run in chunks of _CHUNK_TERMS, and a chunk's points in groups
+    of at most WORK_ELEMENTS // chunk, so no (points, chunk) work array holds
+    more than WORK_ELEMENTS, whatever the number of points. Per chunk and
+    group the phases theta(t_p) - t_p ln m form a (group, chunk) array; their
+    cos and sin (each only where an order needs it) and the factors
+    theta'(t_p) - ln m (and theta''(t_p) for full order 2) give each order's
+    terms. Each point's terms are reduced against the weight row
+    w c_m/sqrt(m) of term_arrays (the head m = 1 at weight 1) by np.einsum
+    over a C-contiguous (1, chunk) row, one sum per point in an order fixed
+    by the chunk alone; a matrix product would pick its kernel, and so its
+    summation order, by the number of points. One numerics.csum call per
+    order adds each point's chunk partials in chunk order (real and
+    imaginary parts apart at a complex t). So a point's values are
+    bit-identical alone, in any batch or group and on every rerun.
     """
     points = isinstance(t, np.ndarray)
     if points:
@@ -198,34 +204,40 @@ def section_eval(model: CoefficientModel, t, a, *, orders: tuple[int, ...] = (0,
     full_sin = 2 in orders and deriv_mode == "full"
     if full_sin:
         tpp = np.array([model.theta_deriv(x, 2) for x in pts])[:, None]
-    partials = {j: [] for j in orders}
-    for lo in range(0, n + 1, _CHUNK_TERMS):
+    group = max(1, WORK_ELEMENTS // min(n + 1, _CHUNK_TERMS))
+    starts = range(0, n + 1, _CHUNK_TERMS)
+    # one row of chunk partials per point
+    partials = {j: np.empty((len(pts), len(starts)), dtype=tv.dtype) for j in orders}
+    for col, lo in enumerate(starts):
         hi = min(lo + _CHUNK_TERMS, n + 1)
         lnm = ln_m[lo:hi]
         row = wts[:, lo:hi] * (c[lo:hi] / sqrt_m[lo:hi])  # (1, chunk), C order
-        phases = th - tv * lnm
-        cos_p = np.cos(phases) if 0 in orders or 2 in orders else None
-        sin_p = np.sin(phases) if 1 in orders or full_sin else None
-        del phases
-        if 0 in orders:
-            partials[0].append(np.einsum("pk,bk->pb", cos_p, row))
-        if 1 in orders or 2 in orders:
-            factors = tp - lnm
-        if 1 in orders:
-            partials[1].append(-np.einsum("pk,bk->pb", sin_p * factors, row))
-        if 2 in orders:
-            terms = cos_p * factors
-            terms *= factors
-            if full_sin:
-                terms += sin_p * tpp
-            partials[2].append(-np.einsum("pk,bk->pb", terms, row))
-    cplx = np.iscomplexobj(tv)
+        for first in range(0, len(pts), group):
+            part = slice(first, first + group)
+            phases = th[part] - tv[part] * lnm
+            cos_p = np.cos(phases) if 0 in orders or 2 in orders else None
+            sin_p = np.sin(phases) if 1 in orders or full_sin else None
+            del phases
+            if 0 in orders:
+                partials[0][part, col] = np.einsum("pk,bk->pb", cos_p, row)[:, 0]
+            if 1 in orders or 2 in orders:
+                factors = tp[part] - lnm
+            if 1 in orders:
+                partials[1][part, col] = -np.einsum("pk,bk->pb", sin_p * factors, row)[:, 0]
+            if 2 in orders:
+                terms = cos_p * factors
+                terms *= factors
+                if full_sin:
+                    terms += sin_p * tpp[part]
+                partials[2][part, col] = -np.einsum("pk,bk->pb", terms, row)[:, 0]
     out: dict = {}
-    for j in orders:
-        # one row of chunk partials per point
-        rows = np.array(partials[j]).reshape(len(partials[j]), -1).T
-        sums = [complex(csum(r.real), csum(r.imag)) if cplx else csum(r) for r in rows]
-        out[j] = np.array(sums) if points else sums[0]
+    for j, rows in partials.items():
+        if points:
+            out[j] = csum(rows)
+        elif np.iscomplexobj(rows):
+            out[j] = complex(csum(rows[0].real), csum(rows[0].imag))
+        else:
+            out[j] = csum(rows[0])
     return out
 
 
@@ -519,9 +531,17 @@ def _classical_terms(model: CoefficientModel, g: np.ndarray, n_cut: int
 
 
 def _classical_sums(model: CoefficientModel, g: np.ndarray, n_cut: int) -> dict:
-    signs, z_terms, zp_terms = _classical_terms(model, g, n_cut)
-    return {"z": np.array([2.0 * s * csum(row) for s, row in zip(signs, z_terms)]),
-            "zprime": np.array([s * csum(row) for s, row in zip(signs, zp_terms)])}
+    """The classical pairs at Gram points that share N(g) = n_cut, their
+    term rows built and summed for at most WORK_ELEMENTS // n_cut points at
+    a time, so the (points, N) arrays stay within WORK_ELEMENTS."""
+    group = max(1, WORK_ELEMENTS // n_cut)
+    z, zprime = np.empty(len(g)), np.empty(len(g))
+    for first in range(0, len(g), group):
+        part = slice(first, first + group)
+        signs, z_terms, zp_terms = _classical_terms(model, g[part], n_cut)
+        z[part] = 2.0 * np.array(signs) * csum(z_terms)
+        zprime[part] = np.array(signs) * csum(zp_terms)
+    return {"z": z, "zprime": zprime}
 
 
 def classical_afe(model: CoefficientModel, g) -> ClassicalValues:
@@ -529,8 +549,9 @@ def classical_afe(model: CoefficientModel, g) -> ClassicalValues:
 
     g may also be a 1-D array of Gram points: z and zprime then hold one
     value per point. The points that share N(g) take their terms from one
-    cos and sin pass, and each point's rows are summed by csum on their own,
-    so a point's values equal its one-point call bit for bit."""
+    cos and sin pass per group of at most WORK_ELEMENTS // N(g) points, and
+    each point's rows are summed by csum on their own, so a point's values
+    equal its one-point call bit for bit."""
     pts, points = _as_points(g)
     for x in pts.tolist():
         if not x >= 10.0:

@@ -284,7 +284,7 @@ def test_gram_vectors_match_the_per_trial_loop(riemann, monkeypatch, n, trials, 
     assert _bits(gv.trial_sums) == _bits(np.array(sums))
     # trials drawn in uneven blocks of 7 rows give the same bits
     import gramdelta.adjust as adjust_module
-    monkeypatch.setattr(adjust_module, "_MC_BLOCK", 7 * n_cut)
+    monkeypatch.setattr(adjust_module, "WORK_ELEMENTS", 7 * n_cut)
     blocked = gram_vectors(riemann, n, trials=trials, seed=seed)
     assert _bits(blocked.baseline) == _bits(gv.baseline)
     assert _bits(blocked.trial_sums) == _bits(gv.trial_sums)

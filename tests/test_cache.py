@@ -6,6 +6,7 @@ import pytest
 
 from gramdelta import cache
 from gramdelta.cache import SHARD, RecordStore
+from gramdelta.emit import ROW_BLOCK
 from gramdelta.errors import CorruptCacheError
 from gramdelta.gram import GramKind, GramRecord
 
@@ -35,6 +36,33 @@ def test_one_put_of_many_writes_the_bytes_of_single_puts(tmp_path):
     fresh = RecordStore(tmp_path / "batch")
     for n in set(ns):
         assert fresh.get("riemann", n) == _record(n)
+
+
+def test_put_of_several_blocks_writes_the_bytes_of_single_puts(tmp_path):
+    # 2,600 records over two shards, the first shard's 1,600 in two blocks of
+    # rows; a record given twice across a block boundary and one already stored
+    ns = list(range(SHARD - 1600, SHARD + 1000))
+    ns[ROW_BLOCK + 5] = ns[ROW_BLOCK - 5]
+    ns.append(SHARD - 1600)
+    single = RecordStore(tmp_path / "single")
+    batch = RecordStore(tmp_path / "batch")
+    for store in (single, batch):
+        store.put("riemann", _record(SHARD - 10))
+    for n in ns:
+        single.put("riemann", _record(n))
+    batch.put("riemann", *(_record(n) for n in ns))
+    assert _shards(tmp_path / "batch") == _shards(tmp_path / "single")
+    # the store's end of each shard is the file's, so the rows another store
+    # appends later are read from there, and only they
+    for shard, data in enumerate(_shards(tmp_path / "batch").values()):
+        assert batch._ends[("riemann", shard)] == (len(data), data.count(b"\n"))
+    RecordStore(tmp_path / "batch").put("riemann", _record(SHARD - 1601))
+    batch.put("riemann", _record(SHARD - 1602))
+    assert batch.get("riemann", SHARD - 1601) == _record(SHARD - 1601)
+    fresh = RecordStore(tmp_path / "batch")
+    assert all(fresh.get("riemann", n) == _record(n)
+               for n in set(ns) | {SHARD - 1601, SHARD - 1602})
+    assert fresh.status()["records"] == len(set(ns)) + 2
 
 
 def test_put_of_nothing_writes_nothing(tmp_path):

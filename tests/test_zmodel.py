@@ -11,9 +11,10 @@ from gramdelta import (GramKind, classical_afe, classify, core_zero,
                        z_section, z_section_deriv)
 from gramdelta.errors import DimensionError, DomainError, IndexRangeError
 from gramdelta.special import ThetaKind, theta
-from gramdelta.zmodel import (_CHEB_X, _RS_REMAINDER, WindowProxy, _parity_series,
-                              _rs_remainder, classical_partial_sums, hardy_z_error,
-                              point_values, section_eval)
+from gramdelta.numerics import WORK_ELEMENTS
+from gramdelta.zmodel import (_CHEB_X, _CHUNK_TERMS, _RS_REMAINDER, WindowProxy,
+                              _parity_series, _rs_remainder, classical_partial_sums,
+                              hardy_z_error, point_values, section_eval)
 
 from oracles import bisect, central_difference, section_fsum, zeta_euler_maclaurin
 
@@ -623,6 +624,38 @@ def test_section_points_unpaired_offsets(riemann, davenport):
                                                 range(len(pts)))
 
 
+@pytest.mark.parametrize("mode", ["main", "full"])
+def test_section_points_past_one_group_match_scalar_calls(riemann, mode):
+    # 40 points at N = 5,000 (two chunks of terms): each chunk's points are
+    # summed in three groups, the last short, for scalar and vector weights
+    dim = 5000
+    assert 40 > 2 * (WORK_ELEMENTS // _CHUNK_TERMS)
+    t = 10_001.0 + np.linspace(-0.5, 0.5, 40)
+    for a in (1.0, np.linspace(-0.5, 1.5, dim)):
+        batch = section_eval(riemann, t, a, orders=(0, 1, 2), deriv_mode=mode,
+                             n_terms=dim)
+        for i, x in enumerate(t.tolist()):
+            single = section_eval(riemann, x, a, orders=(0, 1, 2), deriv_mode=mode,
+                                  n_terms=dim)
+            assert {j: v[i] for j, v in batch.items()} == single, i
+
+
+def test_classical_points_past_one_group_match_scalar_calls(riemann, monkeypatch):
+    # 30 Gram points near g_100000 share N(g) = 152; a budget of 7 rows of
+    # terms takes them in five groups, the last short
+    import gramdelta.zmodel as zmodel
+    g = np.array([gram_point(riemann, n) for n in range(100_000, 100_030)])
+    n_cut = riemann.classical_cutoff(g[0])
+    assert {riemann.classical_cutoff(x) for x in g.tolist()} == {n_cut}
+    whole = classical_afe(riemann, g)
+    monkeypatch.setattr(zmodel, "WORK_ELEMENTS", 7 * n_cut)
+    grouped = classical_afe(riemann, g)
+    for i, x in enumerate(g.tolist()):
+        single = classical_afe(riemann, x)
+        assert (whole.z[i], whole.zprime[i]) == (single.z, single.zprime), i
+        assert (grouped.z[i], grouped.zprime[i]) == (single.z, single.zprime), i
+
+
 def _assert_batch_independent(evaluate, t):
     """evaluate(points) -> {order: values}: each point's values in the batch t
     equal its one-point call and its values in three sub-batches (the first
@@ -760,7 +793,6 @@ def test_em_coefficients_regenerate():
 
 
 def test_window_proxy_selects_the_tail_form(riemann, davenport):
-    from gramdelta.zmodel import _CHUNK_TERMS
     g0 = gram_point(riemann, 100000)
     dim = riemann.robust_cutoff(g0)
     assert WindowProxy(riemann, dim, None, g0).tail_form
