@@ -6,8 +6,9 @@ reader can recover the exact bits while the decimal column stays
 plot-friendly. No timestamps: identical configuration must give identical
 bytes. The columns are checked before the target is opened, so a table
 that does not fit its header creates no file and writes nothing; the body
-is then formatted and written ROW_BLOCK rows at a time, so the cells held
-at once do not grow with the row count.
+is then formatted and written ROW_BLOCK rows at a time (the '#' lines and
+header with the first block), so the cells held at once do not grow with
+the row count. Every write goes through _write_text.
 """
 
 from __future__ import annotations
@@ -64,12 +65,15 @@ def write_csv(out, metadata: dict, header: list[str], columns,
     lines = [f"#version={CSV_VERSION}"]
     lines += [f"#{key}={val}" for key, val in metadata.items()]
     lines.append(",".join(header + [f"{c}_hex" for c in float_cols]))
+    text = "\n".join(lines) + "\n"  # goes out with the first block
     with _open(out) as fh:
-        fh.write("\n".join(lines) + "\n")
         for lo in range(0, lengths[0] if lengths else 0, ROW_BLOCK):
             cells = [_cells(col[lo:lo + ROW_BLOCK]) for col in columns]
             cells += [_hex_cells(col[lo:lo + ROW_BLOCK]) for col in twins]
-            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+            _write_text(fh, text + "\n".join(map(",".join, zip(*cells))) + "\n")
+            text = ""
+        if text:  # no rows
+            _write_text(fh, text)
 
 
 def _quote(cell: str) -> str:
@@ -84,10 +88,13 @@ def write_json(out, payload: dict) -> None:
 
 @contextlib.contextmanager
 def _open(out):
-    """The text stream of an output: stdout for None or "-", else the file,
-    its directories made first."""
+    """The text stream of an output: stdout for None or "-", an open stream
+    as it is, else the file, its directories made first."""
     if out is None or out == "-":
         yield sys.stdout
+        return
+    if hasattr(out, "write"):
+        yield out
         return
     path = Path(out)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -96,5 +103,7 @@ def _open(out):
 
 
 def _write_text(out, text: str) -> None:
+    """Write text to an output or an open stream (see _open); every byte
+    that emit writes passes through here."""
     with _open(out) as fh:
         fh.write(text)

@@ -110,10 +110,10 @@ def core_zero(model: CoefficientModel, n: int) -> float:
     return _refine_theta(model, seed, math.pi * (n - 0.5))
 
 
-# Gram points evaluated in one batch (gram_values). The batch's term arrays
-# do not grow with it: section_eval and classical_afe take a chunk's points in
-# groups of at most numerics.WORK_ELEMENTS elements. A slice bounds the
-# per-point arrays and lists of one batch; a window's records are kept
+# Gram points evaluated in one batch (gram_values). section_eval takes a
+# chunk's points in groups of at most numerics.WORK_ELEMENTS elements; the
+# slice bounds classical_afe's (points, N) rows (64 x 309 at g_1e6) and the
+# per-point arrays and lists of one batch. A window's records are kept
 # until its one put.
 _SLICE = 64
 

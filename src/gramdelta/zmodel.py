@@ -207,7 +207,9 @@ def section_eval(model: CoefficientModel, t, a, *, orders: tuple[int, ...] = (0,
     group = max(1, WORK_ELEMENTS // min(n + 1, _CHUNK_TERMS))
     starts = range(0, n + 1, _CHUNK_TERMS)
     # one row of chunk partials per point
-    partials = {j: np.empty((len(pts), len(starts)), dtype=tv.dtype) for j in orders}
+    # float at a real t, int included; complex at a complex t
+    partials = {j: np.empty((len(pts), len(starts)), dtype=np.result_type(tv, float))
+                for j in orders}
     for col, lo in enumerate(starts):
         hi = min(lo + _CHUNK_TERMS, n + 1)
         lnm = ln_m[lo:hi]
@@ -531,17 +533,9 @@ def _classical_terms(model: CoefficientModel, g: np.ndarray, n_cut: int
 
 
 def _classical_sums(model: CoefficientModel, g: np.ndarray, n_cut: int) -> dict:
-    """The classical pairs at Gram points that share N(g) = n_cut, their
-    term rows built and summed for at most WORK_ELEMENTS // n_cut points at
-    a time, so the (points, N) arrays stay within WORK_ELEMENTS."""
-    group = max(1, WORK_ELEMENTS // n_cut)
-    z, zprime = np.empty(len(g)), np.empty(len(g))
-    for first in range(0, len(g), group):
-        part = slice(first, first + group)
-        signs, z_terms, zp_terms = _classical_terms(model, g[part], n_cut)
-        z[part] = 2.0 * np.array(signs) * csum(z_terms)
-        zprime[part] = np.array(signs) * csum(zp_terms)
-    return {"z": z, "zprime": zprime}
+    signs, z_terms, zp_terms = _classical_terms(model, g, n_cut)
+    signs = np.array(signs)
+    return {"z": 2.0 * signs * csum(z_terms), "zprime": signs * csum(zp_terms)}
 
 
 def classical_afe(model: CoefficientModel, g) -> ClassicalValues:
@@ -549,9 +543,8 @@ def classical_afe(model: CoefficientModel, g) -> ClassicalValues:
 
     g may also be a 1-D array of Gram points: z and zprime then hold one
     value per point. The points that share N(g) take their terms from one
-    cos and sin pass per group of at most WORK_ELEMENTS // N(g) points, and
-    each point's rows are summed by csum on their own, so a point's values
-    equal its one-point call bit for bit."""
+    cos and sin pass, and each point's rows are summed by csum on their own,
+    so a point's values equal its one-point call bit for bit."""
     pts, points = _as_points(g)
     for x in pts.tolist():
         if not x >= 10.0:

@@ -116,3 +116,18 @@ def test_working_memory_does_not_grow_with_the_rows(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000, peak
+
+
+@pytest.mark.parametrize("rows", [0, ROW_BLOCK, ROW_BLOCK + 1])
+def test_every_byte_goes_through_write_text(tmp_path, monkeypatch, rows):
+    # one _write_text call per block, the '#' lines and header with the first
+    import gramdelta.emit as emit
+    texts = []
+    write_text = emit._write_text
+    monkeypatch.setattr(emit, "_write_text",
+                        lambda out, text: (texts.append(text), write_text(out, text)))
+    out = tmp_path / "table.csv"
+    write_csv(str(out), {"rows": rows}, LONG_HEADER, _long_columns(rows),
+              float_cols=LONG_FLOATS)
+    assert "".join(texts).encode() == out.read_bytes()
+    assert len(texts) == max(1, -(-rows // ROW_BLOCK))

@@ -640,20 +640,15 @@ def test_section_points_past_one_group_match_scalar_calls(riemann, mode):
             assert {j: v[i] for j, v in batch.items()} == single, i
 
 
-def test_classical_points_past_one_group_match_scalar_calls(riemann, monkeypatch):
-    # 30 Gram points near g_100000 share N(g) = 152; a budget of 7 rows of
-    # terms takes them in five groups, the last short
-    import gramdelta.zmodel as zmodel
-    g = np.array([gram_point(riemann, n) for n in range(100_000, 100_030)])
-    n_cut = riemann.classical_cutoff(g[0])
-    assert {riemann.classical_cutoff(x) for x in g.tolist()} == {n_cut}
-    whole = classical_afe(riemann, g)
-    monkeypatch.setattr(zmodel, "WORK_ELEMENTS", 7 * n_cut)
-    grouped = classical_afe(riemann, g)
-    for i, x in enumerate(g.tolist()):
-        single = classical_afe(riemann, x)
-        assert (whole.z[i], whole.zprime[i]) == (single.z, single.zprime), i
-        assert (grouped.z[i], grouped.zprime[i]) == (single.z, single.zprime), i
+def test_integer_points_give_the_bits_of_float_points(riemann):
+    # an int t is summed as the float it equals, alone and in a batch
+    for a in (1.0, np.linspace(-0.5, 1.5, riemann.robust_cutoff(100.0))):
+        assert z_section(riemann, 100, a) == z_section(riemann, 100.0, a)
+    ints = hardy_z(riemann, np.array([100, 200, 5000]), orders=(0, 1, 2))
+    floats = hardy_z(riemann, np.array([100.0, 200.0, 5000.0]), orders=(0, 1, 2))
+    for j in (0, 1, 2):
+        assert ints[j].dtype == float
+        assert ints[j].tolist() == floats[j].tolist(), j
 
 
 def _assert_batch_independent(evaluate, t):
