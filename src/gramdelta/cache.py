@@ -63,13 +63,7 @@ class RecordStore:
             return cached
         records: dict[int, GramRecord] = {}
         path = self._path(model_name, shard)
-        end = (0, 0)
-        if path.exists():
-            with path.open("rb") as fh:
-                # a writer in another process holds the exclusive lock while
-                # it appends, so this never reads half an append
-                fcntl.flock(fh, fcntl.LOCK_SH)
-                end = _merge_rows(path, fh.read(), end, records)
+        end = _read_shard(path, records) if path.exists() else (0, 0)
         self._shards[key] = records
         self._ends[key] = end
         return records
@@ -135,17 +129,16 @@ class RecordStore:
             os.close(fd)  # releases the lock
 
     def status(self) -> dict:
+        """The records of each shard, read as get reads them, so a stale or
+        corrupt shard raises as it would there."""
         files = sorted(self.root.glob("*_*.csv")) if self.root.exists() else []
-        total = 0
         per_file = []
         for path in files:
-            with path.open() as fh:
-                count = sum(1 for line in fh
-                            if line and not line.startswith("#")
-                            and not line.startswith("n,"))
-            per_file.append({"file": path.name, "records": count})
-            total += count
-        return {"cache_dir": str(self.root), "files": per_file, "records": total}
+            records: dict[int, GramRecord] = {}
+            _read_shard(path, records)
+            per_file.append({"file": path.name, "records": len(records)})
+        return {"cache_dir": str(self.root), "files": per_file,
+                "records": sum(f["records"] for f in per_file)}
 
     def clear(self) -> int:
         removed = 0
@@ -156,6 +149,15 @@ class RecordStore:
         self._shards.clear()
         self._ends.clear()
         return removed
+
+
+def _read_shard(path: Path, records: dict[int, GramRecord]) -> tuple[int, int]:
+    """_merge_rows over the whole shard file, read under a shared lock."""
+    with path.open("rb") as fh:
+        # a writer in another process holds the exclusive lock while it
+        # appends, so this never reads half an append
+        fcntl.flock(fh, fcntl.LOCK_SH)
+        return _merge_rows(path, fh.read(), (0, 0), records)
 
 
 def _merge_rows(path: Path, data: bytes, start: tuple[int, int],

@@ -61,14 +61,18 @@ class GramBlock:
         return self.length == 2
 
 
+# The lowest Gram index of each theta kind, with the name its domain error
+# gives: the seed's domain, and where a bad run walked leftwards stops
+_LOWEST = {ThetaKind.RIEMANN_SIEGEL: ("Riemann", 0), ThetaKind.DAVENPORT_HEILBRONN: ("DH", 1)}
+
+
 def _seed_gram(kind: ThetaKind, n: int) -> float:
+    name, lowest = _LOWEST[kind]
+    if n < lowest:
+        raise DomainError(f"{name} Gram index must be >= {lowest}, got {n}")
     if kind is ThetaKind.RIEMANN_SIEGEL:
-        if n < 0:
-            raise DomainError(f"Riemann Gram index must be >= 0, got {n}")
         x = (8.0 * n + 1.0) / (8.0 * math.e)
         return (8.0 * n + 1.0) * math.pi / (4.0 * lambert_w0(x))
-    if n < 1:
-        raise DomainError(f"DH Gram index must be >= 1, got {n}")
     c = n - 0.125
     return 2.0 * math.pi * c / lambert_w0(5.0 * c * _INV_E)
 
@@ -179,36 +183,29 @@ def classify(model: CoefficientModel, n: int,
 
 
 class RecordSource:
-    """Classification with memoization; a cache store can be layered on top."""
+    """Classification, layered over a cache store when one is given."""
 
     def __init__(self, model: CoefficientModel, store=None):
         self.model = model
         self.store = store
-        self._memo: dict[int, GramRecord] = {}
 
     def get(self, n: int) -> GramRecord:
         return self.range(n, n)[0]
 
     def range(self, n_from: int, n_to: int) -> list[GramRecord]:
-        """Records n_from..n_to. The ones neither memoized nor cached are
-        evaluated in batches of up to _SLICE indices (gram_values), classified,
-        and stored with one put once all of them are. A record is the same
-        whichever batch it was evaluated in, so a window gives the same
-        records scanned whole or in pieces, cold or over a warm cache. Scans
-        run on the calling thread, so `gdl --threads` changes nothing. A
-        reversed window is refused: it would hold no record."""
+        """Records n_from..n_to. The ones not cached are evaluated in batches
+        of up to _SLICE indices (gram_values), classified, and stored with
+        one put once all of them are. A record is the same whichever batch
+        it was evaluated in, so a window gives the same records scanned whole
+        or in pieces, cold or over a warm cache. Scans run on the calling
+        thread, so `gdl --threads` changes nothing. A reversed window is
+        refused: it would hold no record."""
         if n_from > n_to:
             raise ValueError(f"need n_from <= n_to, got [{n_from}, {n_to}]")
         indices = range(n_from, n_to + 1)
-        missing = []
-        for n in indices:
-            rec = self._memo.get(n)
-            if rec is None and self.store is not None:
-                rec = self.store.get(self.model.name, n)
-            if rec is None:
-                missing.append(n)
-            else:
-                self._memo[n] = rec
+        records = [None if self.store is None else self.store.get(self.model.name, n)
+                   for n in indices]
+        missing = [n for n, rec in zip(indices, records) if rec is None]
         computed = []
         for lo in range(0, len(missing), _SLICE):
             part = missing[lo:lo + _SLICE]
@@ -216,15 +213,41 @@ class RecordSource:
                          for n, values in zip(part, gram_values(self.model, part))]
         if computed and self.store is not None:
             self.store.put(self.model.name, *computed)
-        for rec in computed:
-            self._memo[rec.n] = rec
-        return [self._memo[n] for n in indices]
+        fresh = iter(computed)
+        return [next(fresh) if rec is None else rec for rec in records]
 
 
-def _require_determinate(rec: GramRecord) -> GramRecord:
-    if rec.kind is GramKind.INDETERMINATE:
-        raise IndeterminateSignError(f"Gram point n={rec.n} is indeterminate")
-    return rec
+def _walk(model: CoefficientModel, n_from: int, n_to: int,
+          source: RecordSource | None) -> tuple[list[GramRecord], list[GramBlock]]:
+    """The records n_from..n_to, from one source.range call, and the Gram
+    blocks of the maximal bad runs that meet the window. A run that crosses
+    an edge is followed through source.get to its end, leftwards down to the
+    model's lowest Gram index. An indeterminate record met is refused."""
+    src = source or RecordSource(model)
+    window = src.range(n_from, n_to)
+    lowest = _LOWEST[model.theta_kind][1]
+
+    def bad(n: int) -> bool:
+        rec = window[n - n_from] if n_from <= n <= n_to else src.get(n)
+        if rec.kind is GramKind.INDETERMINATE:
+            raise IndeterminateSignError(f"Gram point n={rec.n} is indeterminate")
+        return rec.kind is GramKind.BAD
+
+    found: list[GramBlock] = []
+    n = n_from
+    while n <= n_to:
+        if not bad(n):
+            n += 1
+            continue
+        lo = hi = n
+        while lo - 1 >= lowest and bad(lo - 1):
+            lo -= 1
+        while bad(hi + 1):
+            hi += 1
+        found.append(GramBlock(start=lo - 1, length=hi - lo + 2,
+                               interior_bad=tuple(range(lo, hi + 1))))
+        n = hi + 1
+    return window, found
 
 
 def blocks(model: CoefficientModel, n_from: int, n_to: int,
@@ -236,26 +259,7 @@ def blocks(model: CoefficientModel, n_from: int, n_to: int,
     """
     if n_from >= n_to:
         raise ValueError(f"need n_from < n_to, got [{n_from}, {n_to}]")
-    src = source or RecordSource(model)
-    src.range(n_from, n_to)  # classify and store the window at once
-    lowest = 0 if model.theta_kind is ThetaKind.RIEMANN_SIEGEL else 1
-    out: list[GramBlock] = []
-    n = n_from
-    while n <= n_to:
-        rec = _require_determinate(src.get(n))
-        if rec.kind is not GramKind.BAD:
-            n += 1
-            continue
-        lo = n
-        while lo - 1 >= lowest and _require_determinate(src.get(lo - 1)).kind is GramKind.BAD:
-            lo -= 1
-        hi = n
-        while _require_determinate(src.get(hi + 1)).kind is GramKind.BAD:
-            hi += 1
-        out.append(GramBlock(start=lo - 1, length=hi - lo + 2,
-                             interior_bad=tuple(range(lo, hi + 1))))
-        n = hi + 1
-    return out
+    return _walk(model, n_from, n_to, source)[1]
 
 
 @dataclass
@@ -291,22 +295,16 @@ def gbg_scan(model: CoefficientModel, n_from: int, n_to: int,
              bound: float = 4.0, source: RecordSource | None = None) -> GbgScanReport:
     """Scan for bad points; corrupt means viscosity < bound.
 
-    The verdict asserts that no corrupt point is isolated (good neighbours on
-    both sides). A NaN bound, under which no point is corrupt, is refused.
+    The verdict asserts that no corrupt point is isolated: the interior of a
+    Gram block of length 2, read from the blocks of the window (see blocks).
+    A NaN bound, under which no point is corrupt, is refused.
     """
     if math.isnan(bound):
         raise ValueError("bound must be a number, got nan")
-    src = source or RecordSource(model)
-    src.range(n_from, n_to)  # classify and store the window at once
-    report = GbgScanReport()
-    for n in range(n_from, n_to + 1):
-        rec = _require_determinate(src.get(n))
-        isolated = corrupt = False
-        if rec.kind is GramKind.BAD:
-            left = _require_determinate(src.get(n - 1)).kind if n - 1 >= 0 else GramKind.GOOD
-            right = _require_determinate(src.get(n + 1)).kind
-            isolated = left is GramKind.GOOD and right is GramKind.GOOD
-            corrupt = rec.viscosity < bound
-        report.rows.append(GbgRow(n=n, t=rec.t, viscosity=rec.viscosity, kind=rec.kind,
-                                  isolated=isolated, corrupt=corrupt))
-    return report
+    window, found = _walk(model, n_from, n_to, source)
+    isolated = {b.interior_bad[0] for b in found if b.is_isolated}
+    return GbgScanReport([
+        GbgRow(n=rec.n, t=rec.t, viscosity=rec.viscosity, kind=rec.kind,
+               isolated=rec.n in isolated,
+               corrupt=rec.kind is GramKind.BAD and rec.viscosity < bound)
+        for rec in window])

@@ -161,9 +161,11 @@ def section_eval(model: CoefficientModel, t, a, *, orders: tuple[int, ...] = (0,
     n_terms pins the section dimension N (defaults to the robust cutoff at t);
     continuation code passes it explicitly so the dimension never jumps while
     t slides across an even integer. a is one parameter point: a float
-    (uniform weight) or a length-N vector. At a real or complex scalar t each
-    order maps to one float (or complex). t may also be a 1-D array of P real
-    points, with n_terms pinned: each order then maps to one value per point.
+    (uniform weight) or a length-N vector. orders are taken from 0, 1 and
+    2, and at a complex t from 0 alone: theta' and theta'' are taken at a
+    real t only. At a real or complex scalar t each order maps to one float
+    (or complex). t may also be a 1-D array of P real points, with n_terms
+    pinned: each order then maps to one value per point.
     WindowProxy's direct form tabulates a whole window in one call, and
     hardy_z at an array of points takes its main sums this way.
 
@@ -183,6 +185,10 @@ def section_eval(model: CoefficientModel, t, a, *, orders: tuple[int, ...] = (0,
     imaginary parts apart at a complex t). So a point's values are
     bit-identical alone, in any batch or group and on every rerun.
     """
+    if not set(orders) <= {0, 1, 2}:
+        raise ValueError(f"section_eval evaluates orders 0, 1 and 2, got {orders}")
+    if isinstance(t, complex) and (1 in orders or 2 in orders):
+        raise ValueError(f"section_eval evaluates order 0 only at a complex t, got {t}")
     points = isinstance(t, np.ndarray)
     if points:
         if n_terms is None:

@@ -7,7 +7,8 @@ import pytest
 from gramdelta import cache
 from gramdelta.cache import SHARD, RecordStore
 from gramdelta.emit import ROW_BLOCK
-from gramdelta.errors import CorruptCacheError
+from gramdelta.cli import main
+from gramdelta.errors import CorruptCacheError, StaleCacheError
 from gramdelta.gram import GramKind, GramRecord
 
 
@@ -96,6 +97,25 @@ def test_incomplete_row_is_refused_with_shard_and_line(tmp_path, row):
     assert str(shard) in message and "line 6" in message
     assert "gdl cache clear" in message
     assert isinstance(info.value, ValueError)
+
+
+@pytest.mark.parametrize("version,error", [("4", StaleCacheError),
+                                           (cache._VERSION, CorruptCacheError)],
+                         ids=["stale", "current"])
+def test_status_refuses_the_shard_that_get_refuses(tmp_path, capsys, version, error):
+    # a torn last row, as a crash mid-append leaves; status counted it as a
+    # record and exited 0 where a scan exits 1
+    shard = _shard_with(tmp_path, "12,0x1.0p+6,0x1.0p+0,0x1.0p-1,good,0x1.0p-1")
+    shard.write_text(shard.read_text().replace(f"#version={cache._VERSION}\n",
+                                               f"#version={version}\n", 1))
+    with pytest.raises(error):
+        RecordStore(tmp_path).get("riemann", 10)
+    with pytest.raises(error):
+        RecordStore(tmp_path).status()
+    assert main(["cache", "status", "--cache-dir", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and str(shard) in captured.err
 
 
 @pytest.mark.parametrize("cut,line", [

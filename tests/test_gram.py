@@ -9,6 +9,7 @@ import pytest
 from gramdelta import (GramKind, blocks, classify, core_zero, gbg_scan,
                        gram_point, gram_point_seed)
 from gramdelta.cache import RecordStore
+from gramdelta.cli import main
 from gramdelta.errors import DomainError, IndeterminateSignError
 from gramdelta.gram import GramRecord, RecordSource
 from gramdelta.numerics import csum, running_csum
@@ -145,6 +146,41 @@ def test_gbg_scan_isolated_points(riemann):
     assert rep.conjecture_holds  # corrupt but non-isolated does not offend
 
 
+@pytest.mark.parametrize("name,n_from,n_to", [("riemann", 0, 2000), ("dh", 2, 600)])
+def test_gbg_isolation_is_a_block_of_length_2(riemann, davenport, tmp_path,
+                                              name, n_from, n_to):
+    model = riemann if name == "riemann" else davenport
+    source = RecordSource(model, RecordStore(tmp_path))
+    report = gbg_scan(model, n_from, n_to, source=source)
+    block_of = {n: b for b in blocks(model, n_from, n_to, source=source)
+                for n in b.interior_bad}
+    bad = report.bad_points
+    # Riemann [0, 2000] holds isolated points alone; DH 505-506 is a block of length 3
+    assert any(r.isolated for r in bad)
+    assert all(r.isolated == block_of[r.n].is_isolated for r in bad)
+    assert [r.n for r in bad] == [n for n in sorted(block_of) if n_from <= n <= n_to]
+
+
+def test_gbg_scan_follows_a_bad_run_across_the_window_edge(tmp_path, monkeypatch):
+    # the bad run 9807961-9807962 crosses the right edge of the window: the
+    # viscosity op classifies it to its good end, 9807963, so the blocks op
+    # on the same window and cache has nothing left to classify
+    puts = []
+    put = RecordStore.put
+
+    def counted(self, model_name, *records):
+        puts.append(len(records))
+        put(self, model_name, *records)
+
+    monkeypatch.setattr(RecordStore, "put", counted)
+    window = ["--from", "9807958", "--to", "9807961", "--cache-dir", str(tmp_path)]
+    assert main(["viscosity", *window, "--gbg", "--out", str(tmp_path / "v.csv")]) == 0
+    assert puts == [4, 1, 1]
+    assert main(["gram", "blocks", *window, "--out", str(tmp_path / "b.csv")]) == 0
+    assert puts == [4, 1, 1]
+    assert "9807960,3,9807961;9807962" in (tmp_path / "b.csv").read_text()
+
+
 def test_indeterminate_classification_flagged():
     null_model = CoefficientModel(name="null",
                                   theta_kind=ThetaKind.RIEMANN_SIEGEL,
@@ -269,13 +305,12 @@ def test_classical_sums_are_bit_identical_to_the_reference(riemann, davenport, n
 def test_window_below_the_domain_stores_nothing(riemann, davenport, tmp_path,
                                                 name, n_from, message):
     # the first index out of the domain raises its own error, as one index
-    # at a time did, and no record of the window is stored or memoized
+    # at a time did, and no record of the window is stored
     model = riemann if name == "riemann" else davenport
     src = RecordSource(model, RecordStore(tmp_path))
     with pytest.raises(DomainError, match=re.escape(message)):
         src.range(n_from, n_from + 100)
     assert list(tmp_path.iterdir()) == []
-    assert src._memo == {}
 
 
 def test_long_window_is_classified_in_bounded_slices(riemann, monkeypatch):

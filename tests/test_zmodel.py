@@ -705,6 +705,37 @@ def test_section_points_validation(riemann):
         section_eval(riemann, np.array([9.0, 11.0]), 1.0, n_terms=5)
 
 
+@pytest.mark.parametrize("orders", [(0, 3), (-1,), (1, 2, 4)])
+def test_orders_outside_0_to_2_are_refused_before_any_work(riemann, davenport,
+                                                           monkeypatch, orders):
+    # an order section_eval does not fill came back as uninitialised memory
+    # (scalar t) or a KeyError (the DH point pair)
+    import gramdelta.zmodel as zmodel
+
+    def no_work(*args):
+        raise AssertionError("section_eval summed terms for a refused order")
+
+    monkeypatch.setattr(zmodel, "term_arrays", no_work)
+    t = np.array([100.0, 120.0])
+    for call in (lambda: section_eval(riemann, 1000.0, 1.0, orders=orders),
+                 lambda: section_eval(riemann, t, 1.0, orders=orders, n_terms=49),
+                 lambda: point_values(davenport, 100.0, orders=orders),
+                 lambda: point_values(davenport, t, orders=orders)):
+        with pytest.raises(ValueError, match=r"orders 0, 1 and 2, got \("):
+            call()
+
+
+@pytest.mark.parametrize("mode", ["main", "full"])
+@pytest.mark.parametrize("order", [1, 2])
+def test_derivatives_at_a_complex_t_are_refused(riemann, davenport, mode, order):
+    # theta' and theta'' are real-t functions: three model/mode pairs raised
+    # a TypeError from math.log, and DH full mode gave a wrong Z'
+    for model in (riemann, davenport):
+        with pytest.raises(ValueError, match="order 0 only at a complex t"):
+            section_eval(model, complex(100.0, -0.1), 1.0, orders=(0, order),
+                         deriv_mode=mode, n_terms=49)
+
+
 def test_window_proxy_tabulates_in_one_call(riemann, monkeypatch):
     import gramdelta.zmodel as zmodel
     calls = []
