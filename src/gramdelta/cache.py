@@ -7,6 +7,7 @@ bit. Each shard starts with a #version line; a shard written by another
 version holds values computed another way and is refused, never served, and
 so is a shard with a row that is not a complete record (six fields, hex
 floats, a known kind, a line end), such as a crash mid-append leaves.
+Lines end in LF; the CRLF rows of older shards of this version read too.
 Appends take an exclusive and loads a shared fcntl lock on the shard, so
 processes may share one cache directory. An append formats and writes its
 rows emit.ROW_BLOCK at a time under its one lock, so its working memory does
@@ -15,7 +16,6 @@ not grow with the number of records.
 
 from __future__ import annotations
 
-import csv
 import fcntl
 import io
 import os
@@ -112,15 +112,13 @@ class RecordStore:
                 return
             end, lines = size, self._ends[key][1]
             for lo in range(0, len(fresh), ROW_BLOCK):
-                buf = io.StringIO()
+                text = "".join(
+                    f"{r.n},{r.t.hex()},{r.z_value.hex()},{r.zprime_value.hex()},"
+                    f"{r.kind.value},{r.viscosity.hex()}\n" for r in fresh[lo:lo + ROW_BLOCK])
                 if end == 0:
-                    buf.write(f"#version={_VERSION}\n#model={model_name}\n")
-                    csv.writer(buf).writerow(["n", "t_hex", "z_hex", "zprime_hex",
-                                              "kind", "viscosity_hex"])
-                csv.writer(buf).writerows(
-                    [r.n, r.t.hex(), r.z_value.hex(), r.zprime_value.hex(),
-                     r.kind.value, r.viscosity.hex()] for r in fresh[lo:lo + ROW_BLOCK])
-                data = buf.getvalue().encode()
+                    text = (f"#version={_VERSION}\n#model={model_name}\n"
+                            "n,t_hex,z_hex,zprime_hex,kind,viscosity_hex\n" + text)
+                data = text.encode()
                 end, lines = end + len(data), lines + data.count(b"\n")
                 while data:
                     data = data[os.write(fd, data):]

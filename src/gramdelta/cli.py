@@ -20,8 +20,8 @@ import numpy as np
 from . import adjust, curves, dh, discriminant, gram
 from .cache import ENV_VAR, RecordStore
 from .emit import write_csv, write_json
-from .errors import (DomainError, FlatPointError, IndeterminateSignError,
-                     NonConvergenceError, TraceError)
+from .errors import (FlatPointError, IndeterminateSignError, NonConvergenceError,
+                     TraceError)
 from .zmodel import CoefficientModel, find_zero_newton, riemann_model
 from .gram import RecordSource
 
@@ -205,8 +205,6 @@ def _cmd_mc(args) -> int:
 
 def _cmd_newton(args) -> int:
     model = _model(args)
-    if args.index is None and args.t0 is None:
-        raise DomainError("newton needs --index or --t0")
     t0 = args.t0 if args.t0 is not None else gram.core_zero(model, args.index)
     result = find_zero_newton(model, t0)
     write_json(args.out, {
@@ -237,6 +235,13 @@ def _cmd_cache(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refusals raise to main, which prints one "error: ..." line."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The gdl parser, built on the first call and shared by later ones.
@@ -244,39 +249,40 @@ def build_parser() -> argparse.ArgumentParser:
     Nothing in it may depend on the environment: a default that must follow
     GDL_CACHE_DIR is resolved when the command runs, not here.
     """
-    parser = argparse.ArgumentParser(
-        prog="gdl", description="Gram discriminant experiments")
+    parser = _Parser(prog="gdl", description="Gram discriminant experiments")
 
     def common(p, model=True):
         p.add_argument("--cache-dir", default=None,
                        help=f"cache directory (default ${ENV_VAR}, "
                             "else ~/.cache/gramdelta)")
+        p.add_argument("--out", default=None, help="output path (default stdout)")
+        if model:
+            p.add_argument("--model", choices=sorted(_MODELS), default="riemann")
+
+    def window(p):
+        # n_from <= n_to is RecordSource.range's rule, not the parser's
+        p.add_argument("--from", dest="n_from", type=int, required=True)
+        p.add_argument("--to", dest="n_to", type=int, required=True)
         p.add_argument("--threads", type=int, default=1,
                        help="accepted and ignored: scans run on the calling "
                             "thread, since classification holds the GIL and a "
                             "thread pool was measured slower at every window size")
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-        if model:
-            p.add_argument("--model", choices=sorted(_MODELS), default="riemann")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
     gram_p = sub.add_parser("gram", help="Gram point scans and blocks")
     gram_sub = gram_p.add_subparsers(dest="subcommand", required=True)
     p = gram_sub.add_parser("scan")
-    p.add_argument("--from", dest="n_from", type=int, required=True)
-    p.add_argument("--to", dest="n_to", type=int, required=True)
+    window(p)
     common(p)
     p.set_defaults(func=_cmd_gram_scan)
     p = gram_sub.add_parser("blocks")
-    p.add_argument("--from", dest="n_from", type=int, required=True)
-    p.add_argument("--to", dest="n_to", type=int, required=True)
+    window(p)
     common(p)
     p.set_defaults(func=_cmd_gram_blocks)
 
     p = sub.add_parser("viscosity", help="bad-point viscosities and G-B-G scan")
-    p.add_argument("--from", dest="n_from", type=int, required=True)
-    p.add_argument("--to", dest="n_to", type=int, required=True)
+    window(p)
     p.add_argument("--bad-only", action="store_true")
     p.add_argument("--gbg", action="store_true",
                    help="evaluate the repulsion conjecture (exit 2 on violation)")
@@ -319,8 +325,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_mc)
 
     p = sub.add_parser("newton", help="Newton iteration from a core zero")
-    p.add_argument("--index", type=int, default=None)
-    p.add_argument("--t0", type=float, default=None)
+    start = p.add_mutually_exclusive_group(required=True)
+    start.add_argument("--index", type=int)
+    start.add_argument("--t0", type=float)
     common(p)
     p.set_defaults(func=_cmd_newton)
 
@@ -351,12 +358,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 1
-    try:
         return args.func(args)
-    except (ValueError, TraceError, FlatPointError, NonConvergenceError,
-            IndeterminateSignError, OSError) as exc:
+    except SystemExit as exc:  # --help
+        return 0 if exc.code in (0, None) else 1
+    except (argparse.ArgumentError, ValueError, TraceError, FlatPointError,
+            NonConvergenceError, IndeterminateSignError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -255,10 +255,9 @@ def blocks(model: CoefficientModel, n_from: int, n_to: int,
     """Maximal Gram blocks covering every bad index in [n_from, n_to].
 
     A block that starts or ends outside the requested window is completed by
-    classifying beyond the edge, so the partition into blocks is exact.
+    classifying beyond the edge, so the partition into blocks is exact. The
+    window's rule is RecordSource.range's: a reversed one is refused.
     """
-    if n_from >= n_to:
-        raise ValueError(f"need n_from < n_to, got [{n_from}, {n_to}]")
     return _walk(model, n_from, n_to, source)[1]
 
 

@@ -26,7 +26,7 @@ from .errors import DomainError
 
 TWO_PI = 2.0 * math.pi
 _LN_PI_OVER_5 = math.log(math.pi / 5.0)
-_T_FLOOR = 10.0
+T_FLOOR = 10.0
 _STIRLING_RADIUS = 12.0
 
 # Stirling coefficients: log Gamma, digamma, trigamma tails in powers of 1/w.
@@ -81,8 +81,8 @@ def lambert_w0(x: float) -> float:
 
 def _check_domain(t) -> None:
     re = t.real if isinstance(t, complex) else t
-    if not re >= _T_FLOOR:
-        raise DomainError(f"theta requires t >= {_T_FLOOR}, got {t!r}")
+    if not re >= T_FLOOR:
+        raise DomainError(f"theta requires t >= {T_FLOOR}, got {t!r}")
 
 
 def _rs_theta(t):

@@ -43,7 +43,7 @@ import numpy as np
 from .errors import (DimensionError, DomainError, FlatPointError,
                      IndexRangeError, NonConvergenceError, NotAGramPointError)
 from .numerics import WORK_ELEMENTS, csum, running_csum
-from .special import ThetaKind, gram_gap, theta, theta_deriv, theta_main_deriv
+from .special import T_FLOOR, ThetaKind, gram_gap, theta, theta_deriv, theta_main_deriv
 
 TWO_PI = 2.0 * math.pi
 
@@ -444,13 +444,13 @@ class WindowProxy:
     def _centre(self, t: float) -> None:
         """Centre the window on t with half-width one gap, or span
         [10, t + gap] where that would put nodes below theta's domain floor."""
-        if not t >= 10.0:
+        if not t >= T_FLOOR:
             raise DomainError(f"WindowProxy requires t >= 10, got {t}")
-        if t - self.gap >= 10.0:
+        if t - self.gap >= T_FLOOR:
             self.center, self.half_width = t, self.gap
         else:
-            self.center = 0.5 * (10.0 + t + self.gap)
-            self.half_width = 0.5 * (t + self.gap - 10.0)
+            self.center = 0.5 * (T_FLOOR + t + self.gap)
+            self.half_width = 0.5 * (t + self.gap - T_FLOOR)
 
     def _locate(self, t: float) -> float:
         """t's place x in [-1, 1] on the window, which is re-centred on t
@@ -553,7 +553,7 @@ def classical_afe(model: CoefficientModel, g) -> ClassicalValues:
     so a point's values equal its one-point call bit for bit."""
     pts, points = _as_points(g)
     for x in pts.tolist():
-        if not x >= 10.0:
+        if not x >= T_FLOOR:
             raise DomainError(f"classical_afe requires g >= 10, got {x}")
     sums = _by_size(pts, [model.classical_cutoff(x) for x in pts.tolist()],
                     lambda group, n_cut: _classical_sums(model, group, n_cut))
@@ -680,7 +680,7 @@ def hardy_z(model: CoefficientModel, t, orders: tuple[int, ...] = (0, 1)) -> dic
     pts, points = _as_points(t)
     taus = []
     for x in pts.tolist():
-        if not 10.0 <= x < math.inf:
+        if not T_FLOOR <= x < math.inf:
             raise DomainError(f"hardy_z requires finite t >= 10, got {x}")
         taus.append(math.sqrt(x / TWO_PI))
     main = _by_size(pts, [int(tau) for tau in taus],
@@ -818,7 +818,7 @@ def find_zero_newton(model: CoefficientModel, t0: float) -> NewtonResult:
     |Z'| falls below 1e-12 and NonConvergenceError after 50 steps; both
     carry the iterate list.
     """
-    if not 10.0 <= t0 < math.inf:
+    if not T_FLOOR <= t0 < math.inf:
         raise DomainError(f"find_zero_newton requires finite t0 >= 10, got {t0}")
     t = float(t0)
     iterates = [t]

@@ -184,3 +184,38 @@ def test_appended_tail_is_checked_like_a_load(tmp_path):
     shard.write_text(shard.read_text() + "12,0x1.0p+6,0x1.0pz,0x1.0p-1,good,0x1.0p-1\r\n")
     with pytest.raises(CorruptCacheError, match="line 5 "):
         store.put("riemann", _record(11))
+
+
+def _crlf_row(r: GramRecord) -> str:
+    return (f"{r.n},{r.t.hex()},{r.z_value.hex()},{r.zprime_value.hex()},"
+            f"{r.kind.value},{r.viscosity.hex()}\r\n")
+
+
+def test_shard_with_crlf_rows_takes_lf_appends(tmp_path):
+    # a shard of this version whose column row and rows end in CRLF, as
+    # csv.writer wrote them; appends from a store that read it and from one
+    # that did not end in LF, and every record reads back
+    shard = tmp_path / "riemann_000000.csv"
+    shard.write_bytes((f"#version={cache._VERSION}\n#model=riemann\n"
+                       "n,t_hex,z_hex,zprime_hex,kind,viscosity_hex\r\n"
+                       + "".join(map(_crlf_row, (_record(10), _record(11))))).encode())
+    loaded = RecordStore(tmp_path)
+    assert loaded.get("riemann", 10) == _record(10)
+    RecordStore(tmp_path).put("riemann", _record(12), _record(13))
+    loaded.put("riemann", _record(13), _record(14))
+    data = shard.read_bytes()
+    assert data.count(b"\r") == 3  # the column row and the two rows read first
+    assert data.endswith("".join(map(_crlf_row, (_record(12), _record(13), _record(14))))
+                         .replace("\r\n", "\n").encode())
+    assert loaded._ends[("riemann", 0)] == (len(data), data.count(b"\n"))
+    fresh = RecordStore(tmp_path)
+    assert all(fresh.get("riemann", n) == _record(n) for n in range(10, 15))
+    assert fresh.status()["records"] == 5
+
+
+def test_fresh_shard_holds_no_carriage_return(tmp_path):
+    RecordStore(tmp_path).put("riemann", *(_record(n) for n in range(10, 20)))
+    data = (tmp_path / "riemann_000000.csv").read_bytes()
+    assert b"\r" not in data
+    assert data.startswith(f"#version={cache._VERSION}\n#model=riemann\n"
+                           "n,t_hex,z_hex,zprime_hex,kind,viscosity_hex\n10,".encode())

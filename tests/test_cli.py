@@ -73,8 +73,9 @@ def test_viscosity_gbg_exit_codes(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv,rows", [(("gram", "scan"), ["5"]),
-                                       (("viscosity", "--gbg"), [])],  # g_5 is good
-                         ids=["scan", "viscosity"])
+                                       (("viscosity", "--gbg"), []),  # g_5 is good
+                                       (("gram", "blocks"), [])],
+                         ids=["scan", "viscosity", "blocks"])
 def test_reversed_window_is_refused_with_one_line(tmp_path, capsys, argv, rows):
     code = main([*argv, "--from", "5", "--to", "3", "--cache-dir", str(tmp_path),
                  "--out", str(tmp_path / "w.csv")])
@@ -375,6 +376,39 @@ def _raise(exc):
     def fake(*args, **kwargs):
         raise exc
     return fake
+
+
+@pytest.mark.parametrize("start", [["--index", "6708", "--t0", "7005"], []],
+                         ids=["both", "neither"])
+def test_newton_needs_exactly_one_start(tmp_path, capsys, start):
+    # given both, newton used to run from --t0 and drop --index
+    code = main(["newton", *start, "--cache-dir", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [["hessian", "--n", "x"],
+                                  ["gram", "scan", "--from", "1", "--to", "2", "--seed", "1"],
+                                  ["hessian", "--n", "90", "--threads", "2"],
+                                  []],
+                         ids=["bad-int", "unknown-option", "threads", "no-command"])
+def test_parser_refusals_are_one_line(tmp_path, capsys, argv):
+    code = main([*argv, "--cache-dir", str(tmp_path)] if argv else [])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [("gram", "scan"), ("gram", "blocks"), ("viscosity",)],
+                         ids=["scan", "blocks", "viscosity"])
+def test_threads_is_accepted_where_scans_ran(tmp_path, capsys, argv):
+    window = ("--from", "125", "--to", "127", "--cache-dir", str(tmp_path))
+    code, text = run(capsys, *argv, *window, "--threads", "2")
+    assert code == 0
+    assert (code, text) == run(capsys, *argv, *window)
 
 
 @pytest.mark.parametrize("exc", [

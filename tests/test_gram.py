@@ -119,8 +119,9 @@ def test_blocks_empty_on_all_good_range(riemann):
 
 
 def test_blocks_rejects_bad_range(riemann):
-    with pytest.raises(ValueError):
-        blocks(riemann, 10, 10)
+    # the window rule of every scan (RecordSource.range): a reversed window
+    with pytest.raises(ValueError, match=r"need n_from <= n_to, got \[10, 9\]"):
+        blocks(riemann, 10, 9)
 
 
 def test_block_partition_is_exact(riemann):
