@@ -156,11 +156,11 @@ def classify(model: CoefficientModel, n: int,
     """GramRecord for index n; good means (-1)^n Z(g_n) > 0.
 
     The sign is read from one look, the point pair (Z, Z') at g of
-    zmodel.point_values, the model's real Z-function, and trusted where |Z|
-    reaches its allowance (hardy_z_error(g) for the zeta model: below 1e-4
-    from t = 10, 1e-8 near t = 1e4; the first dropped Euler-Maclaurin term
-    plus rounding for any other). Below that the record is flagged
-    indeterminate rather than silently classified.
+    zmodel.point_values (a section head plus the model's correction),
+    trusted where |Z| reaches its allowance (hardy_z_error for the zeta
+    model: below 1e-4 from t = 10, 1e-8 near t = 1e4; the first dropped
+    Euler-Maclaurin term plus rounding for any other). Below that the
+    record is flagged indeterminate rather than silently classified.
 
     Viscosity |Z'/Z| is taken from the same point pair, so it is the true
     logarithmic derivative; z_value/zprime_value keep the classical pair that

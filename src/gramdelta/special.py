@@ -12,8 +12,8 @@ for the period-5 counterexample is
 
 evaluated by upward recurrence followed by a Stirling series, so no external
 complex-gamma dependency is needed. Both accept complex t (needed by the
-self-conjugacy checks); the domain floor is Re t >= 10, where the asymptotic
-forms are good to about 1e-10 absolute.
+self-conjugacy checks); the domain is finite t with Re t >= 10, where the
+asymptotic forms are good to about 1e-10 absolute.
 """
 
 from __future__ import annotations
@@ -83,6 +83,8 @@ def _check_domain(t) -> None:
     re = t.real if isinstance(t, complex) else t
     if not re >= T_FLOOR:
         raise DomainError(f"theta requires t >= {T_FLOOR}, got {t!r}")
+    if not cmath.isfinite(t):
+        raise DomainError(f"theta requires a finite t, got {t!r}")
 
 
 def _rs_theta(t):

@@ -18,11 +18,11 @@ theta' by its main term (1/2) ln(t/2pi) — the convention every closed form
 downstream is stated in — and "full" keeps the correction series.
 
 Point values (Gram-point signs and viscosity, Newton zeros) come from
-point_values, a real Z-function for each model, not the section, which at
-a = 1 drops a tail of size about 1/sqrt(2t): for the Riemann model hardy_z,
-the Riemann-Siegel formula with remainder terms; for any other the Dirichlet
-series summed directly over about 2t terms and by Euler-Maclaurin beyond
-them, one residue class of the coefficient period at a time.
+point_values, the one real Z-function: for every model a head, the section
+at a = 1 (which alone drops a tail of size about 1/sqrt(2t)), plus the
+model's correction, the Riemann-Siegel remainder (hardy_z) or the Dirichlet
+series beyond about 2t head terms by Euler-Maclaurin. Its domain is finite
+t >= 10, and no term count is taken where no array can hold it.
 
 Every section is summed one way (section_eval), at one parameter point per
 call: per chunk of terms, one reduction over the terms of each point, with
@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -48,6 +49,15 @@ from .special import T_FLOOR, ThetaKind, gram_gap, theta, theta_deriv, theta_mai
 TWO_PI = 2.0 * math.pi
 
 
+def _term_count(t, count: float) -> float:
+    """count, the terms a sum takes at t, refused with DomainError where no
+    array holds them: NaN or infinite (a non-finite t) or from sys.maxsize
+    up (t = 1e308). Both cutoffs and _head_size count here, before any work."""
+    if not abs(count) < sys.maxsize:
+        raise DomainError(f"t = {t} is out of range: a sum there takes {count} terms")
+    return count
+
+
 @dataclass(frozen=True)
 class CoefficientModel:
     """Immutable description of one rotated Dirichlet sum."""
@@ -57,10 +67,10 @@ class CoefficientModel:
     coeff_period: tuple[float, ...] | None = None  # None means c_m = 1 for all m
 
     def robust_cutoff(self, t: float) -> int:
-        return max(1, int(math.floor(t / 2.0)))
+        return max(1, int(math.floor(_term_count(t, t / 2.0))))
 
     def classical_cutoff(self, g: float) -> int:
-        return max(1, int(math.floor(math.sqrt(g / TWO_PI))))
+        return max(1, int(math.floor(_term_count(g, math.sqrt(g / TWO_PI)))))
 
     def coefficients(self, count: int) -> np.ndarray:
         """c_m for m = 1..count."""
@@ -167,7 +177,7 @@ def section_eval(model: CoefficientModel, t, a, *, orders: tuple[int, ...] = (0,
     (or complex). t may also be a 1-D array of P real points, with n_terms
     pinned: each order then maps to one value per point.
     WindowProxy's direct form tabulates a whole window in one call, and
-    hardy_z at an array of points takes its main sums this way.
+    point_values at an array of points takes its heads this way.
 
     A scalar t is a batch of one point, and every call sums the same way.
     The terms run in chunks of _CHUNK_TERMS, and a chunk's points in groups
@@ -652,43 +662,21 @@ def _rs_remainder(tau: float) -> tuple[float, float, float]:
 
 
 def hardy_z(model: CoefficientModel, t, orders: tuple[int, ...] = (0, 1)) -> dict:
-    """Z(t), Z'(t) and Z''(t) by the Riemann-Siegel formula with remainder
-    terms,
+    """Z(t), Z'(t) and Z''(t) of the zeta model: its point values without
+    the allowance, the Riemann-Siegel formula with remainder terms,
 
         Z(t) = 2 sum_{m=1..N} cos(theta(t) - t ln m)/sqrt(m)
                + (-1)^(N-1) tau^(-1/2) sum_{j=0..3} C_j(p) tau^(-j),
 
-    with tau = sqrt(t/2pi), N = floor(tau) and p = tau - N. The main sum is
-    twice the section of dimension N - 1 at a = 1 (full-mode derivatives);
-    the remainder (_rs_remainder) is differentiated analytically, twice in
-    tau for Z''. Against mpmath.siegelz the error in Z is below 1e-4 on
-    [10, 30], 1e-5 on [30, 100], 1e-6 on [100, 1e3] and 1e-8 on [1e3, 1e4],
-    and in Z'' below 2e-5, 3e-7, 4e-9 and 2e-10 there; hardy_z_error(t) is
-    the allowance that point_values grants Z at any height. Only the zeta
-    model has this remainder.
-
-    t may also be a 1-D array of points: each order then maps to one
-    value per point. The main sums of the points that share N come from one
-    section_eval call at those points, the remainder from _rs_remainder per
-    point. A scalar t is a batch of one point, and a point's values are the
-    same in any batch (see section_eval).
+    with tau = sqrt(t/2pi), N = floor(tau) and p = tau - N. Against
+    mpmath.siegelz the error in Z is below 1e-4 on [10, 30], 1e-5 on
+    [30, 100], 1e-6 on [100, 1e3] and 1e-8 on [1e3, 1e4], and in Z'' below
+    2e-5, 3e-7, 4e-9 and 2e-10 there; hardy_z_error(t) is the allowance that
+    point_values grants Z at any height.
     """
     if not model.is_zeta:
         raise ValueError(f"hardy_z needs the zeta model, got {model.name!r}")
-    if not set(orders) <= {0, 1, 2}:
-        raise ValueError(f"hardy_z evaluates orders 0, 1 and 2, got {orders}")
-    pts, points = _as_points(t)
-    taus = []
-    for x in pts.tolist():
-        if not T_FLOOR <= x < math.inf:
-            raise DomainError(f"hardy_z requires finite t >= 10, got {x}")
-        taus.append(math.sqrt(x / TWO_PI))
-    main = _by_size(pts, [int(tau) for tau in taus],
-                    lambda group, n: section_eval(model, group, 1.0, orders=orders,
-                                                  deriv_mode="full", n_terms=n - 1))
-    rem = np.array([_rs_remainder(tau) for tau in taus]).T
-    out = {j: 2.0 * main[j] + rem[j] for j in sorted(set(orders))}
-    return out if points else {j: float(v[0]) for j, v in out.items()}
+    return point_values(model, t, orders)[0]
 
 
 def hardy_z_error(t: float) -> float:
@@ -721,27 +709,31 @@ class NewtonResult:
     final_value: float
 
 
-_HEAD_GRID = 64  # _series_z's head term counts are multiples of this
+_HEAD_GRID = 64  # a non-zeta model's head term counts are multiples of this
 
 
-def _series_z(model: CoefficientModel, t: np.ndarray, orders: tuple[int, ...]
-              ) -> tuple[dict, list[float]]:
-    """Z(t) = Re e^(i theta(t)) sum_m c_m m^(-s), s = 1/2 + it, and its
-    t-derivatives for a model other than the zeta one, with the allowance of
-    each point's Z.
+def _head_size(model: CoefficientModel, t: float) -> int:
+    """M, the terms of point_values' head at t, a function of t alone: for
+    the zeta model the Riemann-Siegel N = floor(sqrt(t/2pi)); for any other
+    p t/(0.8 pi) (about 2t at period 5, so the tail's k-th Euler-Maclaurin
+    term shrinks like 0.4^(2k)), rounded up to a multiple of _HEAD_GRID."""
+    if model.is_zeta:
+        return model.classical_cutoff(t)
+    p = len(model.coeff_period or (1.0,))
+    return _HEAD_GRID * math.ceil(_term_count(t, p * t / (0.4 * TWO_PI * _HEAD_GRID)))
 
-    The head m = 1..M is the section of dimension M - 1 at a = 1 with
-    full-mode derivatives. M is p t/(0.8 pi) (about 2t for the period-5
-    model), so that the tail's k-th Euler-Maclaurin term shrinks like
-    0.4^(2k), rounded up to a multiple of _HEAD_GRID (at least 64 from
-    t = 10): a function of t alone, so a point's values do not depend on its
-    batch, and nearby points share one section_eval call.
 
-    The tail sums each residue class a of the coefficient period p apart:
+def _em_correction(model: CoefficientModel, t: float, big_m: int
+                   ) -> tuple[float, float, float, float]:
+    """A non-zeta model's Dirichlet series sum_{m>M} c_m m^(-s), s = 1/2 + it,
+    beyond the head m = 1..M: what it adds to Z, Z' and Z'' at t, and the
+    allowance of Z.
+
+    Each residue class a of the coefficient period p is summed apart:
     c_a sum_{j>=1} (y_a + p j)^(-s), y_a the class's last head term, is
-    c_a y_a^(-s) R_a(s) with R_a, R_a' and R_a'' from _em_tail, summed per
-    point in complex scalars. With E_j = e^(i theta) T^(j)(s), T the
-    tail, Z gains Re E_0, Z' gains -Im(theta' E_0 + E_1) and Z'' gains
+    c_a y_a^(-s) R_a(s) with R_a, R_a' and R_a'' from _em_tail, summed in
+    complex scalars. With E_j = e^(i theta) T^(j)(s), T the tail, Z gains
+    Re E_0, Z' gains -Im(theta' E_0 + E_1) and Z'' gains
     Re((i theta'' - theta'^2) E_0 - 2 theta' E_1 - E_2). The allowance is
     the first dropped Euler-Maclaurin term of the classes, times
     |s + 37|/(1/2 + 37) (Edwards 6.4), plus _rounding_allowance(t).
@@ -751,35 +743,25 @@ def _series_z(model: CoefficientModel, t: np.ndarray, orders: tuple[int, ...]
     """
     period = model.coeff_period or (1.0,)
     p = len(period)
-    big_ms = [_HEAD_GRID * math.ceil(p * x / (0.4 * TWO_PI * _HEAD_GRID))
-              for x in t.tolist()]
-    out = _by_size(t, big_ms, lambda group, m: section_eval(
-        model, group, 1.0, orders=orders, deriv_mode="full", n_terms=m - 1))
-    allowance = []
-    for i, (x, big_m) in enumerate(zip(t.tolist(), big_ms)):
-        s = complex(0.5, x)
-        th = model.theta(x)
-        e0 = e1 = e2 = 0j
-        dropped = 0.0
-        for a, c in enumerate(period, start=1):
-            if c == 0.0:
-                continue
-            y = big_m - (big_m - a) % p
-            (r0, r1, r2), q = _em_tail(s, y / p)
-            ln_y = math.log(y)
-            rot = c * cmath.exp(1j * (th - x * ln_y)) / math.sqrt(y)  # c_a e^(i theta) y^(-s)
-            e0 += rot * r0
-            e1 += rot * (r1 - ln_y * r0)
-            e2 += rot * (r2 - 2.0 * ln_y * r1 + ln_y * ln_y * r0)
-            dropped += abs(rot * q)
-        allowance.append(_EM_DROPPED * dropped * abs(s + 37.0) / 37.5
-                         + _rounding_allowance(x))
-        tp, tpp = model.theta_deriv(x, 1), model.theta_deriv(x, 2)
-        tail = {0: e0.real, 1: -(tp * e0 + e1).imag,
-                2: ((1j * tpp - tp * tp) * e0 - 2.0 * tp * e1 - e2).real}
-        for j in orders:
-            out[j][i] += tail[j]
-    return out, allowance
+    s = complex(0.5, t)
+    th = model.theta(t)
+    e0 = e1 = e2 = 0j
+    dropped = 0.0
+    for a, c in enumerate(period, start=1):
+        if c == 0.0:
+            continue
+        y = big_m - (big_m - a) % p
+        (r0, r1, r2), q = _em_tail(s, y / p)
+        ln_y = math.log(y)
+        rot = c * cmath.exp(1j * (th - t * ln_y)) / math.sqrt(y)  # c_a e^(i theta) y^(-s)
+        e0 += rot * r0
+        e1 += rot * (r1 - ln_y * r0)
+        e2 += rot * (r2 - 2.0 * ln_y * r1 + ln_y * ln_y * r0)
+        dropped += abs(rot * q)
+    tp, tpp = model.theta_deriv(t, 1), model.theta_deriv(t, 2)
+    return (e0.real, -(tp * e0 + e1).imag,
+            ((1j * tpp - tp * tp) * e0 - 2.0 * tp * e1 - e2).real,
+            _EM_DROPPED * dropped * abs(s + 37.0) / 37.5 + _rounding_allowance(t))
 
 
 def point_values(model: CoefficientModel, t, orders: tuple[int, ...] = (0, 1)
@@ -788,38 +770,50 @@ def point_values(model: CoefficientModel, t, orders: tuple[int, ...] = (0, 1)
     (Gram-point signs and viscosity, Newton zeros), and the allowance of Z:
     the |Z| below which its sign is not trusted.
 
-    The zeta model takes hardy_z, with allowance hardy_z_error(t); any other
-    model its Dirichlet series, summed directly over about 2t terms and by
-    Euler-Maclaurin beyond them (_series_z), with the first dropped term plus
-    rounding as the allowance. t may also be a 1-D array of points: each
-    order and the allowance then hold one value per point, the points that
-    share a term count summed in one section_eval call, and each point's
-    values equal its one-point call bit for bit.
+    Every model sums a head, the section at a = 1 over m = 1..M
+    (_head_size) with full-mode derivatives, and adds its correction: the
+    zeta model takes twice the head (the Riemann-Siegel main sum) plus
+    _rs_remainder, with allowance hardy_z_error(t) (see hardy_z); any other
+    adds its Dirichlet series beyond the head by Euler-Maclaurin
+    (_em_correction), with the first dropped term plus rounding as the
+    allowance. The domain, finite t >= 10 with a head an array can hold
+    (_term_count), is checked at every point before any work. t may also
+    be a 1-D array of points: each order and the allowance then hold one
+    value per point, the points that share M summed in one section_eval
+    call, and each point's values equal its one-point call bit for bit.
     """
     pts, points = _as_points(t)
-    if model.is_zeta:
-        vals = hardy_z(model, pts, orders)
-        allowance = [hardy_z_error(x) for x in pts.tolist()]
+    xs = pts.tolist()
+    for x in xs:
+        if not T_FLOOR <= x < math.inf:
+            raise DomainError(f"point_values requires finite t >= 10, got {x}")
+    sizes = [_head_size(model, x) for x in xs]
+    head = _by_size(pts, sizes, lambda group, m: section_eval(
+        model, group, 1.0, orders=orders, deriv_mode="full", n_terms=m - 1))
+    if model.is_zeta:  # the approximate functional equation's two sums are conjugate
+        scale, rows = 2.0, [(*_rs_remainder(math.sqrt(x / TWO_PI)), hardy_z_error(x))
+                            for x in xs]
     else:
-        vals, allowance = _series_z(model, pts, orders)
+        scale, rows = 1.0, [_em_correction(model, x, m) for x, m in zip(xs, sizes)]
+    # rows 0-2 add to orders 0-2, row 3 is the allowance; empty for no points
+    corr = np.array(rows).reshape(-1, 4).T
+    vals = {j: scale * head[j] + corr[j] for j in sorted(head)}
     if points:
-        return vals, np.array(allowance)
-    return {j: float(v[0]) for j, v in vals.items()}, allowance[0]
+        return vals, corr[3]
+    return {j: float(v[0]) for j, v in vals.items()}, float(corr[3][0])
 
 
 def find_zero_newton(model: CoefficientModel, t0: float) -> NewtonResult:
     """Newton iteration t <- t - Z(t)/Z'(t), with full iterate history.
 
-    Z and Z' come from point_values: hardy_z for the zeta model, the
-    Dirichlet series with its Euler-Maclaurin tail for any other. Stops
+    Z and Z' come from point_values, which refuses a t0 outside its domain
+    before any work. Stops
     when |Z| < 1e-10, or when the step falls below rounding scale (at large
     heights the rounding noise of the sum sits above 1e-10, so a pure value
     test could spin forever at the fixed point). Raises FlatPointError if
     |Z'| falls below 1e-12 and NonConvergenceError after 50 steps; both
     carry the iterate list.
     """
-    if not T_FLOOR <= t0 < math.inf:
-        raise DomainError(f"find_zero_newton requires finite t0 >= 10, got {t0}")
     t = float(t0)
     iterates = [t]
     step_floor = 1e-13 * max(1.0, abs(t0))

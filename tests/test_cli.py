@@ -358,8 +358,9 @@ def test_usage_and_domain_errors(tmp_path, capsys):
     assert code == 1  # below the domain floor
     code, _ = run(capsys, "newton", "--cache-dir", str(tmp_path))
     assert code == 1  # neither --index nor --t0
-    for t0 in ("inf", "nan"):  # refused before int(tau) could overflow
-        code = main(["newton", "--t0", t0, "--cache-dir", str(tmp_path)])
+    # refused before a term count could overflow (DH at 1e308 ended in a traceback)
+    for start in (["--t0", "inf"], ["--t0", "nan"], ["--model", "dh", "--t0", "1e308"]):
+        code = main(["newton", *start, "--cache-dir", str(tmp_path)])
         err = capsys.readouterr().err
         assert code == 1
         assert len(err.splitlines()) == 1 and err.startswith("error: ")

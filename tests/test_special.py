@@ -55,6 +55,10 @@ def test_theta_domain_floor():
             theta(kind, 9.99)
         with pytest.raises(DomainError):
             theta_deriv(kind, 5.0, 1)
+        # t = inf gave NaN or inf with no error
+        for phase in (theta, theta_deriv, theta_main_deriv):
+            with pytest.raises(DomainError, match="finite"):
+                phase(kind, math.inf)
 
 
 def test_theta_deriv_matches_central_differences():

@@ -196,7 +196,7 @@ def test_dh_newton_ends_on_a_point_value_zero(davenport):
 
 def test_newton_domain_error(riemann, davenport):
     for model, t0 in [(riemann, 5.0), (riemann, math.inf), (davenport, math.inf),
-                      (riemann, math.nan)]:
+                      (riemann, math.nan), (riemann, 1e308), (davenport, 1e308)]:
         with pytest.raises(DomainError):
             find_zero_newton(model, t0)
 
@@ -705,17 +705,47 @@ def test_section_points_validation(riemann):
         section_eval(riemann, np.array([9.0, 11.0]), 1.0, n_terms=5)
 
 
+def _no_work(monkeypatch):
+    """Make any tabulation of terms fail: a refused input must stop before it."""
+    import gramdelta.zmodel as zmodel
+
+    def no_work(*args):
+        raise AssertionError("terms were tabulated for a refused input")
+
+    monkeypatch.setattr(zmodel, "term_arrays", no_work)
+
+
+@pytest.mark.parametrize("name", ["riemann", "dh"])
+def test_point_values_refuse_t_outside_the_domain_before_any_work(
+        riemann, davenport, monkeypatch, name):
+    # the DH head size took math.ceil of an infinite count (an
+    # OverflowError); at 1e308 the head of either model holds more terms
+    # than any array, so it is refused from the term count alone
+    model = riemann if name == "riemann" else davenport
+    _no_work(monkeypatch)
+    for t in (math.inf, math.nan, 1e308, np.array([100.0, math.inf])):
+        with pytest.raises(DomainError):
+            point_values(model, t)
+
+
+def test_term_counts_refuse_a_non_finite_t_before_any_work(riemann, monkeypatch):
+    # the cutoffs raised OverflowError at inf and ValueError at NaN
+    _no_work(monkeypatch)
+    for t in (math.inf, math.nan):
+        for call in (lambda: classical_afe(riemann, t),
+                     lambda: localized_sum(riemann, t, 1, 1),
+                     lambda: classical_partial_sums(riemann, t),
+                     lambda: section_eval(riemann, t, 1.0)):
+            with pytest.raises(DomainError):
+                call()
+
+
 @pytest.mark.parametrize("orders", [(0, 3), (-1,), (1, 2, 4)])
 def test_orders_outside_0_to_2_are_refused_before_any_work(riemann, davenport,
                                                            monkeypatch, orders):
     # an order section_eval does not fill came back as uninitialised memory
     # (scalar t) or a KeyError (the DH point pair)
-    import gramdelta.zmodel as zmodel
-
-    def no_work(*args):
-        raise AssertionError("section_eval summed terms for a refused order")
-
-    monkeypatch.setattr(zmodel, "term_arrays", no_work)
+    _no_work(monkeypatch)
     t = np.array([100.0, 120.0])
     for call in (lambda: section_eval(riemann, 1000.0, 1.0, orders=orders),
                  lambda: section_eval(riemann, t, 1.0, orders=orders, n_terms=49),
