@@ -6,7 +6,7 @@ period-5 counterexample for contrast."""
 from .special import ThetaKind, gram_gap, lambert_w0, theta, theta_deriv, theta_main_deriv
 from .zmodel import (CoefficientModel, ClassicalValues, classical_afe,
                      find_zero_newton, hardy_z, localized_sum, riemann_model,
-                     z_section, z_section_deriv)
+                     section_eval)
 from .gram import (GramBlock, GramKind, GramRecord, RecordSource, blocks,
                    classify, core_zero, gbg_scan, gram_point, gram_point_seed)
 from .discriminant import (ClosedFormReport, DiscriminantTrace, TraceStatus,

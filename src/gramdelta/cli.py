@@ -3,10 +3,10 @@ byte-reproducible CSV/JSON output.
 
 Exit codes: 0 on success (a detected DH violation is data, not an error),
 1 on usage, domain or numerical errors (a flat point, Newton non-convergence,
-an indeterminate sign) and on a cache or output path that cannot be written,
-each reported as one "error: ..." line, and 2 when a
-verdict-style experiment comes out negative (corrected curve not established,
-repulsion conjecture violated).
+an indeterminate sign), on a cache or output path that cannot be written and
+on an array no memory holds, each reported as one "error: ..." line, and 2
+when a verdict-style experiment comes out negative (corrected curve not
+established, repulsion conjecture violated).
 """
 
 from __future__ import annotations
@@ -22,18 +22,10 @@ from .cache import ENV_VAR, RecordStore
 from .emit import write_csv, write_json
 from .errors import (FlatPointError, IndeterminateSignError, NonConvergenceError,
                      TraceError)
-from .zmodel import CoefficientModel, find_zero_newton, riemann_model
+from .zmodel import find_zero_newton, riemann_model
 from .gram import RecordSource
 
 _MODELS = {"riemann": riemann_model, "dh": dh.dh_model}
-
-
-def _model(args) -> CoefficientModel:
-    return _MODELS[getattr(args, "model", "riemann")]()
-
-
-def _store(args) -> RecordStore:
-    return RecordStore(args.cache_dir)
 
 
 def _ks(values: np.ndarray) -> np.ndarray:
@@ -42,8 +34,8 @@ def _ks(values: np.ndarray) -> np.ndarray:
 
 
 def _cmd_gram_scan(args) -> int:
-    model = _model(args)
-    recs = RecordSource(model, _store(args)).range(args.n_from, args.n_to)
+    model = _MODELS[args.model]()
+    recs = RecordSource(model, RecordStore(args.cache_dir)).range(args.n_from, args.n_to)
     write_csv(args.out, {"model": model.name},
               ["n", "t", "z", "zprime", "kind", "viscosity"],
               [np.array([r.n for r in recs]), np.array([r.t for r in recs]),
@@ -55,8 +47,8 @@ def _cmd_gram_scan(args) -> int:
 
 
 def _cmd_gram_blocks(args) -> int:
-    model = _model(args)
-    source = RecordSource(model, _store(args))
+    model = _MODELS[args.model]()
+    source = RecordSource(model, RecordStore(args.cache_dir))
     blocks = gram.blocks(model, args.n_from, args.n_to, source)
     write_csv(args.out, {"model": model.name},
               ["start", "length", "interior"],
@@ -66,9 +58,9 @@ def _cmd_gram_blocks(args) -> int:
 
 
 def _cmd_viscosity(args) -> int:
-    model = _model(args)
+    model = _MODELS[args.model]()
     report = gram.gbg_scan(model, args.n_from, args.n_to, bound=args.bound,
-                           source=RecordSource(model, _store(args)))
+                           source=RecordSource(model, RecordStore(args.cache_dir)))
     rows = report.bad_points if args.bad_only or args.gbg else report.rows
     columns = [[r.n for r in rows], [r.t for r in rows], [r.viscosity for r in rows],
                [r.kind.value for r in rows], [r.isolated for r in rows],
@@ -84,7 +76,7 @@ def _cmd_viscosity(args) -> int:
 
 
 def _cmd_discriminant(args) -> int:
-    model = _model(args)
+    model = _MODELS[args.model]()
     trace = discriminant.track_extremum(model, args.n, curves.linear, steps=args.steps)
     meta = {"model": model.name, "n": args.n, "verdict": trace.status.value}
     if trace.r_event is not None:
@@ -98,7 +90,7 @@ def _cmd_discriminant(args) -> int:
 
 
 def _cmd_curve_corrected(args) -> int:
-    model = _model(args)
+    model = _MODELS[args.model]()
     report = curves.corrected_curve(model, args.n, tau=args.tau, steps=args.steps)
     meta = {"model": model.name, "n": args.n, "verdict": report.verdict,
             "shift_set": ";".join(str(k) for k in sorted(report.shift_set))}
@@ -133,13 +125,13 @@ def _second_order_summary(n: int, rep: discriminant.ClosedFormReport) -> dict:
 
 
 def _cmd_hessian(args) -> int:
-    rep = discriminant.closed_forms(_model(args), args.n)
+    rep = discriminant.closed_forms(_MODELS[args.model](), args.n)
     write_json(args.out, _second_order_summary(args.n, rep))
     return 0
 
 
 def _cmd_closed_forms(args) -> int:
-    model = _model(args)
+    model = _MODELS[args.model]()
     rep = discriminant.closed_forms(model, args.n)
     if args.out not in (None, "-"):
         write_csv(args.out, {"model": model.name, "n": args.n},
@@ -155,7 +147,7 @@ def _cmd_closed_forms(args) -> int:
 
 
 def _cmd_adjustments(args) -> int:
-    model = _model(args)
+    model = _MODELS[args.model]()
     rep = adjust.adjustments(model, args.n, args.neighbor)
     if args.out not in (None, "-"):
         meta = {"model": model.name, "n": args.n, "neighbor": args.neighbor}
@@ -174,7 +166,7 @@ def _cmd_adjustments(args) -> int:
 
 
 def _cmd_stages(args) -> int:
-    model = _model(args)
+    model = _MODELS[args.model]()
     rep = adjust.stage_analysis(model, args.n)
     if args.out not in (None, "-"):
         write_csv(args.out, {"model": model.name, "n": args.n},
@@ -194,7 +186,7 @@ def _cmd_stages(args) -> int:
 
 
 def _cmd_mc(args) -> int:
-    model = _model(args)
+    model = _MODELS[args.model]()
     gv = adjust.gram_vectors(model, args.n, trials=args.trials, seed=args.seed)
     meta = {"model": model.name, "seed": args.seed, "n": args.n, "trials": args.trials}
     write_csv(args.out, meta, ["k", "raw", "sorted", "baseline", "essential"],
@@ -204,7 +196,7 @@ def _cmd_mc(args) -> int:
 
 
 def _cmd_newton(args) -> int:
-    model = _model(args)
+    model = _MODELS[args.model]()
     t0 = args.t0 if args.t0 is not None else gram.core_zero(model, args.index)
     result = find_zero_newton(model, t0)
     write_json(args.out, {
@@ -227,7 +219,7 @@ def _cmd_dh_violation(args) -> int:
 
 
 def _cmd_cache(args) -> int:
-    store = _store(args)
+    store = RecordStore(args.cache_dir)
     if args.action == "status":
         write_json(args.out, store.status())
     else:
@@ -362,8 +354,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # --help
         return 0 if exc.code in (0, None) else 1
     except (argparse.ArgumentError, ValueError, TraceError, FlatPointError,
-            NonConvergenceError, IndeterminateSignError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+            NonConvergenceError, IndeterminateSignError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

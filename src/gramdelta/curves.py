@@ -80,19 +80,6 @@ class ShiftingResult:
     stop_reason: str | None = None  # the rejection that truncated the stage
 
 
-def _stage_solver(model: CoefficientModel, n: int, shift_set,
-                  g0: float | None = None) -> _ExtremumSolver:
-    """The corrected curve's solver, which both stages march on: one proxy
-    window of the shift block and the descend block (term indices 1..N).
-    g0 is g_n, refined here when not given."""
-    if g0 is None:
-        g0 = gram_point(model, n)
-    dimension = model.robust_cutoff(g0)
-    if any(not 1 <= k <= dimension for k in shift_set):
-        raise ValueError("shift indices must lie in [1, dimension]")
-    return _ExtremumSolver(model, n, g0, shift_set)
-
-
 def shifting_stage(solver: _ExtremumSolver, steps: int = 200) -> ShiftingResult:
     """Follow the level curve (-1)^n Delta = 1 while a march steps r1 to 1.
 
@@ -197,14 +184,14 @@ def corrected_curve(model: CoefficientModel, n: int, tau: float = 1.5,
     """Shifting stage + descending stage; verdict of the corrected Gram law.
 
     g_n is refined once, for the shift selection and the solver. Both stages
-    march on one solver, so the window is tabulated once. verdict
+    march on one two-block solver, so the window is tabulated once. verdict
     "true" means (-1)^n Delta stayed positive along the composite and the
     endpoint (1, ..., 1) was reached; any stage failure yields "undetermined"
     with diagnostics attached, never a silent "false".
     """
     g0 = gram_point(model, n)
     shift_set = _shift_indices(model, n, g0, tau, None)
-    solver = _stage_solver(model, n, shift_set, g0)
+    solver = _ExtremumSolver(model, n, g0, shift_set)
     shifting = shifting_stage(solver, steps=steps)
     descent = descending_stage(solver, shifting.exit_point, steps=steps,
                                g_start=shifting.exit_g)

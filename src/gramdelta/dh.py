@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .curves import linear
 from .discriminant import DiscriminantTrace, TraceStatus, track_extremum
 from .special import ThetaKind, gram_gap
-from .zmodel import CoefficientModel, riemann_model, z_section
+from .zmodel import CoefficientModel, riemann_model, section_eval
 
 KAPPA = (math.sqrt(10.0 - 2.0 * math.sqrt(5.0)) - 2.0) / (math.sqrt(5.0) - 1.0)
 
@@ -62,7 +62,8 @@ def dh_violation_experiment(steps: int = 200) -> DhViolationReport:
     deltas = [s.delta for s in trace.samples]
     lo, hi = min(deltas), max(deltas)
     span = max(hi - lo, 1e-300)
-    dev = max(abs(s.delta - z_section(model, g, s.r)) for s in trace.samples)
+    dev = max(abs(s.delta - section_eval(model, g, s.r, orders=(0,))[0])
+              for s in trace.samples)
     disp = max(abs(s.g - g) for s in trace.samples)
 
     violation = trace.status is TraceStatus.COLLISION or sign * deltas[-1] < 0.0

@@ -33,8 +33,7 @@ import numpy as np
 from .errors import TraceError
 from .numerics import csum, newton_scalar
 from .special import gram_gap
-from .zmodel import (CoefficientModel, WindowProxy, section_eval, term_arrays,
-                     z_section, z_section_deriv)
+from .zmodel import CoefficientModel, WindowProxy, section_eval, term_arrays
 from .gram import gram_point
 
 KAPPA_H = 4.0
@@ -87,10 +86,9 @@ class _ExtremumSolver:
     """Newton solver for dZ/dt(t; a) = 0 at fixed section dimension.
 
     The window has one block (shift_set None) or a corrected curve's shift
-    and descend blocks (see WindowProxy). A parameter point a is a scalar
-    (uniform weight on every index), a tuple of block weights, or an
-    arbitrary weight vector. The first two go through the WindowProxy of the
-    block sums; only a vector is summed directly, term by term.
+    and descend blocks (WindowProxy checks shift_set). A parameter point a
+    is a scalar (uniform weight on every index), a tuple of block weights or
+    a weight vector; only a vector is summed directly, not by the proxy.
     """
 
     def __init__(self, model: CoefficientModel, n: int, g0: float, shift_set=None):
@@ -102,11 +100,11 @@ class _ExtremumSolver:
         self.ztt_floor = 1e-8 * lnfac * lnfac
         self.proxy = WindowProxy(model, self.n_terms, shift_set, g0)
 
-    def section(self, a, t: float, orders: tuple[int, ...] = (0, 1, 2)):
-        """Z, Z_t, Z_tt at t (main mode), indexable by order; orders limits
-        only the direct sum, the proxy returns all three at once."""
+    def section(self, a, t: float):
+        """Z, Z_t, Z_tt at t (main mode), indexable by order: the proxy's three,
+        or one direct section_eval call (no order's bits depend on the others)."""
         if isinstance(a, np.ndarray):
-            return section_eval(self.model, t, a, orders=orders, n_terms=self.n_terms)
+            return section_eval(self.model, t, a, orders=(0, 1, 2), n_terms=self.n_terms)
         if isinstance(a, (int, float)):
             a = (float(a),) * self.proxy.blocks
         return self.proxy.section(t, a)
@@ -115,7 +113,7 @@ class _ExtremumSolver:
         """Newton on Z_t = 0 from t_seed: (t, iterations), or None when Z_tt
         reaches the flat-point floor or 10 steps do not converge."""
         def slope_and_curvature(t):
-            vals = self.section(a, t, (1, 2))
+            vals = self.section(a, t)
             return vals[1], vals[2]
 
         t, iterations, converged = newton_scalar(
@@ -124,7 +122,7 @@ class _ExtremumSolver:
         return (t, iterations) if converged else None
 
     def value(self, a, t: float) -> float:
-        return self.section(a, t, (0,))[0]
+        return self.section(a, t)[0]
 
     def block_sum(self, t: float, block: int) -> float:
         """S_B(t), the section's sum over one block of indices."""
@@ -193,7 +191,8 @@ def follow_extremum(solver, weights_at, start, steps: int,
                     jump_cap: float = math.inf) -> MarchResult:
     """March the extremum of solver along weights_at(r) from the TraceSample
     start, watching sign * Delta <= 0. A step is rejected when Newton fails,
-    takes over 5 iterations or moves g by more than jump_cap."""
+    takes over 5 iterations or moves g by more than jump_cap. A bisection
+    probe skips those two tests, and no probe enters the samples."""
 
     def sample(r, g_seed, accepting=True):
         a = weights_at(r)
@@ -204,9 +203,8 @@ def follow_extremum(solver, weights_at, start, steps: int,
             return f"Newton took more than {_NEWTON_BUDGET} iterations"
         if accepting and not abs(sol[0] - g_seed) <= jump_cap:
             return "extremum moved more than the jump cap"
-        g = sol[0]
-        vals = solver.section(a, g, (0, 2) if accepting else (0,))
-        return TraceSample(r=r, g=g, delta=vals[0], ztt=vals[2] if accepting else math.nan)
+        vals = solver.section(a, sol[0])
+        return TraceSample(r=r, g=sol[0], delta=vals[0], ztt=vals[2])
 
     return march(lambda _, r, prev: sample(r, prev.g), start, steps,
                  crossed=lambda s: solver.sign * s.delta <= 0.0,
@@ -221,7 +219,7 @@ def track_extremum(model: CoefficientModel, n: int, weights_at,
     refused by section_eval with DimensionError."""
     g0 = gram_point(model, n)
     solver = _ExtremumSolver(model, n, g0)
-    z0 = solver.section(weights_at(0.0), g0, (0, 2))
+    z0 = solver.section(weights_at(0.0), g0)
     start = TraceSample(r=0.0, g=g0, delta=z0[0], ztt=z0[2])
     run = follow_extremum(solver, weights_at, start, steps,
                           jump_cap=0.5 * gram_gap(model.theta_kind, g0))
@@ -314,7 +312,7 @@ def closed_forms(model: CoefficientModel, n: int) -> ClosedFormReport:
     g = table.g
     lnfac = 2.0 * model.theta_main(g)
     sign = -1.0 if n % 2 else 1.0
-    zprime = z_section_deriv(model, g, 1.0, order=1, mode="main")
+    zprime = section_eval(model, g, 1.0, orders=(1,))[1]
     hessian = KAPPA_H * sign * (zprime / lnfac) ** 2
 
     identity_rhs = 0.25 * sign * lnfac * lnfac * csum(table.grad_gram)
@@ -329,4 +327,5 @@ def closed_forms(model: CoefficientModel, n: int) -> ClosedFormReport:
 def second_order_approx(model: CoefficientModel, n: int, r: float) -> float:
     """Z(g_n; r) + (1/2) H_n r^2, the quadratic model of Delta_n(r)."""
     report = closed_forms(model, n)
-    return z_section(model, report.g, float(r)) + 0.5 * report.hessian_quadratic * r * r
+    z = section_eval(model, report.g, float(r), orders=(0,))[0]
+    return z + 0.5 * report.hessian_quadratic * r * r

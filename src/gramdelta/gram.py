@@ -44,10 +44,6 @@ class GramRecord:
     kind: GramKind
     viscosity: float
 
-    @property
-    def is_bad(self) -> bool:
-        return self.kind is GramKind.BAD
-
 
 @dataclass(frozen=True)
 class GramBlock:

@@ -13,7 +13,8 @@ for the period-5 counterexample is
 evaluated by upward recurrence followed by a Stirling series, so no external
 complex-gamma dependency is needed. Both accept complex t (needed by the
 self-conjugacy checks); the domain is finite t with Re t >= 10, where the
-asymptotic forms are good to about 1e-10 absolute.
+asymptotic forms are good to about 1e-10 absolute, up to the height where
+a phase value or one of its terms overflows (see _phase).
 """
 
 from __future__ import annotations
@@ -87,10 +88,29 @@ def _check_domain(t) -> None:
         raise DomainError(f"theta requires a finite t, got {t!r}")
 
 
-def _rs_theta(t):
-    log = cmath.log if isinstance(t, complex) else math.log
-    return (t / 2.0) * log(t / TWO_PI) - t / 2.0 - math.pi / 8.0 \
-        + 1.0 / (48.0 * t) + 7.0 / (5760.0 * t ** 3)
+def _phase(kind: ThetaKind, t, order: int):
+    """theta (order 0) or its order-th derivative at t, by the one domain
+    rule: DomainError below the floor, at a non-finite t and where the value
+    or a term overflows (the Riemann-Siegel t ** 3 of theta from t = 1e103,
+    theta' from 1e78, theta'' from 1e62; the DH theta at 1e308)."""
+    _check_domain(t)
+    try:
+        value = (_rs_phase if kind is ThetaKind.RIEMANN_SIEGEL else _dh_phase)(t, order)
+    except OverflowError:
+        value = math.inf
+    if not cmath.isfinite(value):
+        raise DomainError(f"theta at t = {t!r} is out of range: its value overflows")
+    return value
+
+
+def _rs_phase(t, order: int):
+    if order == 0:
+        log = cmath.log if isinstance(t, complex) else math.log
+        return (t / 2.0) * log(t / TWO_PI) - t / 2.0 - math.pi / 8.0 \
+            + 1.0 / (48.0 * t) + 7.0 / (5760.0 * t ** 3)
+    if order == 1:
+        return 0.5 * math.log(t / TWO_PI) - 1.0 / (48.0 * t * t) - 7.0 / (1920.0 * t ** 4)
+    return 0.5 / t + 1.0 / (24.0 * t ** 3) + 7.0 / (480.0 * t ** 5)
 
 
 def _log_gamma(z: complex) -> complex:
@@ -131,37 +151,28 @@ def _trigamma(z: complex) -> complex:
     return s + shift
 
 
-def _dh_theta(t):
+def _dh_phase(t, order: int):
     z = 0.75 + 0.5j * t
-    if isinstance(t, complex):
-        zc = 0.75 - 0.5j * t
-        val = (_log_gamma(z) - _log_gamma(zc)) / 2.0j - (t / 2.0) * _LN_PI_OVER_5
-        return val
-    return _log_gamma(z).imag - (t / 2.0) * _LN_PI_OVER_5
+    if order == 0:
+        if isinstance(t, complex):
+            zc = 0.75 - 0.5j * t
+            return (_log_gamma(z) - _log_gamma(zc)) / 2.0j - (t / 2.0) * _LN_PI_OVER_5
+        return _log_gamma(z).imag - (t / 2.0) * _LN_PI_OVER_5
+    if order == 1:
+        return 0.5 * _digamma(z).real - 0.5 * _LN_PI_OVER_5
+    return -0.25 * _trigamma(z).imag
 
 
 def theta(kind: ThetaKind, t):
     """Rotation phase theta(t); Gram points solve theta(g) = pi*n."""
-    _check_domain(t)
-    if kind is ThetaKind.RIEMANN_SIEGEL:
-        return _rs_theta(t)
-    return _dh_theta(t)
+    return _phase(kind, t, 0)
 
 
 def theta_deriv(kind: ThetaKind, t: float, order: int = 1) -> float:
     """d/dt theta (order 1) or the second derivative (order 2), corrections included."""
-    _check_domain(t)
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
-    if kind is ThetaKind.RIEMANN_SIEGEL:
-        if order == 1:
-            return 0.5 * math.log(t / TWO_PI) - 1.0 / (48.0 * t * t) \
-                - 7.0 / (1920.0 * t ** 4)
-        return 0.5 / t + 1.0 / (24.0 * t ** 3) + 7.0 / (480.0 * t ** 5)
-    z = 0.75 + 0.5j * t
-    if order == 1:
-        return 0.5 * _digamma(z).real - 0.5 * _LN_PI_OVER_5
-    return -0.25 * _trigamma(z).imag
+    return _phase(kind, t, order)
 
 
 def theta_main_deriv(kind: ThetaKind, t: float) -> float:

@@ -44,9 +44,7 @@ import numpy as np
 from .errors import (DimensionError, DomainError, FlatPointError,
                      IndexRangeError, NonConvergenceError, NotAGramPointError)
 from .numerics import WORK_ELEMENTS, csum, running_csum
-from .special import T_FLOOR, ThetaKind, gram_gap, theta, theta_deriv, theta_main_deriv
-
-TWO_PI = 2.0 * math.pi
+from .special import T_FLOOR, TWO_PI, ThetaKind, gram_gap, theta, theta_deriv, theta_main_deriv
 
 
 def _term_count(t, count: float) -> float:
@@ -70,7 +68,8 @@ class CoefficientModel:
         return max(1, int(math.floor(_term_count(t, t / 2.0))))
 
     def classical_cutoff(self, g: float) -> int:
-        return max(1, int(math.floor(_term_count(g, math.sqrt(g / TWO_PI)))))
+        # one term below g = 8 pi, a negative g too: theta refuses g < 10
+        return max(1, int(math.floor(_term_count(g, math.sqrt(max(g, 0.0) / TWO_PI)))))
 
     def coefficients(self, count: int) -> np.ndarray:
         """c_m for m = 1..count."""
@@ -199,6 +198,8 @@ def section_eval(model: CoefficientModel, t, a, *, orders: tuple[int, ...] = (0,
         raise ValueError(f"section_eval evaluates orders 0, 1 and 2, got {orders}")
     if isinstance(t, complex) and (1 in orders or 2 in orders):
         raise ValueError(f"section_eval evaluates order 0 only at a complex t, got {t}")
+    if deriv_mode not in ("main", "full"):
+        raise ValueError(f"unknown deriv_mode {deriv_mode!r}")
     points = isinstance(t, np.ndarray)
     if points:
         if n_terms is None:
@@ -208,8 +209,6 @@ def section_eval(model: CoefficientModel, t, a, *, orders: tuple[int, ...] = (0,
     n = model.robust_cutoff(t.real if isinstance(t, complex) else t) \
         if n_terms is None else n_terms
     wts = _as_weights(a, n)[None, :]
-    if deriv_mode not in ("main", "full"):
-        raise ValueError(f"unknown deriv_mode {deriv_mode!r}")
     pts = t.tolist() if points else [t]
     tv = np.array(pts)[:, None]
     ln_m, c, sqrt_m = term_arrays(model, n + 1)
@@ -257,23 +256,6 @@ def section_eval(model: CoefficientModel, t, a, *, orders: tuple[int, ...] = (0,
         else:
             out[j] = csum(rows[0])
     return out
-
-
-def z_section(model: CoefficientModel, t, a) -> float:
-    """The section value Z_N(t; a); a may be a scalar (uniform point) or a vector."""
-    return section_eval(model, t, a)[0]
-
-
-def z_section_deriv(model: CoefficientModel, t: float, a, order: int = 1,
-                    mode: str = "main") -> float:
-    """Analytic d/dt of the section, order 1 or 2.
-
-    mode "main" uses theta' = (1/2) ln(t/2pi) exactly as in the closed forms;
-    mode "full" keeps the asymptotic correction terms of theta'.
-    """
-    if order not in (1, 2):
-        raise ValueError("order must be 1 or 2")
-    return section_eval(model, t, a, orders=(order,), deriv_mode=mode)[order]
 
 
 # Chebyshev points of the first kind, x_j = cos((j + 1/2) pi / 25), and the
@@ -387,7 +369,8 @@ class WindowProxy:
 
     With two blocks, either form sums the shift block directly over the
     indices up to its last one (k <= max(15, ceil(sqrt N)) for a corrected
-    curve), and the descend block is the total minus the shift block.
+    curve), and the descend block is the total minus the shift block; a
+    shift index outside [1, N] is refused here, where the set becomes weights.
 
     Against an mpmath reference at n = 239558, 730119 and 988941 both forms
     are within 7.7e-9 of max(1, |S|), the rounding floor of the phases
@@ -408,6 +391,8 @@ class WindowProxy:
         self.model = model
         self.n_terms = n_terms
         self.blocks = 1 if shift_set is None else 2
+        if any(not 1 <= k <= n_terms for k in shift_set or ()):
+            raise ValueError("shift indices must lie in [1, dimension]")
         # the shift block's weights over k = 1..K, K its last index (none
         # when the set is empty or there is one block)
         self.shift_weights = np.zeros(max(shift_set or (), default=0))
@@ -560,11 +545,9 @@ def classical_afe(model: CoefficientModel, g) -> ClassicalValues:
     g may also be a 1-D array of Gram points: z and zprime then hold one
     value per point. The points that share N(g) take their terms from one
     cos and sin pass, and each point's rows are summed by csum on their own,
-    so a point's values equal its one-point call bit for bit."""
+    so a point's values equal its one-point call bit for bit. A point out of
+    the domain is refused before any terms, by its term count or by theta."""
     pts, points = _as_points(g)
-    for x in pts.tolist():
-        if not x >= T_FLOOR:
-            raise DomainError(f"classical_afe requires g >= 10, got {x}")
     sums = _by_size(pts, [model.classical_cutoff(x) for x in pts.tolist()],
                     lambda group, n_cut: _classical_sums(model, group, n_cut))
     if points:

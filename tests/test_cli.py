@@ -379,6 +379,40 @@ def _raise(exc):
     return fake
 
 
+_HUGE = str(10 ** 305)
+
+
+@pytest.mark.parametrize("argv", [["hessian", "--n", _HUGE], ["discriminant", "--n", _HUGE],
+                                  ["gram", "scan", "--from", _HUGE, "--to", _HUGE],
+                                  ["newton", "--index", _HUGE]],
+                         ids=["hessian", "discriminant", "gram-scan", "newton"])
+def test_huge_finite_heights_exit_one_line(tmp_path, capsys, argv):
+    # near g_n, n = 10**305 (t about 9e302), theta's t ** 3 overflowed: each
+    # command ended in an OverflowError traceback
+    code = main([*argv, "--cache-dir", str(tmp_path / "cache")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: theta at t = ") and "overflows" in captured.err
+
+
+@pytest.mark.parametrize("exc,line", [
+    (MemoryError("Unable to allocate 29.7 GiB"), "error: Unable to allocate 29.7 GiB"),
+    (MemoryError(), "error: MemoryError")], ids=["message", "bare"])
+def test_a_sum_no_memory_holds_exits_one_line(tmp_path, capsys, monkeypatch, exc, line):
+    # numpy refused the head row of newton --t0 1e20 (3,989,422,804 terms)
+    # with a MemoryError that ended in a traceback; nothing large is
+    # allocated here, the term table raises instead
+    import gramdelta.zmodel as zmodel
+    monkeypatch.setattr(zmodel, "term_arrays", _raise(exc))
+    code = main(["newton", "--t0", "1e5", "--cache-dir", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.splitlines() == [line]
+
+
 @pytest.mark.parametrize("start", [["--index", "6708", "--t0", "7005"], []],
                          ids=["both", "neither"])
 def test_newton_needs_exactly_one_start(tmp_path, capsys, start):

@@ -7,7 +7,6 @@ import pytest
 
 from gramdelta import (corrected_curve, descending_stage, gram_point, linear,
                        select_shift_indices, shifting_stage, term_table, track_extremum)
-from gramdelta.curves import _stage_solver
 from gramdelta.discriminant import _ExtremumSolver
 from gramdelta.zmodel import WindowProxy
 
@@ -57,18 +56,22 @@ def test_curve_endpoint_contracts(riemann):
 
 
 def test_curve_validation(riemann):
-    dim = riemann.robust_cutoff(gram_point(riemann, 90))
-    with pytest.raises(ValueError):
-        _stage_solver(riemann, 90, {dim + 1})
-    with pytest.raises(ValueError):
-        _stage_solver(riemann, 90, {0})
+    # the window refuses them where the set becomes weights: {0} raised
+    # IndexError from the weight row, and {N + 1} summed past the section
+    g = gram_point(riemann, 90)
+    dim = riemann.robust_cutoff(g)
+    for shift_set in ({dim + 1}, {0}, {1, dim + 1}):
+        with pytest.raises(ValueError, match=r"shift indices must lie in \[1, dimension\]"):
+            _ExtremumSolver(riemann, 90, g, shift_set)
+    _ExtremumSolver(riemann, 90, g, {1, dim})  # both ends of the range pass
 
 
 def test_two_param_empty_shift_matches_linear(riemann):
     # with no shift indices the descent from (0, 0) is the linear curve
     n = 90
     t_lin = track_extremum(riemann, n, linear, steps=60)
-    descent = descending_stage(_stage_solver(riemann, n, set()), (0.0, 0.0), steps=60)
+    solver = _ExtremumSolver(riemann, n, gram_point(riemann, n), set())
+    descent = descending_stage(solver, (0.0, 0.0), steps=60)
     assert [s.r for s in t_lin.samples[1:]] == [p.r1 for p in descent.points]
     assert [p.r1 for p in descent.points] == [p.r2 for p in descent.points]
     for a, b in zip(t_lin.samples[1:], descent.points):
@@ -77,7 +80,8 @@ def test_two_param_empty_shift_matches_linear(riemann):
 
 
 def test_shifting_stage_empty_set_degenerates(riemann):
-    res = shifting_stage(_stage_solver(riemann, 126, set()), steps=100)
+    res = shifting_stage(_ExtremumSolver(riemann, 126, gram_point(riemann, 126), set()),
+                         steps=100)
     assert res.exit_point == (1.0, 0.0)
     assert not res.truncated
     assert res.points[-1].delta == pytest.approx(1.0, abs=1e-9)
@@ -85,7 +89,8 @@ def test_shifting_stage_empty_set_degenerates(riemann):
 
 def test_shifting_stage_level_constraint(riemann):
     # any nonempty shift set is valid input; the stage must hold the level
-    res = shifting_stage(_stage_solver(riemann, 6708, {1, 2, 3}), steps=100)
+    solver = _ExtremumSolver(riemann, 6708, gram_point(riemann, 6708), {1, 2, 3})
+    res = shifting_stage(solver, steps=100)
     assert not res.truncated
     assert len(res.points) > 50
     for p in res.points:
@@ -93,7 +98,8 @@ def test_shifting_stage_level_constraint(riemann):
 
 
 def test_descending_stage_trivial_start(riemann):
-    res = descending_stage(_stage_solver(riemann, 90, set()), (1.0, 1.0), steps=100)
+    solver = _ExtremumSolver(riemann, 90, gram_point(riemann, 90), set())
+    res = descending_stage(solver, (1.0, 1.0), steps=100)
     assert res.energy_ok
     assert res.r_collision is None
     assert res.stop_reason is None
@@ -101,7 +107,8 @@ def test_descending_stage_trivial_start(riemann):
 
 def test_descent_that_never_ran_is_not_energy_ok(riemann, monkeypatch):
     monkeypatch.setattr(_ExtremumSolver, "solve", lambda self, a, t_seed: None)
-    res = descending_stage(_stage_solver(riemann, 90, set()), (1.0, 1.0))
+    solver = _ExtremumSolver(riemann, 90, gram_point(riemann, 90), set())
+    res = descending_stage(solver, (1.0, 1.0))
     assert res.points == []
     assert not res.energy_ok
     assert res.stop_reason == "Newton failed"

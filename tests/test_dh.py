@@ -7,7 +7,7 @@ import pytest
 
 from gramdelta import (KAPPA, GramKind, TraceStatus, classify, core_zero,
                        dh_model, dh_violation_experiment, gram_point,
-                       riemann_contrast, z_section)
+                       riemann_contrast, section_eval)
 from gramdelta.errors import DomainError
 from gramdelta.special import ThetaKind, theta
 from gramdelta.zmodel import point_values
@@ -59,14 +59,14 @@ def test_dh_core_zero_bracketed_by_gram_points():
 
 def test_dh_core_function_is_cosine(davenport):
     for t in [40.0, 85.0]:
-        assert z_section(davenport, t, 0.0) == pytest.approx(
+        assert section_eval(davenport, t, 0.0)[0] == pytest.approx(
             math.cos(theta(ThetaKind.DAVENPORT_HEILBRONN, t)), abs=1e-14)
 
 
 def test_dh_core_has_two_sign_changes_between_g43_and_g45(davenport):
     lo, hi = gram_point(dh_model(), 43), gram_point(dh_model(), 45)
     grid = np.linspace(lo + 1e-6, hi - 1e-6, 400)
-    vals = [z_section(davenport, float(t), 0.0) for t in grid]
+    vals = [section_eval(davenport, float(t), 0.0)[0] for t in grid]
     changes = sum(1 for a, b in zip(vals, vals[1:]) if a * b < 0)
     assert changes == 2
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gramdelta import (TraceStatus, closed_forms, discriminant_at, gram_point, linear,
-                       second_order_approx, term_table, track_extremum)
+                       second_order_approx, section_eval, term_table, track_extremum)
 from gramdelta.discriminant import _ExtremumSolver
 from gramdelta.errors import DimensionError, TraceError
 
@@ -55,11 +55,10 @@ def test_linear_traces_noncolliding(riemann):
 
 
 def test_good_point_tracks_first_order(riemann):
-    from gramdelta import z_section
     n = 90
     g = gram_point(riemann, n)
     trace = track_extremum(riemann, n, linear, steps=100)
-    dev = max(abs(s.delta - z_section(riemann, g, s.r)) for s in trace.samples)
+    dev = max(abs(s.delta - section_eval(riemann, g, s.r)[0]) for s in trace.samples)
     assert dev < 0.01  # H_90 ~ 0.002: first order is nearly the whole story
 
 
@@ -207,10 +206,9 @@ def test_second_order_cubic_decay(riemann):
 
 
 def test_second_order_term_magnitude_126(riemann):
-    from gramdelta import z_section
     n, r = 126, 0.3
     g = gram_point(riemann, n)
-    term = second_order_approx(riemann, n, r) - z_section(riemann, g, r)
+    term = second_order_approx(riemann, n, r) - section_eval(riemann, g, r)[0]
     assert term == pytest.approx(0.5 * 2.22893 * r * r, rel=0.01)
     assert term > 0
 

@@ -88,7 +88,7 @@ def test_viscosity_robust_values(riemann):
 def test_record_invariants(riemann):
     rec = classify(riemann, 126)
     assert abs(theta(ThetaKind.RIEMANN_SIEGEL, rec.t) - math.pi * 126) <= 1e-9 * math.pi * 126
-    assert rec.is_bad
+    assert rec.kind is GramKind.BAD
     assert rec.viscosity >= 0.0
 
 

@@ -8,9 +8,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from gramdelta import (TraceStatus, corrected_curve, descending_stage, linear,
+from gramdelta import (TraceStatus, corrected_curve, descending_stage, gram_point, linear,
                        track_extremum)
-from gramdelta.curves import _stage_solver
 from gramdelta.discriminant import _ExtremumSolver, march
 
 
@@ -94,7 +93,8 @@ def test_march_bisects_the_first_crossing_and_goes_on():
 def test_descent_underflow_is_undetermined_not_a_collision(riemann, monkeypatch):
     # n = 126 selects no shift indices, so only the descent calls the solver
     monkeypatch.setattr(_ExtremumSolver, "solve", lambda self, a, t_seed, max_newton=10: None)
-    descent = descending_stage(_stage_solver(riemann, 126, set()), (1.0, 0.0), steps=50)
+    solver = _ExtremumSolver(riemann, 126, gram_point(riemann, 126), set())
+    descent = descending_stage(solver, (1.0, 0.0), steps=50)
     assert descent.points == [] and not descent.energy_ok
     assert descent.r_collision is None
     assert descent.stop_reason == "Newton failed"

@@ -61,6 +61,21 @@ def test_theta_domain_floor():
                 phase(kind, math.inf)
 
 
+def test_theta_refuses_a_height_where_its_value_overflows():
+    # t ** 3 (theta), t ** 4 (theta') and t ** 5 (theta'') raised
+    # OverflowError, and the DH theta was inf at 1e308 with no error
+    for kind, t, phase in ((RS, 1e305, theta), (RS, complex(1e305, 1.0), theta),
+                           (RS, 1e80, lambda k, t: theta_deriv(k, t, 1)),
+                           (RS, 1e70, lambda k, t: theta_deriv(k, t, 2)),
+                           (DH, 1e308, theta)):
+        with pytest.raises(DomainError, match="overflows"):
+            phase(kind, t)
+    # below those heights a value is the formula's own, bit for bit
+    t = 1e60
+    assert theta_deriv(RS, t, 2) == 0.5 / t + 1.0 / (24.0 * t ** 3) + 7.0 / (480.0 * t ** 5)
+    assert math.isfinite(theta(DH, 1e305))
+
+
 def test_theta_deriv_matches_central_differences():
     for kind in (RS, DH):
         for t in [10.5, 25.0, 100.0, 1e4, 1e7]:

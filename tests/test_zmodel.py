@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from gramdelta import (GramKind, classical_afe, classify, core_zero,
-                       find_zero_newton, gram_point, hardy_z, localized_sum,
-                       z_section, z_section_deriv)
+                       find_zero_newton, gram_point, hardy_z, localized_sum)
 from gramdelta.errors import DimensionError, DomainError, IndexRangeError
 from gramdelta.special import ThetaKind, theta
 from gramdelta.numerics import WORK_ELEMENTS
@@ -21,15 +20,15 @@ from oracles import bisect, central_difference, section_fsum, zeta_euler_maclaur
 
 def test_core_is_cosine_of_theta(riemann):
     for t in [25.0, 100.0, 282.45]:
-        assert z_section(riemann, t, 0.0) == pytest.approx(
+        assert section_eval(riemann, t, 0.0)[0] == pytest.approx(
             math.cos(theta(ThetaKind.RIEMANN_SIEGEL, t)), abs=1e-14)
 
 
 def test_core_alternates_at_gram_points(riemann):
     g = gram_point(riemann, 126)
-    assert z_section(riemann, g, 0.0) == pytest.approx(1.0, abs=1e-9)
+    assert section_eval(riemann, g, 0.0)[0] == pytest.approx(1.0, abs=1e-9)
     g = gram_point(riemann, 127)
-    assert z_section(riemann, g, 0.0) == pytest.approx(-1.0, abs=1e-9)
+    assert section_eval(riemann, g, 0.0)[0] == pytest.approx(-1.0, abs=1e-9)
 
 
 def test_robust_section_vanishes_near_first_zero(riemann):
@@ -45,31 +44,32 @@ def test_robust_section_vanishes_near_first_zero(riemann):
     # the 7-term section carries its dropped-term error ~1/sqrt(2t) ~ 0.19
     # here, so the zero is displaced by ~0.11: it must still change sign in
     # the dropped-term window around the true zero
-    assert abs(z_section(riemann, t1, 1.0)) < 0.2
-    lo, hi = z_section(riemann, t1 - 0.2, 1.0), z_section(riemann, t1 + 0.2, 1.0)
+    assert abs(section_eval(riemann, t1, 1.0)[0]) < 0.2
+    lo, hi = (section_eval(riemann, x, 1.0)[0] for x in (t1 - 0.2, t1 + 0.2))
     assert lo * hi < 0
 
 
 def test_dimension_validation(riemann):
     n = riemann.robust_cutoff(100.0)
     with pytest.raises(DimensionError):
-        z_section(riemann, 100.0, np.zeros(n + 3))
-    z_section(riemann, 100.0, np.zeros(n))  # exact dimension passes
+        section_eval(riemann, 100.0, np.zeros(n + 3))
+    section_eval(riemann, 100.0, np.zeros(n))  # exact dimension passes
 
 
 def test_second_derivative_at_origin_closed_form(riemann):
     for n in [90, 126, 201]:
         g = gram_point(riemann, n)
         expect = (1.0 if n % 2 else -1.0) * 0.25 * math.log(g / (2 * math.pi)) ** 2
-        assert z_section_deriv(riemann, g, 0.0, 2) == pytest.approx(expect, rel=1e-12)
-        assert abs(z_section_deriv(riemann, g, 0.0, 1)) < 1e-10
+        assert section_eval(riemann, g, 0.0, orders=(2,))[2] == pytest.approx(
+            expect, rel=1e-12)
+        assert abs(section_eval(riemann, g, 0.0, orders=(1,))[1]) < 1e-10
 
 
 def test_first_derivative_matches_central_differences(riemann, davenport):
     # stay away from even integers, where the robust cutoff itself steps
     for model, t in [(riemann, 100.37), (riemann, 282.5), (davenport, 85.3)]:
-        fd = central_difference(lambda x: z_section(model, x, 1.0), t, 1e-5)
-        an = z_section_deriv(model, t, 1.0, 1, mode="full")
+        fd = central_difference(lambda x: section_eval(model, x, 1.0)[0], t, 1e-5)
+        an = section_eval(model, t, 1.0, orders=(1,), deriv_mode="full")[1]
         assert an == pytest.approx(fd, rel=1e-6, abs=1e-8)
 
 
@@ -149,7 +149,7 @@ def test_cutoff_sign_consistency(riemann):
         if abs(z_cl) <= 3.0 * g ** -0.25:
             continue
         checked += 1
-        assert z_cl * z_section(riemann, g, 1.0) > 0
+        assert z_cl * section_eval(riemann, g, 1.0)[0] > 0
     assert checked > 70
 
 
@@ -643,7 +643,7 @@ def test_section_points_past_one_group_match_scalar_calls(riemann, mode):
 def test_integer_points_give_the_bits_of_float_points(riemann):
     # an int t is summed as the float it equals, alone and in a batch
     for a in (1.0, np.linspace(-0.5, 1.5, riemann.robust_cutoff(100.0))):
-        assert z_section(riemann, 100, a) == z_section(riemann, 100.0, a)
+        assert section_eval(riemann, 100, a)[0] == section_eval(riemann, 100.0, a)[0]
     ints = hardy_z(riemann, np.array([100, 200, 5000]), orders=(0, 1, 2))
     floats = hardy_z(riemann, np.array([100.0, 200.0, 5000.0]), orders=(0, 1, 2))
     for j in (0, 1, 2):
@@ -738,6 +738,31 @@ def test_term_counts_refuse_a_non_finite_t_before_any_work(riemann, monkeypatch)
                      lambda: section_eval(riemann, t, 1.0)):
             with pytest.raises(DomainError):
                 call()
+
+
+def test_classical_afe_refuses_g_below_the_floor_before_any_work(riemann, monkeypatch):
+    # its own g >= 10 loop is gone: N(g) is 1 below 8 pi (a negative g
+    # included, where math.sqrt raised), the first size summed, and theta
+    # refuses the point before its terms are taken
+    g100 = gram_point(riemann, 100)
+    _no_work(monkeypatch)
+    for g in (5.0, -5.0, -math.inf, np.array([g100, 5.0])):
+        with pytest.raises(DomainError, match=r"theta requires t >= 10\.0, got -?(5|inf)"):
+            classical_afe(riemann, g)
+
+
+def test_an_unknown_deriv_mode_is_refused_before_any_work(riemann, monkeypatch):
+    # the N + 1 weight row was built first, so at a large t a bad mode
+    # failed on memory before its ValueError
+    import gramdelta.zmodel as zmodel
+
+    def no_weights(*args):
+        raise AssertionError("a weight row was built for a refused mode")
+
+    monkeypatch.setattr(zmodel, "_as_weights", no_weights)
+    for t, n_terms in ((1e6, None), (np.array([100.0, 120.0]), 49)):
+        with pytest.raises(ValueError, match="unknown deriv_mode 'exact'"):
+            section_eval(riemann, t, 1.0, orders=(1,), deriv_mode="exact", n_terms=n_terms)
 
 
 @pytest.mark.parametrize("orders", [(0, 3), (-1,), (1, 2, 4)])
