@@ -12,8 +12,11 @@ established, repulsion conjecture violated).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import sys
+import typing
+from enum import Enum
 
 import numpy as np
 
@@ -31,6 +34,25 @@ _MODELS = {"riemann": riemann_model, "dh": dh.dh_model}
 def _ks(values: np.ndarray) -> np.ndarray:
     """The 1-based term index column k = 1..N for a per-term array."""
     return np.arange(1, values.shape[0] + 1)
+
+
+def _write_rows(out, meta: dict, row_type: type, rows: list) -> None:
+    """A table whose columns are row_type's fields in their order: an enum
+    field is written as its value, and a float field gets a hex twin."""
+    types = typing.get_type_hints(row_type)
+    header = [f.name for f in dataclasses.fields(row_type)]
+    columns = [[getattr(r, name) for r in rows] for name in header]
+    columns = [[v.value for v in col] if issubclass(types[name], Enum) else col
+               for name, col in zip(header, columns)]
+    write_csv(out, meta, header, columns,
+              float_cols=[name for name in header if types[name] is float])
+
+
+def _summary(report, **extra) -> dict:
+    """A report's fields that are neither arrays nor dataclasses, and extra."""
+    values = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
+    return {key: v for key, v in values.items() if not isinstance(v, np.ndarray)
+            and not dataclasses.is_dataclass(v)} | extra
 
 
 def _cmd_gram_scan(args) -> int:
@@ -62,14 +84,9 @@ def _cmd_viscosity(args) -> int:
     report = gram.gbg_scan(model, args.n_from, args.n_to, bound=args.bound,
                            source=RecordSource(model, RecordStore(args.cache_dir)))
     rows = report.bad_points if args.bad_only or args.gbg else report.rows
-    columns = [[r.n for r in rows], [r.t for r in rows], [r.viscosity for r in rows],
-               [r.kind.value for r in rows], [r.isolated for r in rows],
-               [r.corrupt for r in rows]]
     meta = {"model": model.name, "bound": args.bound,
             "gbg_conjecture_holds": report.conjecture_holds}
-    write_csv(args.out, meta,
-              ["n", "t", "viscosity", "kind", "isolated", "corrupt"], columns,
-              float_cols=["t", "viscosity"])
+    _write_rows(args.out, meta, gram.GbgRow, rows)
     if args.gbg and not report.conjecture_holds:
         return 2
     return 0
@@ -81,11 +98,7 @@ def _cmd_discriminant(args) -> int:
     meta = {"model": model.name, "n": args.n, "verdict": trace.status.value}
     if trace.r_event is not None:
         meta["r_event"] = repr(trace.r_event)
-    samples = trace.samples
-    write_csv(args.out, meta, ["r", "g", "delta", "ztt"],
-              [[s.r for s in samples], [s.g for s in samples],
-               [s.delta for s in samples], [s.ztt for s in samples]],
-              float_cols=["r", "g", "delta", "ztt"])
+    _write_rows(args.out, meta, discriminant.TraceSample, trace.samples)
     return 0
 
 
@@ -94,12 +107,7 @@ def _cmd_curve_corrected(args) -> int:
     report = curves.corrected_curve(model, args.n, tau=args.tau, steps=args.steps)
     meta = {"model": model.name, "n": args.n, "verdict": report.verdict,
             "shift_set": ";".join(str(k) for k in sorted(report.shift_set))}
-    points = report.points
-    write_csv(args.out, meta, ["stage", "r1", "r2", "g", "delta"],
-              [[p.stage for p in points], [p.r1 for p in points],
-               [p.r2 for p in points], [p.g for p in points],
-               [p.delta for p in points]],
-              float_cols=["r1", "r2", "g", "delta"])
+    _write_rows(args.out, meta, curves.StagePoint, report.points)
     summary = {
         "n": args.n, "verdict": report.verdict,
         "shift_set": sorted(report.shift_set),
@@ -154,14 +162,7 @@ def _cmd_adjustments(args) -> int:
         write_csv(args.out, meta, ["k", "phase", "alpha_c", "alpha_s"],
                   [_ks(rep.phases), rep.phases, rep.alpha_c, rep.alpha_s],
                   float_cols=["phase", "alpha_c", "alpha_s"])
-    write_json(None, {
-        "n": args.n, "neighbor_mode": rep.neighbor_mode,
-        "zc_minus": rep.zc_minus, "zc_plus": rep.zc_plus,
-        "zs_minus": rep.zs_minus, "zs_plus": rep.zs_plus,
-        "z_reference": rep.z_reference, "zprime_reference": rep.zprime_reference,
-        "residual_z": rep.residual_z, "residual_zprime": rep.residual_zprime,
-        "excluded_c": list(rep.excluded_c), "excluded_s": list(rep.excluded_s),
-    })
+    write_json(None, _summary(rep))
     return 0
 
 
@@ -173,15 +174,7 @@ def _cmd_stages(args) -> int:
                   ["k", "z_partial", "zprime_partial"],
                   [_ks(rep.z_partials), rep.z_partials, rep.zprime_partials],
                   float_cols=["z_partial", "zprime_partial"])
-    write_json(None, {
-        "n": args.n, "surge_end": rep.surge_end, "middle": list(rep.middle),
-        "surge_magnitude": rep.surge_magnitude,
-        "post_surge_net_change": rep.post_surge_net_change,
-        "initial_max_abs_zprime": rep.initial_max_abs_zprime,
-        "final_net_change": rep.final_net_change,
-        "middle_rms_dev": rep.middle_rms_dev,
-        "zprime": rep.zprime_partials[-1], "z": rep.z_partials[-1],
-    })
+    write_json(None, _summary(rep, z=rep.z_partials[-1], zprime=rep.zprime_partials[-1]))
     return 0
 
 
@@ -199,22 +192,13 @@ def _cmd_newton(args) -> int:
     model = _MODELS[args.model]()
     t0 = args.t0 if args.t0 is not None else gram.core_zero(model, args.index)
     result = find_zero_newton(model, t0)
-    write_json(args.out, {
-        "t0": t0, "t": result.t, "converged": result.converged,
-        "final_value": result.final_value, "iterates": result.iterates,
-    })
+    write_json(args.out, _summary(result, t0=t0))
     return 0
 
 
 def _cmd_dh_violation(args) -> int:
     rep = dh.dh_violation_experiment(steps=args.steps)
-    write_json(args.out, {
-        "n": rep.n, "g": rep.g, "violation": rep.violation,
-        "collision_r": rep.collision_r, "delta_end": rep.delta_end,
-        "first_order_deviation_ratio": rep.first_order_deviation_ratio,
-        "max_displacement": rep.max_displacement,
-        "displacement_bound": rep.displacement_bound,
-    })
+    write_json(args.out, _summary(rep))
     return 0
 
 

@@ -15,6 +15,7 @@ what makes core_zero(6708) = 7004.95 rather than 7004.05.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
@@ -50,7 +51,10 @@ class GramBlock:
     """Run {g_start, ..., g_(start+length)} with good endpoints, bad interior."""
     start: int
     length: int
-    interior_bad: tuple[int, ...]
+
+    @property
+    def interior_bad(self) -> tuple[int, ...]:
+        return tuple(range(self.start + 1, self.start + self.length))
 
     @property
     def is_isolated(self) -> bool:
@@ -60,12 +64,21 @@ class GramBlock:
 # The lowest Gram index of each theta kind, with the name its domain error
 # gives: the seed's domain, and where a bad run walked leftwards stops
 _LOWEST = {ThetaKind.RIEMANN_SIEGEL: ("Riemann", 0), ThetaKind.DAVENPORT_HEILBRONN: ("DH", 1)}
+# past it a seed's numerator, about 8 pi n, overflows a float
+_MAX_INDEX = sys.float_info.max / (8.0 * math.pi)
+
+
+def _check_index(n: int) -> None:
+    if not abs(n) < _MAX_INDEX:  # an int compares with a float exactly
+        raise DomainError(f"Gram index of {len(str(abs(n)))} digits is out of range: "
+                          "its seed overflows a float")
 
 
 def _seed_gram(kind: ThetaKind, n: int) -> float:
     name, lowest = _LOWEST[kind]
     if n < lowest:
         raise DomainError(f"{name} Gram index must be >= {lowest}, got {n}")
+    _check_index(n)
     if kind is ThetaKind.RIEMANN_SIEGEL:
         x = (8.0 * n + 1.0) / (8.0 * math.e)
         return (8.0 * n + 1.0) * math.pi / (4.0 * lambert_w0(x))
@@ -74,6 +87,7 @@ def _seed_gram(kind: ThetaKind, n: int) -> float:
 
 
 def _seed_core(kind: ThetaKind, n: int) -> float:
+    _check_index(n)
     if kind is ThetaKind.RIEMANN_SIEGEL:
         x = (8.0 * n - 11.0) / (8.0 * math.e)
         if x < -_INV_E:
@@ -195,9 +209,12 @@ class RecordSource:
         it was evaluated in, so a window gives the same records scanned whole
         or in pieces, cold or over a warm cache. Scans run on the calling
         thread, so `gdl --threads` changes nothing. A reversed window is
-        refused: it would hold no record."""
+        refused: it would hold no record. So is one whose end seeds a height
+        that theta refuses, before a store shard is named after it."""
         if n_from > n_to:
             raise ValueError(f"need n_from <= n_to, got [{n_from}, {n_to}]")
+        for n in (n_from, n_to):
+            self.model.theta(_seed_gram(self.model.theta_kind, n))
         indices = range(n_from, n_to + 1)
         records = [None if self.store is None else self.store.get(self.model.name, n)
                    for n in indices]
@@ -240,8 +257,7 @@ def _walk(model: CoefficientModel, n_from: int, n_to: int,
             lo -= 1
         while bad(hi + 1):
             hi += 1
-        found.append(GramBlock(start=lo - 1, length=hi - lo + 2,
-                               interior_bad=tuple(range(lo, hi + 1))))
+        found.append(GramBlock(start=lo - 1, length=hi - lo + 2))
         n = hi + 1
     return window, found
 

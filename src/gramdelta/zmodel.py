@@ -204,8 +204,7 @@ def section_eval(model: CoefficientModel, t, a, *, orders: tuple[int, ...] = (0,
     if points:
         if n_terms is None:
             raise ValueError("section_eval at an array of points needs n_terms")
-        if t.ndim != 1 or np.iscomplexobj(t):
-            raise DimensionError(f"points must be a 1-D real array, got {t.dtype} {t.shape}")
+        _as_points(t)
     n = model.robust_cutoff(t.real if isinstance(t, complex) else t) \
         if n_terms is None else n_terms
     wts = _as_weights(a, n)[None, :]

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import concurrent.futures
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import gramdelta
-from gramdelta import cache, cli, gram
+from gramdelta import adjust, cache, cli, curves, dh, discriminant, gram, zmodel
 from gramdelta.cli import main
 from gramdelta.errors import FlatPointError, NonConvergenceError, StaleCacheError
 
@@ -395,6 +396,78 @@ def test_huge_finite_heights_exit_one_line(tmp_path, capsys, argv):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("error: theta at t = ") and "overflows" in captured.err
+
+
+_HUGER = str(10 ** 400)
+
+
+@pytest.mark.parametrize("argv", [["hessian", "--n", _HUGER], ["newton", "--index", _HUGER],
+                                  ["gram", "scan", "--from", _HUGER, "--to", _HUGER]],
+                         ids=["hessian", "newton", "gram-scan"])
+def test_indices_past_the_float_range_exit_one_line(tmp_path, capsys, argv):
+    # 8.0 * n in the Gram and core-zero seeds ended in an OverflowError traceback
+    code = main([*argv, "--cache-dir", str(tmp_path / "cache")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: Gram index of 401 digits is out of range: its seed overflows a float"]
+
+
+def test_huge_window_over_a_cache_is_refused_by_theta(tmp_path, capsys):
+    # over an existing cache the store named a shard after the index first,
+    # and the line was "[Errno 36] File name too long: .../riemann_1000...0.csv"
+    cache_dir = str(tmp_path / "cache")
+    assert main(["gram", "scan", "--from", "10", "--to", "12", "--cache-dir", cache_dir]) == 0
+    capsys.readouterr()
+    code = main(["gram", "scan", "--from", _HUGE, "--to", _HUGE, "--cache-dir", cache_dir])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: theta at t = ") and "overflows" in captured.err
+    assert ".csv" not in captured.err
+
+
+def _fields(row_type) -> list[str]:
+    return [f.name for f in dataclasses.fields(row_type)]
+
+
+@pytest.mark.parametrize("argv,row_type,twins", [
+    (["discriminant", "--n", "126", "--steps", "50"], discriminant.TraceSample,
+     ["r", "g", "delta", "ztt"]),
+    (["curve", "corrected", "--n", "211", "--steps", "50"], curves.StagePoint,
+     ["r1", "r2", "g", "delta"]),
+    (["viscosity", "--from", "125", "--to", "127"], gram.GbgRow, ["t", "viscosity"]),
+    (["viscosity", "--from", "20", "--to", "25", "--bad-only"], gram.GbgRow,
+     ["t", "viscosity"])], ids=["discriminant", "curve-corrected", "viscosity", "no-rows"])
+def test_table_columns_are_the_row_fields(tmp_path, capsys, argv, row_type, twins):
+    # a table's columns are its rows' fields in their order, a float field
+    # with a hex twin, and a table with no rows still has the header
+    out = tmp_path / "t.csv"
+    assert main([*argv, "--cache-dir", str(tmp_path / "cache"), "--out", str(out)]) == 0
+    header, *rows = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+    assert header.split(",") == _fields(row_type) + [f"{c}_hex" for c in twins]
+    assert all(len(row.split(",")) == len(header.split(",")) for row in rows)
+    if row_type is gram.GbgRow and rows:
+        assert [row.split(",")[3] for row in rows] == ["good", "bad", "good"]  # enum values
+
+
+@pytest.mark.parametrize("argv,report,dropped,extra", [
+    (["adjustments", "--n", "126"], adjust.AdjustmentReport,
+     {"phases", "alpha_c", "alpha_s"}, set()),
+    (["stages", "--n", "126"], adjust.StageReport, {"z_partials", "zprime_partials"},
+     {"z", "zprime"}),
+    (["dh", "violation", "--steps", "50"], dh.DhViolationReport, {"trace"}, set()),
+    (["newton", "--index", "6708"], zmodel.NewtonResult, set(), {"t0"})],
+    ids=["adjustments", "stages", "dh-violation", "newton"])
+def test_summary_keys_are_the_report_scalar_fields(tmp_path, capsys, argv, report,
+                                                   dropped, extra):
+    # a summary is its report's fields less its arrays and nested reports,
+    # with the stated extras
+    code, text = run(capsys, *argv, "--cache-dir", str(tmp_path))
+    assert code == 0
+    assert set(json.loads(text)) == (set(_fields(report)) - dropped) | extra
 
 
 @pytest.mark.parametrize("exc,line", [

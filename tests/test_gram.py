@@ -11,7 +11,7 @@ from gramdelta import (GramKind, blocks, classify, core_zero, gbg_scan,
 from gramdelta.cache import RecordStore
 from gramdelta.cli import main
 from gramdelta.errors import DomainError, IndeterminateSignError
-from gramdelta.gram import GramRecord, RecordSource
+from gramdelta.gram import GramBlock, GramRecord, RecordSource
 from gramdelta.numerics import csum, running_csum
 from gramdelta.special import ThetaKind, theta
 from gramdelta.zmodel import (CoefficientModel, classical_partial_sums, gram_index_of,
@@ -312,6 +312,21 @@ def test_window_below_the_domain_stores_nothing(riemann, davenport, tmp_path,
     with pytest.raises(DomainError, match=re.escape(message)):
         src.range(n_from, n_from + 100)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_huge_window_is_refused_before_the_store(riemann):
+    # a store shard named after n = 10**305 is a path no file system takes
+    class NoStore:
+        def get(self, model_name, n):
+            raise AssertionError(f"store read at n = {n}")
+
+    with pytest.raises(DomainError, match="theta at t = .* overflows"):
+        RecordSource(riemann, NoStore()).range(10, 10 ** 305)
+
+
+def test_block_interior_is_read_from_start_and_length():
+    assert GramBlock(start=6707, length=2).interior_bad == (6708,)
+    assert GramBlock(start=9, length=4).interior_bad == (10, 11, 12)
 
 
 def test_long_window_is_classified_in_bounded_slices(riemann, monkeypatch):
