@@ -5,8 +5,8 @@ One CSV per (model, 10^5-index shard) under the cache directory (default
 is stored as a hex literal, so a re-read record equals recomputation bit for
 bit. Each shard starts with a #version line; a shard written by another
 version holds values computed another way and is refused, never served, and
-so is a shard with a row that is not a complete record (six fields, hex
-floats, a known kind, a line end), such as a crash mid-append leaves.
+so is a shard with a row that is not a complete record (six ASCII fields,
+hex floats, a known kind, a line end), such as a crash mid-append leaves.
 Lines end in LF; the CRLF rows of older shards of this version read too.
 Appends take an exclusive and loads a shared fcntl lock on the shard, so
 processes may share one cache directory. An append formats and writes its
@@ -113,7 +113,7 @@ class RecordStore:
             end, lines = size, self._ends[key][1]
             for lo in range(0, len(fresh), ROW_BLOCK):
                 text = "".join(
-                    f"{r.n},{r.t.hex()},{r.z_value.hex()},{r.zprime_value.hex()},"
+                    f"{r.n},{r.t.hex()},{r.z.hex()},{r.zprime.hex()},"
                     f"{r.kind.value},{r.viscosity.hex()}\n" for r in fresh[lo:lo + ROW_BLOCK])
                 if end == 0:
                     text = (f"#version={_VERSION}\n#model={model_name}\n"
@@ -164,7 +164,9 @@ def _merge_rows(path: Path, data: bytes, start: tuple[int, int],
     line start[1] + 1, to records; return the (bytes, lines) read up to
     their end. Raises StaleCacheError on a shard of another version and
     CorruptCacheError on a row that is not a complete record."""
-    lines = io.StringIO(data.decode(), newline="")
+    # every write is ASCII: any other byte becomes U+FFFD, which no field
+    # parses, so its line is refused as corrupt
+    lines = io.StringIO(data.decode("ascii", errors="replace"), newline="")
     lineno = start[1]
     for lineno, line in enumerate(lines, start=start[1] + 1):
         # a shard a writer has created and not yet locked has no lines
@@ -192,8 +194,7 @@ def _parse_row(line: str) -> GramRecord | None:
         return None
     try:
         return GramRecord(n=int(row[0]), t=float.fromhex(row[1]),
-                          z_value=float.fromhex(row[2]),
-                          zprime_value=float.fromhex(row[3]),
+                          z=float.fromhex(row[2]), zprime=float.fromhex(row[3]),
                           kind=GramKind(row[4]), viscosity=float.fromhex(row[5]))
     except ValueError:
         return None

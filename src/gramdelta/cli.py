@@ -31,21 +31,27 @@ from .gram import RecordSource
 _MODELS = {"riemann": riemann_model, "dh": dh.dh_model}
 
 
-def _ks(values: np.ndarray) -> np.ndarray:
-    """The 1-based term index column k = 1..N for a per-term array."""
-    return np.arange(1, values.shape[0] + 1)
-
-
 def _write_rows(out, meta: dict, row_type: type, rows: list) -> None:
-    """A table whose columns are row_type's fields in their order: an enum
-    field is written as its value, and a float field gets a hex twin."""
+    """A table whose columns are row_type's fields in their order: a float
+    field as a float array, so it gets a hex twin, and an enum field as its
+    values."""
     types = typing.get_type_hints(row_type)
-    header = [f.name for f in dataclasses.fields(row_type)]
-    columns = [[getattr(r, name) for r in rows] for name in header]
-    columns = [[v.value for v in col] if issubclass(types[name], Enum) else col
-               for name, col in zip(header, columns)]
-    write_csv(out, meta, header, columns,
-              float_cols=[name for name in header if types[name] is float])
+    columns = {}
+    for f in dataclasses.fields(row_type):
+        column = [getattr(r, f.name) for r in rows]
+        if types[f.name] is float:
+            column = np.array(column, dtype=float)
+        elif issubclass(types[f.name], Enum):
+            column = [v.value for v in column]
+        columns[f.name] = column
+    write_csv(out, meta, columns)
+
+
+def _write_terms(out, meta: dict, **arrays: np.ndarray) -> None:
+    """A per-term table: the 1-based term index k = 1..N, then the named
+    arrays of N terms each."""
+    size = len(next(iter(arrays.values())))
+    write_csv(out, meta, {"k": np.arange(1, size + 1), **arrays})
 
 
 def _summary(report, **extra) -> dict:
@@ -58,13 +64,7 @@ def _summary(report, **extra) -> dict:
 def _cmd_gram_scan(args) -> int:
     model = _MODELS[args.model]()
     recs = RecordSource(model, RecordStore(args.cache_dir)).range(args.n_from, args.n_to)
-    write_csv(args.out, {"model": model.name},
-              ["n", "t", "z", "zprime", "kind", "viscosity"],
-              [np.array([r.n for r in recs]), np.array([r.t for r in recs]),
-               np.array([r.z_value for r in recs]),
-               np.array([r.zprime_value for r in recs]), [r.kind.value for r in recs],
-               np.array([r.viscosity for r in recs])],
-              float_cols=["t", "z", "zprime", "viscosity"])
+    _write_rows(args.out, {"model": model.name}, gram.GramRecord, recs)
     return 0
 
 
@@ -72,10 +72,9 @@ def _cmd_gram_blocks(args) -> int:
     model = _MODELS[args.model]()
     source = RecordSource(model, RecordStore(args.cache_dir))
     blocks = gram.blocks(model, args.n_from, args.n_to, source)
-    write_csv(args.out, {"model": model.name},
-              ["start", "length", "interior"],
-              [[b.start for b in blocks], [b.length for b in blocks],
-               [";".join(str(i) for i in b.interior_bad) for b in blocks]])
+    write_csv(args.out, {"model": model.name}, {
+        "start": [b.start for b in blocks], "length": [b.length for b in blocks],
+        "interior": [";".join(str(i) for i in b.interior_bad) for b in blocks]})
     return 0
 
 
@@ -142,10 +141,8 @@ def _cmd_closed_forms(args) -> int:
     model = _MODELS[args.model]()
     rep = discriminant.closed_forms(model, args.n)
     if args.out not in (None, "-"):
-        write_csv(args.out, {"model": model.name, "n": args.n},
-                  ["k", "grad_delta", "grad_gram"],
-                  [_ks(rep.grad_delta), rep.grad_delta, rep.grad_gram],
-                  float_cols=["grad_delta", "grad_gram"])
+        _write_terms(args.out, {"model": model.name, "n": args.n},
+                     grad_delta=rep.grad_delta, grad_gram=rep.grad_gram)
     write_json(None, {
         **_second_order_summary(args.n, rep),
         "grad_delta_head": [float(x) for x in rep.grad_delta[:16]],
@@ -159,9 +156,8 @@ def _cmd_adjustments(args) -> int:
     rep = adjust.adjustments(model, args.n, args.neighbor)
     if args.out not in (None, "-"):
         meta = {"model": model.name, "n": args.n, "neighbor": args.neighbor}
-        write_csv(args.out, meta, ["k", "phase", "alpha_c", "alpha_s"],
-                  [_ks(rep.phases), rep.phases, rep.alpha_c, rep.alpha_s],
-                  float_cols=["phase", "alpha_c", "alpha_s"])
+        _write_terms(args.out, meta, phase=rep.phases, alpha_c=rep.alpha_c,
+                     alpha_s=rep.alpha_s)
     write_json(None, _summary(rep))
     return 0
 
@@ -170,10 +166,8 @@ def _cmd_stages(args) -> int:
     model = _MODELS[args.model]()
     rep = adjust.stage_analysis(model, args.n)
     if args.out not in (None, "-"):
-        write_csv(args.out, {"model": model.name, "n": args.n},
-                  ["k", "z_partial", "zprime_partial"],
-                  [_ks(rep.z_partials), rep.z_partials, rep.zprime_partials],
-                  float_cols=["z_partial", "zprime_partial"])
+        _write_terms(args.out, {"model": model.name, "n": args.n},
+                     z_partial=rep.z_partials, zprime_partial=rep.zprime_partials)
     write_json(None, _summary(rep, z=rep.z_partials[-1], zprime=rep.zprime_partials[-1]))
     return 0
 
@@ -182,9 +176,8 @@ def _cmd_mc(args) -> int:
     model = _MODELS[args.model]()
     gv = adjust.gram_vectors(model, args.n, trials=args.trials, seed=args.seed)
     meta = {"model": model.name, "seed": args.seed, "n": args.n, "trials": args.trials}
-    write_csv(args.out, meta, ["k", "raw", "sorted", "baseline", "essential"],
-              [_ks(gv.raw), gv.raw, gv.sorted_v, gv.baseline, gv.essential],
-              float_cols=["raw", "sorted", "baseline", "essential"])
+    _write_terms(args.out, meta, raw=gv.raw, sorted=gv.sorted_v, baseline=gv.baseline,
+                 essential=gv.essential)
     return 0
 
 

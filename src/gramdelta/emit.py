@@ -1,11 +1,11 @@
 """CSV and JSON emission with reproducible bytes.
 
 CSV files carry '#'-prefixed metadata lines (#version, #model, ...),
-an RFC-4180 body, and for every float column a hex-float twin column, so a
-reader can recover the exact bits while the decimal column stays
-plot-friendly. No timestamps: identical configuration must give identical
-bytes. The columns are checked before the target is opened, so a table
-that does not fit its header creates no file and writes nothing; the body
+an RFC-4180 body of named columns, and for every float array among them a
+hex-float twin column, so a reader can recover the exact bits while the
+decimal column stays plot-friendly. No timestamps: identical configuration
+must give identical bytes. The column lengths are checked before the target
+is opened, so a ragged table creates no file and writes nothing; the body
 is then formatted and written ROW_BLOCK rows at a time (the '#' lines and
 header with the first block), so the cells held at once do not grow with
 the row count. Every write goes through _write_text.
@@ -32,44 +32,36 @@ def _fmt(value) -> str:
 
 
 def _cells(column) -> list[str]:
-    """Decimal cells of one column. Numeric arrays and lists of exact floats
-    are formatted in bulk; they cannot hold ',', '"' or a newline, so only
-    other columns are quoted."""
+    """Decimal cells of one column. Numeric arrays are formatted in bulk;
+    they cannot hold ',', '"' or a newline, so only other columns are
+    quoted."""
     if isinstance(column, np.ndarray):
         if column.dtype.kind == "f":
             return list(map(repr, column.tolist()))
         if column.dtype.kind in "iub":
             return list(map(str, column.tolist()))
-    elif all(type(v) is float for v in column):
-        return list(map(repr, column))
     return [_quote(_fmt(v)) for v in column]
 
 
-def _hex_cells(column) -> list[str]:
-    if isinstance(column, np.ndarray):
-        return list(map(float.hex, column.astype(float).tolist()))
-    return [float(v).hex() for v in column]
-
-
-def write_csv(out, metadata: dict, header: list[str], columns,
-              float_cols: list[str] | None = None) -> None:
-    """Write one column (sequence) per header entry plus hex twins for
-    float_cols. Raises ValueError, before the target is opened, if the
-    columns differ in length."""
-    assert len(columns) == len(header), (len(columns), len(header))
-    lengths = sorted({len(col) for col in columns})
+def write_csv(out, metadata: dict, columns: dict) -> None:
+    """Write one column (sequence) per named entry, in order, then a hex twin
+    named <name>_hex for each float array among them, in the same order.
+    Raises ValueError, before the target is opened, if the columns differ
+    in length."""
+    lengths = sorted({len(col) for col in columns.values()})
     if len(lengths) > 1:
         raise ValueError(f"columns differ in length: {lengths}")
-    float_cols = float_cols or []
-    twins = [columns[header.index(c)] for c in float_cols]
+    twins = {name: col for name, col in columns.items()
+             if isinstance(col, np.ndarray) and col.dtype.kind == "f"}
     lines = [f"#version={CSV_VERSION}"]
     lines += [f"#{key}={val}" for key, val in metadata.items()]
-    lines.append(",".join(header + [f"{c}_hex" for c in float_cols]))
+    lines.append(",".join([*columns, *(f"{name}_hex" for name in twins)]))
     text = "\n".join(lines) + "\n"  # goes out with the first block
     with _open(out) as fh:
         for lo in range(0, lengths[0] if lengths else 0, ROW_BLOCK):
-            cells = [_cells(col[lo:lo + ROW_BLOCK]) for col in columns]
-            cells += [_hex_cells(col[lo:lo + ROW_BLOCK]) for col in twins]
+            cells = [_cells(col[lo:lo + ROW_BLOCK]) for col in columns.values()]
+            cells += [list(map(float.hex, col[lo:lo + ROW_BLOCK].tolist()))
+                      for col in twins.values()]
             _write_text(fh, text + "\n".join(map(",".join, zip(*cells))) + "\n")
             text = ""
         if text:  # no rows

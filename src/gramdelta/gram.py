@@ -25,7 +25,7 @@ import numpy as np
 from .errors import DomainError, IndeterminateSignError
 from .numerics import newton_scalar
 from .special import ThetaKind, lambert_w0
-from .zmodel import CoefficientModel, classical_afe, point_values
+from .zmodel import CoefficientModel, _head_size, classical_afe, point_values
 
 _INV_E = math.exp(-1.0)
 
@@ -40,8 +40,8 @@ class GramKind(Enum):
 class GramRecord:
     n: int
     t: float
-    z_value: float
-    zprime_value: float
+    z: float
+    zprime: float
     kind: GramKind
     viscosity: float
 
@@ -62,8 +62,9 @@ class GramBlock:
 
 
 # The lowest Gram index of each theta kind, with the name its domain error
-# gives: the seed's domain, and where a bad run walked leftwards stops
-_LOWEST = {ThetaKind.RIEMANN_SIEGEL: ("Riemann", 0), ThetaKind.DAVENPORT_HEILBRONN: ("DH", 1)}
+# gives: the seed's domain, and where a bad run walked leftwards stops. DH
+# g_1 = 7.27 lies below theta's floor of t = 10, so its lowest index is 2
+_LOWEST = {ThetaKind.RIEMANN_SIEGEL: ("Riemann", 0), ThetaKind.DAVENPORT_HEILBRONN: ("DH", 2)}
 # past it a seed's numerator, about 8 pi n, overflows a float
 _MAX_INDEX = sys.float_info.max / (8.0 * math.pi)
 
@@ -173,7 +174,7 @@ def classify(model: CoefficientModel, n: int,
     record is flagged indeterminate rather than silently classified.
 
     Viscosity |Z'/Z| is taken from the same point pair, so it is the true
-    logarithmic derivative; z_value/zprime_value keep the classical pair that
+    logarithmic derivative; the record's z/zprime keep the classical pair that
     the adjustment identities are built on.
 
     values are n's GramValues from a gram_values batch; without them n is
@@ -188,7 +189,7 @@ def classify(model: CoefficientModel, n: int,
         kind = GramKind.GOOD if sign * values.point_z > 0 else GramKind.BAD
     viscosity = (math.inf if values.point_z == 0.0
                  else abs(values.point_zprime / values.point_z))
-    return GramRecord(n=n, t=values.t, z_value=values.z, zprime_value=values.zprime,
+    return GramRecord(n=n, t=values.t, z=values.z, zprime=values.zprime,
                       kind=kind, viscosity=viscosity)
 
 
@@ -210,11 +211,14 @@ class RecordSource:
         or in pieces, cold or over a warm cache. Scans run on the calling
         thread, so `gdl --threads` changes nothing. A reversed window is
         refused: it would hold no record. So is one whose end seeds a height
-        that theta refuses, before a store shard is named after it."""
+        that theta or the head's term count refuses, before a store shard is
+        named after it."""
         if n_from > n_to:
             raise ValueError(f"need n_from <= n_to, got [{n_from}, {n_to}]")
         for n in (n_from, n_to):
-            self.model.theta(_seed_gram(self.model.theta_kind, n))
+            height = _seed_gram(self.model.theta_kind, n)
+            self.model.theta(height)
+            _head_size(self.model, height)
         indices = range(n_from, n_to + 1)
         records = [None if self.store is None else self.store.get(self.model.name, n)
                    for n in indices]

@@ -14,8 +14,8 @@ from gramdelta.gram import GramKind, GramRecord
 
 def _record(n: int) -> GramRecord:
     kind = (GramKind.GOOD, GramKind.BAD, GramKind.INDETERMINATE)[n % 3]
-    return GramRecord(n=n, t=100.0 + n / 7.0, z_value=(-1.0) ** n / (n + 3.0),
-                      zprime_value=0.25 - n / 11.0, kind=kind, viscosity=n / 13.0)
+    return GramRecord(n=n, t=100.0 + n / 7.0, z=(-1.0) ** n / (n + 3.0),
+                      zprime=0.25 - n / 11.0, kind=kind, viscosity=n / 13.0)
 
 
 def _shards(root) -> dict[str, bytes]:
@@ -97,6 +97,28 @@ def test_incomplete_row_is_refused_with_shard_and_line(tmp_path, row):
     assert str(shard) in message and "line 6" in message
     assert "gdl cache clear" in message
     assert isinstance(info.value, ValueError)
+
+
+@pytest.mark.parametrize("row", [
+    b"\xff\xfe,garbage\n",                                 # bytes no write produces
+    "\u0661\u0662,0x1.0p+6,0x1.0p+0,0x1.0p-1,good,0x1.0p-1\n".encode(),  # Arabic-Indic digits
+], ids=["undecodable", "non-ascii-digits"])
+def test_non_ascii_row_is_refused_with_shard_and_line(tmp_path, capsys, row):
+    # an undecodable byte ended in "'utf-8' codec can't decode byte 0xff",
+    # naming neither the shard nor the cure, and int() read the digits as 12
+    shard = _shard_with(tmp_path, "")
+    shard.write_bytes(shard.read_bytes() + row)
+    for read in (lambda: RecordStore(tmp_path).get("riemann", 10),
+                 lambda: RecordStore(tmp_path).status()):
+        with pytest.raises(CorruptCacheError) as info:
+            read()
+        message = str(info.value)
+        assert str(shard) in message and "line 6" in message
+        assert "gdl cache clear" in message
+    assert main(["cache", "status", "--cache-dir", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and str(shard) in captured.err
 
 
 @pytest.mark.parametrize("version,error", [("4", StaleCacheError),
@@ -187,7 +209,7 @@ def test_appended_tail_is_checked_like_a_load(tmp_path):
 
 
 def _crlf_row(r: GramRecord) -> str:
-    return (f"{r.n},{r.t.hex()},{r.z_value.hex()},{r.zprime_value.hex()},"
+    return (f"{r.n},{r.t.hex()},{r.z.hex()},{r.zprime.hex()},"
             f"{r.kind.value},{r.viscosity.hex()}\r\n")
 
 

@@ -429,28 +429,92 @@ def test_huge_window_over_a_cache_is_refused_by_theta(tmp_path, capsys):
     assert ".csv" not in captured.err
 
 
+def test_huge_dh_window_over_a_cache_is_refused_by_the_term_count(tmp_path, capsys):
+    # DH theta takes g_n near 9e302, so over an existing cache the store
+    # named a shard after the index: "[Errno 36] File name too long: .../dh_1000...0.csv"
+    cache_dir = str(tmp_path / "cache")
+    dh_scan = ["gram", "scan", "--model", "dh", "--cache-dir", cache_dir]
+    assert main([*dh_scan, "--from", "10", "--to", "12"]) == 0
+    capsys.readouterr()
+    code = main([*dh_scan, "--from", _HUGE, "--to", _HUGE])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: t = ") and "a sum there takes" in captured.err
+    assert ".csv" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [["gram", "scan", "--model", "dh", "--from", "1", "--to", "3"],
+                                  ["hessian", "--model", "dh", "--n", "1"]],
+                         ids=["gram-scan", "hessian"])
+def test_dh_index_one_is_refused_by_the_index_rule(tmp_path, capsys, argv):
+    # DH g_1 = 7.27 lies below theta's floor, which refused it with its own line
+    code = main([*argv, "--cache-dir", str(tmp_path / "cache")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: DH Gram index must be >= 2, got 1"]
+
+
 def _fields(row_type) -> list[str]:
     return [f.name for f in dataclasses.fields(row_type)]
 
 
+def _table(path) -> tuple[list[str], list[list[str]]]:
+    header, *rows = [l.split(",") for l in path.read_text().splitlines()
+                     if not l.startswith("#")]
+    return header, rows
+
+
+def _assert_twins_are_exact(header: list[str], rows: list[list[str]]) -> None:
+    """Every <name>_hex cell holds the exact bits of its decimal cell."""
+    twins = [(header.index(h[:-4]), i) for i, h in enumerate(header) if h.endswith("_hex")]
+    for row in rows:
+        assert len(row) == len(header)
+        for dec, hexed in twins:
+            assert float(row[dec]).hex() == row[hexed]
+
+
 @pytest.mark.parametrize("argv,row_type,twins", [
+    (["gram", "scan", "--from", "125", "--to", "127"], gram.GramRecord,
+     ["t", "z", "zprime", "viscosity"]),
     (["discriminant", "--n", "126", "--steps", "50"], discriminant.TraceSample,
      ["r", "g", "delta", "ztt"]),
     (["curve", "corrected", "--n", "211", "--steps", "50"], curves.StagePoint,
      ["r1", "r2", "g", "delta"]),
     (["viscosity", "--from", "125", "--to", "127"], gram.GbgRow, ["t", "viscosity"]),
     (["viscosity", "--from", "20", "--to", "25", "--bad-only"], gram.GbgRow,
-     ["t", "viscosity"])], ids=["discriminant", "curve-corrected", "viscosity", "no-rows"])
+     ["t", "viscosity"])],
+    ids=["gram-scan", "discriminant", "curve-corrected", "viscosity", "no-rows"])
 def test_table_columns_are_the_row_fields(tmp_path, capsys, argv, row_type, twins):
     # a table's columns are its rows' fields in their order, a float field
-    # with a hex twin, and a table with no rows still has the header
+    # with a hex twin of its exact bits, and a table with no rows still has
+    # the header
     out = tmp_path / "t.csv"
     assert main([*argv, "--cache-dir", str(tmp_path / "cache"), "--out", str(out)]) == 0
-    header, *rows = [l for l in out.read_text().splitlines() if not l.startswith("#")]
-    assert header.split(",") == _fields(row_type) + [f"{c}_hex" for c in twins]
-    assert all(len(row.split(",")) == len(header.split(",")) for row in rows)
-    if row_type is gram.GbgRow and rows:
-        assert [row.split(",")[3] for row in rows] == ["good", "bad", "good"]  # enum values
+    header, rows = _table(out)
+    assert header == _fields(row_type) + [f"{c}_hex" for c in twins]
+    _assert_twins_are_exact(header, rows)
+    if row_type in (gram.GbgRow, gram.GramRecord) and rows:  # enum values
+        assert [row[header.index("kind")] for row in rows] == ["good", "bad", "good"]
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["closed-forms", "--n", "126"], ["grad_delta", "grad_gram"]),
+    (["adjustments", "--n", "126"], ["phase", "alpha_c", "alpha_s"]),
+    (["stages", "--n", "126"], ["z_partial", "zprime_partial"]),
+    (["mc", "--n", "126", "--trials", "100"], ["raw", "sorted", "baseline", "essential"])],
+    ids=["closed-forms", "adjustments", "stages", "mc"])
+def test_per_term_tables_are_k_and_the_named_columns(tmp_path, capsys, argv, named):
+    # k = 1..N, then the named per-term columns, then one hex twin of exact
+    # bits per named column
+    out = tmp_path / "t.csv"
+    assert main([*argv, "--cache-dir", str(tmp_path / "cache"), "--out", str(out)]) == 0
+    header, rows = _table(out)
+    assert header == ["k", *named, *(f"{c}_hex" for c in named)]
+    assert rows and [row[0] for row in rows] == [str(k) for k in range(1, len(rows) + 1)]
+    _assert_twins_are_exact(header, rows)
 
 
 @pytest.mark.parametrize("argv,report,dropped,extra", [

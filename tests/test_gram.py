@@ -237,7 +237,7 @@ def _reference_classify(model, n: int) -> GramRecord:
     else:
         kind = GramKind.GOOD if sign * z > 0 else GramKind.BAD
     viscosity = math.inf if point[0] == 0.0 else abs(point[1] / point[0])
-    return GramRecord(n=n, t=g, z_value=z, zprime_value=zprime, kind=kind,
+    return GramRecord(n=n, t=g, z=z, zprime=zprime, kind=kind,
                       viscosity=viscosity)
 
 
@@ -255,12 +255,12 @@ def _one_look_reference(model, n: int) -> GramRecord:
     else:
         kind = GramKind.GOOD if sign * point[0] > 0 else GramKind.BAD
     viscosity = math.inf if point[0] == 0.0 else abs(point[1] / point[0])
-    return GramRecord(n=n, t=g, z_value=z, zprime_value=zprime, kind=kind,
+    return GramRecord(n=n, t=g, z=z, zprime=zprime, kind=kind,
                       viscosity=viscosity)
 
 
 def _bits(rec: GramRecord) -> tuple:
-    return (rec.n, rec.t.hex(), rec.z_value.hex(), rec.zprime_value.hex(),
+    return (rec.n, rec.t.hex(), rec.z.hex(), rec.zprime.hex(),
             rec.kind, rec.viscosity.hex())
 
 
@@ -301,8 +301,8 @@ def test_classical_sums_are_bit_identical_to_the_reference(riemann, davenport, n
 
 @pytest.mark.parametrize("name,n_from,message", [
     ("riemann", -2, "Riemann Gram index must be >= 0, got -2"),
-    ("dh", 0, "DH Gram index must be >= 1, got 0"),
-    ("dh", 1, "theta requires t >= 10.0, got 7.27")])
+    ("dh", 0, "DH Gram index must be >= 2, got 0"),
+    ("dh", 1, "DH Gram index must be >= 2, got 1")])
 def test_window_below_the_domain_stores_nothing(riemann, davenport, tmp_path,
                                                 name, n_from, message):
     # the first index out of the domain raises its own error, as one index
@@ -322,6 +322,17 @@ def test_huge_window_is_refused_before_the_store(riemann):
 
     with pytest.raises(DomainError, match="theta at t = .* overflows"):
         RecordSource(riemann, NoStore()).range(10, 10 ** 305)
+
+
+def test_huge_dh_window_is_refused_before_the_store(davenport):
+    # DH theta takes g_n near 9e302; the head's term count there refuses it
+    class NoStore:
+        def get(self, model_name, n):
+            raise AssertionError(f"store read at n = {n}")
+
+    for n_from in (10, 10 ** 305):
+        with pytest.raises(DomainError, match="is out of range: a sum there takes"):
+            RecordSource(davenport, NoStore()).range(n_from, 10 ** 305)
 
 
 def test_block_interior_is_read_from_start_and_length():
