@@ -109,7 +109,7 @@ def shifting_stage(solver: _ExtremumSolver, steps: int = 200) -> ShiftingResult:
             if abs(err) <= _LEVEL_TOL:
                 return StagePoint("shift", r1, r2, g, delta)
             # envelope theorem: dDelta/dr2 is the plain partial, the descend block sum
-            slope = solver.sign * solver.block_sum(g, 1)
+            slope = solver.sign * float(solver.proxy.sums(g)[0, 1])
             if abs(slope) < 1e-14:
                 return "level has no slope in r2"
             r2_next = r2 - err / slope

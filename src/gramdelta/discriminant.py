@@ -32,7 +32,6 @@ import numpy as np
 
 from .errors import TraceError
 from .numerics import csum, newton_scalar
-from .special import gram_gap
 from .zmodel import CoefficientModel, WindowProxy, section_eval, term_arrays
 from .gram import gram_point
 
@@ -83,7 +82,7 @@ class MarchResult:
 
 
 class _ExtremumSolver:
-    """Newton solver for dZ/dt(t; a) = 0 at fixed section dimension.
+    """Newton solver for dZ/dt(t; a) = 0 at the window's section dimension.
 
     The window has one block (shift_set None) or a corrected curve's shift
     and descend blocks (WindowProxy checks shift_set). A parameter point a
@@ -93,18 +92,17 @@ class _ExtremumSolver:
 
     def __init__(self, model: CoefficientModel, n: int, g0: float, shift_set=None):
         self.model = model
-        self.n_terms = model.robust_cutoff(g0)
         self.g0 = g0
         self.sign = -1.0 if n % 2 else 1.0  # (-1)^n
         lnfac = 2.0 * model.theta_main(g0)
         self.ztt_floor = 1e-8 * lnfac * lnfac
-        self.proxy = WindowProxy(model, self.n_terms, shift_set, g0)
+        self.proxy = WindowProxy(model, g0, shift_set)
 
     def section(self, a, t: float):
         """Z, Z_t, Z_tt at t (main mode), indexable by order: the proxy's three,
         or one direct section_eval call (no order's bits depend on the others)."""
         if isinstance(a, np.ndarray):
-            return section_eval(self.model, t, a, orders=(0, 1, 2), n_terms=self.n_terms)
+            return section_eval(self.model, t, a, orders=(0, 1, 2), n_terms=self.proxy.n_terms)
         if isinstance(a, (int, float)):
             a = (float(a),) * self.proxy.blocks
         return self.proxy.section(t, a)
@@ -123,10 +121,6 @@ class _ExtremumSolver:
 
     def value(self, a, t: float) -> float:
         return self.section(a, t)[0]
-
-    def block_sum(self, t: float, block: int) -> float:
-        """S_B(t), the section's sum over one block of indices."""
-        return float(self.proxy.sums(t)[0, block])
 
 
 def march(advance, start, steps: int, crossed=None, probe=None) -> MarchResult:
@@ -221,8 +215,7 @@ def track_extremum(model: CoefficientModel, n: int, weights_at,
     solver = _ExtremumSolver(model, n, g0)
     z0 = solver.section(weights_at(0.0), g0)
     start = TraceSample(r=0.0, g=g0, delta=z0[0], ztt=z0[2])
-    run = follow_extremum(solver, weights_at, start, steps,
-                          jump_cap=0.5 * gram_gap(model.theta_kind, g0))
+    run = follow_extremum(solver, weights_at, start, steps, jump_cap=0.5 * solver.proxy.gap)
     return DiscriminantTrace(n=n, samples=[s for _, s in run.samples],
                              status=run.status, r_event=run.r_event)
 

@@ -61,12 +61,17 @@ class GramBlock:
         return self.length == 2
 
 
-# The lowest Gram index of each theta kind, with the name its domain error
-# gives: the seed's domain, and where a bad run walked leftwards stops. DH
-# g_1 = 7.27 lies below theta's floor of t = 10, so its lowest index is 2
-_LOWEST = {ThetaKind.RIEMANN_SIEGEL: ("Riemann", 0), ThetaKind.DAVENPORT_HEILBRONN: ("DH", 2)}
+# The lowest Gram and core-zero index of each theta kind, with the name its
+# domain errors give: the seeds' domains, and where a bad run walked
+# leftwards stops. Every lower index lands below theta's floor of t = 10
+# (DH g_1 = 7.27, DH core seeds 5.32 and 8.96) or has no Lambert-W seed
+_LOWEST = {ThetaKind.RIEMANN_SIEGEL: ("Riemann", 0, 1),
+           ThetaKind.DAVENPORT_HEILBRONN: ("DH", 2, 3)}
 # past it a seed's numerator, about 8 pi n, overflows a float
 _MAX_INDEX = sys.float_info.max / (8.0 * math.pi)
+# The widest window RecordSource.range takes: a window holds its records
+# whole, about 0.45 KB per index, so this one, [0, 10**6], peaks near 0.5 GB
+_MAX_WIDTH = 1_000_001
 
 
 def _check_index(n: int) -> None:
@@ -76,7 +81,7 @@ def _check_index(n: int) -> None:
 
 
 def _seed_gram(kind: ThetaKind, n: int) -> float:
-    name, lowest = _LOWEST[kind]
+    name, lowest, _ = _LOWEST[kind]
     if n < lowest:
         raise DomainError(f"{name} Gram index must be >= {lowest}, got {n}")
     _check_index(n)
@@ -88,15 +93,14 @@ def _seed_gram(kind: ThetaKind, n: int) -> float:
 
 
 def _seed_core(kind: ThetaKind, n: int) -> float:
+    name, _, lowest = _LOWEST[kind]
+    if n < lowest:
+        raise DomainError(f"{name} core-zero index must be >= {lowest}, got {n}")
     _check_index(n)
     if kind is ThetaKind.RIEMANN_SIEGEL:
         x = (8.0 * n - 11.0) / (8.0 * math.e)
-        if x < -_INV_E:
-            raise DomainError(f"core-zero seed argument {x} below -1/e (n={n})")
         return (8.0 * n - 11.0) * math.pi / (4.0 * lambert_w0(x))
     c = n - 0.625
-    if 5.0 * c * _INV_E < -_INV_E:
-        raise DomainError(f"DH core-zero seed out of W domain (n={n})")
     return 2.0 * math.pi * c / lambert_w0(5.0 * c * _INV_E)
 
 
@@ -212,13 +216,17 @@ class RecordSource:
         thread, so `gdl --threads` changes nothing. A reversed window is
         refused: it would hold no record. So is one whose end seeds a height
         that theta or the head's term count refuses, before a store shard is
-        named after it."""
+        named after it, and then one wider than _MAX_WIDTH indices, before
+        the store is read."""
         if n_from > n_to:
             raise ValueError(f"need n_from <= n_to, got [{n_from}, {n_to}]")
         for n in (n_from, n_to):
             height = _seed_gram(self.model.theta_kind, n)
             self.model.theta(height)
             _head_size(self.model, height)
+        if n_to - n_from + 1 > _MAX_WIDTH:
+            raise ValueError(f"window [{n_from}, {n_to}] holds {n_to - n_from + 1} indices, "
+                             f"more than the {_MAX_WIDTH} a window may hold")
         indices = range(n_from, n_to + 1)
         records = [None if self.store is None else self.store.get(self.model.name, n)
                    for n in indices]

@@ -345,8 +345,10 @@ def _zeta_block_sums(model: CoefficientModel, t: np.ndarray, n: int) -> np.ndarr
 class WindowProxy:
     """Chebyshev proxies of the block sums of a section near one Gram point.
 
-    A window has one block, every term index k = 1..N (shift_set None: the
-    linear curve), or two, a corrected curve's shift block (the indices in
+    A window is built from its Gram point g0 and its shift set alone. Its
+    dimension is the robust cutoff N = floor(g0/2), kept when it re-centres.
+    It has one block, every term index k = 1..N (shift_set None: the linear
+    curve), or two, a corrected curve's shift block (the indices in
     shift_set) and descend block (the rest). The section splits as
 
         Z_N^(j)(t; w) = head^(j)(t) + sum_B w_B S_B^(j)(t),   j = 0, 1, 2,
@@ -361,10 +363,11 @@ class WindowProxy:
       Within 1.7e-8 relative of the direct sums at g_0, where the window is
       widest. Taken by the Davenport-Heilbronn model at every N and by the
       zeta model below one chunk of terms (N < _CHUNK_TERMS, n <= 8048).
-    * tail: for the zeta model from N = _CHUNK_TERMS on, when g0 <= 3 (N + 1).
+    * tail: for the zeta model from N = _CHUNK_TERMS = 4096 on (n >= 8049).
       One hardy_z call at the 25 nodes and an Euler-Maclaurin tail
       (_zeta_block_sums), O(sqrt t) work per node in place of O(t) and one
-      main-sum pass per window.
+      main-sum pass per window. The tail's precondition M = N + 1 > t/2pi
+      is no test: M > g0/2 by the cutoff, so it holds at every t < pi g0.
 
     With two blocks, either form sums the shift block directly over the
     indices up to its last one (k <= max(15, ceil(sqrt N)) for a corrected
@@ -375,10 +378,6 @@ class WindowProxy:
     are within 7.7e-9 of max(1, |S|), the rounding floor of the phases
     t ln m in either form.
 
-    section folds a weight tuple into the coefficients once and keeps the
-    fold until the weights change or the window is re-tabulated, so a Newton
-    step at fixed weights is one (25,) @ (25, 3) product and the head.
-
     The window is first centred on g0 and tabulated when first needed; a
     point outside it re-tabulates the window centred on that point. Where a
     window, the first one included, would reach below theta's domain floor
@@ -386,11 +385,11 @@ class WindowProxy:
     instead, which is narrower and so no less accurate.
     """
 
-    def __init__(self, model: CoefficientModel, n_terms: int, shift_set, g0: float):
+    def __init__(self, model: CoefficientModel, g0: float, shift_set=None):
         self.model = model
-        self.n_terms = n_terms
+        self.n_terms = model.robust_cutoff(g0)
         self.blocks = 1 if shift_set is None else 2
-        if any(not 1 <= k <= n_terms for k in shift_set or ()):
+        if any(not 1 <= k <= self.n_terms for k in shift_set or ()):
             raise ValueError("shift indices must lie in [1, dimension]")
         # the shift block's weights over k = 1..K, K its last index (none
         # when the set is empty or there is one block)
@@ -403,8 +402,7 @@ class WindowProxy:
         self._fold = None  # (w, the coefficients folded with w): see section
         # the zeta model's direct form never runs past one chunk of terms; the
         # tail form is already the faster one at N = 1,258 (n = 2000, 2-vCPU VM)
-        self.tail_form = (model.is_zeta and n_terms >= _CHUNK_TERMS
-                          and g0 <= 3.0 * (n_terms + 1))
+        self.tail_form = model.is_zeta and self.n_terms >= _CHUNK_TERMS
 
     def head(self, t: float) -> tuple[float, float, float]:
         """The m = 1 term of the section and its main-mode t-derivatives."""
@@ -466,8 +464,8 @@ class WindowProxy:
 
     def section(self, t: float, w: tuple[float, ...]) -> tuple[float, float, float]:
         """Z_N^(j)(t; w) for j = 0, 1, 2, one weight per block. The weights
-        are folded into the coefficients once per weight tuple, so each
-        further call at the same w is one (25,) @ (25, 3) product."""
+        are folded into the coefficients once per weight tuple and window,
+        so each further call at the same w is one (25,) @ (25, 3) product."""
         head = self.head(t)
         if not any(w):
             return head

@@ -457,6 +457,38 @@ def test_dh_index_one_is_refused_by_the_index_rule(tmp_path, capsys, argv):
     assert captured.err.splitlines() == ["error: DH Gram index must be >= 2, got 1"]
 
 
+@pytest.mark.parametrize("argv", [("gram", "scan"), ("gram", "blocks"), ("viscosity",)],
+                         ids=["gram-scan", "gram-blocks", "viscosity"])
+def test_wide_window_is_refused_with_one_line(tmp_path, capsys, monkeypatch, argv):
+    # both ends of [0, 10**9] are valid; the store was read once per index
+    # before any work, and the scan printed nothing for 60 s
+    def no_read(self, model_name, n):
+        raise AssertionError(f"store read at n = {n}")
+
+    monkeypatch.setattr(cache.RecordStore, "get", no_read)
+    cache_dir = tmp_path / "cache"
+    code = main([*argv, "--from", "0", "--to", str(10 ** 9), "--cache-dir", str(cache_dir)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: window [0, 1000000000] holds 1000000001 indices, "
+        f"more than the {gram._MAX_WIDTH} a window may hold"]
+    assert not cache_dir.exists()
+
+
+def test_dh_core_zero_index_two_is_refused_and_three_runs(tmp_path, capsys):
+    # the DH core seed at n = 2 is 8.96, and theta refused it with its own line
+    code = main(["newton", "--model", "dh", "--index", "2"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: DH core-zero index must be >= 3, got 2"]
+    code, out = run(capsys, "newton", "--model", "dh", "--index", "3")
+    assert code == 0
+    assert json.loads(out)["t"] == pytest.approx(12.1335, abs=1e-4)
+
+
 def _fields(row_type) -> list[str]:
     return [f.name for f in dataclasses.fields(row_type)]
 

@@ -335,6 +335,42 @@ def test_huge_dh_window_is_refused_before_the_store(davenport):
             RecordSource(davenport, NoStore()).range(n_from, 10 ** 305)
 
 
+@pytest.mark.parametrize("name", ["riemann", "dh"])
+def test_wide_window_is_refused_before_the_store(riemann, davenport, monkeypatch, name):
+    # [0, 10**9] has two valid ends; a lookup per index ran before any work,
+    # and `gdl gram scan` printed nothing for 60 s
+    import gramdelta.gram as gram
+    model = riemann if name == "riemann" else davenport
+
+    class NoStore:
+        def get(self, model_name, n):
+            raise AssertionError(f"store read at n = {n}")
+
+    assert gram._MAX_WIDTH >= 1_000_001  # [0, 10**6] is one window
+    with pytest.raises(ValueError, match=re.escape(
+            f"window [2, 1000000002] holds 1000000001 indices, more than the "
+            f"{gram._MAX_WIDTH} a window may hold")):
+        RecordSource(model, NoStore()).range(2, 10 ** 9 + 2)
+    monkeypatch.setattr(gram, "_MAX_WIDTH", 3)
+    assert [rec.n for rec in RecordSource(model).range(20, 22)] == [20, 21, 22]
+    with pytest.raises(ValueError, match=re.escape("window [20, 23] holds 4 indices")):
+        RecordSource(model, NoStore()).range(20, 23)
+
+
+@pytest.mark.parametrize("name,n,lowest,message", [
+    ("riemann", 0, 1, "Riemann core-zero index must be >= 1, got 0"),
+    ("dh", 1, 3, "DH core-zero index must be >= 3, got 1"),
+    ("dh", 2, 3, "DH core-zero index must be >= 3, got 2")])
+def test_core_zero_below_the_lowest_index_is_refused(riemann, davenport, name, n, lowest,
+                                                     message):
+    # the DH seeds at n = 1 and 2 (5.32 and 8.96) lie below theta's floor,
+    # and the Riemann seed at n = 0 has no Lambert-W argument
+    model = riemann if name == "riemann" else davenport
+    with pytest.raises(DomainError, match=re.escape(message)):
+        core_zero(model, n)
+    assert core_zero(model, lowest) > 10.0
+
+
 def test_block_interior_is_read_from_start_and_length():
     assert GramBlock(start=6707, length=2).interior_bad == (6708,)
     assert GramBlock(start=9, length=4).interior_bad == (10, 11, 12)

@@ -92,7 +92,7 @@ def test_march_bisects_the_first_crossing_and_goes_on():
 
 def test_descent_underflow_is_undetermined_not_a_collision(riemann, monkeypatch):
     # n = 126 selects no shift indices, so only the descent calls the solver
-    monkeypatch.setattr(_ExtremumSolver, "solve", lambda self, a, t_seed, max_newton=10: None)
+    monkeypatch.setattr(_ExtremumSolver, "solve", lambda self, a, t_seed: None)
     solver = _ExtremumSolver(riemann, 126, gram_point(riemann, 126), set())
     descent = descending_stage(solver, (1.0, 0.0), steps=50)
     assert descent.points == [] and not descent.energy_ok

@@ -458,7 +458,7 @@ def test_window_proxy_against_direct_sums(riemann, davenport, name, n):
     model = riemann if name == "riemann" else davenport
     g0 = gram_point(model, n)
     dim = model.robust_cutoff(g0)
-    proxy = WindowProxy(model, dim, None, g0)
+    proxy = WindowProxy(model, g0)
     for x in np.linspace(-1.0, 1.0, 41):
         t = g0 + proxy.half_width * x
         sums = proxy.sums(t)[:, 0]
@@ -492,7 +492,7 @@ def test_window_proxy_section_matches_the_unfolded_sums(riemann, davenport, name
     assert bool(shift_set) is (n in (211, 730119))
     for blocks, weights in [(None, [(1.0,), (0.37,), (-0.2,)]),
                             (shift_set, [(1.0, 1.0), (0.3, 0.9), (1.7, -0.4)])]:
-        proxy = WindowProxy(model, dim, blocks, g0)
+        proxy = WindowProxy(model, g0, blocks)
         for x in np.linspace(-1.0, 1.0, 21):
             t = g0 + proxy.half_width * x
             for w in weights:
@@ -535,7 +535,7 @@ def test_window_proxy_recentres_inside_the_theta_domain(riemann, davenport):
     for model, n, below in ((riemann, 0, 1.01), (davenport, 2, 0.0)):
         g = gram_point(model, n)
         dim = model.robust_cutoff(g)
-        proxy = WindowProxy(model, dim, None, g)
+        proxy = WindowProxy(model, g)
         t = g - below * proxy.gap
         sums = proxy.sums(t)[:, 0]
         assert proxy.center - proxy.half_width == pytest.approx(10.0, abs=1e-12)
@@ -570,7 +570,7 @@ def _sum_bound(t: float, dim: int, order: int) -> float:
 
 def _window_nodes(model, n):
     g0 = gram_point(model, n)
-    proxy = WindowProxy(model, model.robust_cutoff(g0), None, g0)
+    proxy = WindowProxy(model, g0)
     return g0, proxy.n_terms, g0 + proxy.half_width * _CHEB_X
 
 
@@ -802,7 +802,7 @@ def test_window_proxy_tabulates_in_one_call(riemann, monkeypatch):
 
     monkeypatch.setattr(zmodel, "section_eval", counting)
     g0 = gram_point(riemann, 6708)
-    proxy = WindowProxy(riemann, riemann.robust_cutoff(g0), None, g0)
+    proxy = WindowProxy(riemann, g0)
     proxy.sums(g0)
     proxy.sums(g0 + 0.5 * proxy.half_width)
     assert calls == [(25,)]
@@ -874,19 +874,26 @@ def test_em_coefficients_regenerate():
 
 
 def test_window_proxy_selects_the_tail_form(riemann, davenport):
+    from gramdelta.discriminant import _ExtremumSolver
+    # a window's dimension is the robust cutoff at its Gram point, and the
+    # solver's window is that window
+    for model, n in ((riemann, 0), (riemann, 730119), (davenport, 2), (davenport, 44)):
+        g = gram_point(model, n)
+        assert WindowProxy(model, g).n_terms == model.robust_cutoff(g), (model.name, n)
+        assert _ExtremumSolver(model, n, g).proxy.n_terms == model.robust_cutoff(g)
     g0 = gram_point(riemann, 100000)
-    dim = riemann.robust_cutoff(g0)
-    assert WindowProxy(riemann, dim, None, g0).tail_form
-    assert WindowProxy(riemann, dim, set(range(1, 21)), g0).tail_form
-    assert not WindowProxy(riemann, dim, None, 4.0 * dim).tail_form  # M far below t/2
+    assert WindowProxy(riemann, g0).tail_form
+    assert WindowProxy(riemann, g0, set(range(1, 21))).tail_form
     # the Davenport-Heilbronn model and N below one chunk take the direct form
-    assert not WindowProxy(davenport, dim, None, g0).tail_form
+    assert not WindowProxy(davenport, g0).tail_form
     for n, tail in [(6708, False), (8048, False), (8049, True), (20000, True)]:
-        g = gram_point(riemann, n)
-        assert WindowProxy(riemann, riemann.robust_cutoff(g), None, g).tail_form is tail, n
+        assert WindowProxy(riemann, gram_point(riemann, n)).tail_form is tail, n
+    # read from g alone: N = 4095 at g = 8191 and N = 4096 at g = 8193
     g = 2.0 * _CHUNK_TERMS + 1.0
-    assert WindowProxy(riemann, _CHUNK_TERMS, None, g).tail_form
-    assert not WindowProxy(riemann, _CHUNK_TERMS - 1, None, g - 2.0).tail_form
+    assert WindowProxy(riemann, g).n_terms == _CHUNK_TERMS
+    assert WindowProxy(riemann, g).tail_form
+    assert WindowProxy(riemann, g - 2.0).n_terms == _CHUNK_TERMS - 1
+    assert not WindowProxy(riemann, g - 2.0).tail_form
 
 
 def _shift_set(model, n):
@@ -903,8 +910,8 @@ def test_tail_form_rows_match_the_direct_rows(riemann, n, blocks):
     # summed directly up to its last index and the descend block is the total
     # minus it
     g0, dim, shift_set = _shift_set(riemann, n)
-    tail = WindowProxy(riemann, dim, shift_set if blocks == 2 else None, g0)
-    direct = WindowProxy(riemann, dim, shift_set if blocks == 2 else None, g0)
+    tail = WindowProxy(riemann, g0, shift_set if blocks == 2 else None)
+    direct = WindowProxy(riemann, g0, shift_set if blocks == 2 else None)
     direct.tail_form = False
     assert tail.tail_form and tail.blocks == blocks
     for x in _CHEB_X:
@@ -956,7 +963,7 @@ def test_both_window_forms_against_mpmath(riemann, n):
     from gramdelta.zmodel import _zeta_block_sums
     g0 = gram_point(riemann, n)
     dim = riemann.robust_cutoff(g0)
-    proxy = WindowProxy(riemann, dim, None, g0)
+    proxy = WindowProxy(riemann, g0)
     for x in (_CHEB_X[3], 0.0):
         t = g0 + proxy.half_width * x
         ref = _mp_block_sums(mp, t, dim)
